@@ -22,7 +22,6 @@ from .endo import (
     certify_indecomposable,
     commutant,
     decompose,
-    find_separating_vector,
     hom_space,
     is_isomorphic,
 )
@@ -39,7 +38,6 @@ from .fields import GF, QQ, FieldSpec
 from .modules import (
     AlgebraElement,
     GroupActionModule,
-    action_matrix,
     build_induction,
     build_restriction,
     build_specht,
@@ -77,12 +75,12 @@ __all__ = [
     "DecompositionCertificate", "EndoAlgebra", "FieldSpec", "GF",
     "GroupActionModule", "INDUCE", "Matrix", "ModuleVector", "Partition",
     "Polynomial", "QQ", "RESTRICT", "RowBasis", "Subspace", "Tableau",
-    "VerificationReport", "action_matrix", "block_label", "block_split",
-    "branching_factors", "build_induction", "build_restriction",
-    "build_specht", "canonical_tableau", "central_symmetric_action",
-    "certify_indecomposable", "commutant", "decompose", "extended_tableaux",
-    "extension", "find_separating_vector", "hom_space", "induced_polytabloid",
-    "is_isomorphic", "kernel", "minimal_polynomial", "murphy_element",
+    "VerificationReport", "block_label", "block_split", "branching_factors",
+    "build_induction", "build_restriction", "build_specht",
+    "canonical_tableau", "central_symmetric_action", "certify_indecomposable",
+    "commutant", "decompose", "extended_tableaux", "extension", "hom_space",
+    "induced_polytabloid", "is_isomorphic", "kernel", "minimal_polynomial",
+    "murphy_element",
     "partitions_of", "polytabloid", "predicted_min_poly", "predicted_scalar",
     "rref", "run_char2_counterexamples", "specht_dimension", "split_branching",
     "standard_tableaux", "sweep", "transposition_sum", "verify_branching",

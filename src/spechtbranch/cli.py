@@ -6,8 +6,14 @@ Examples:
     spechtbranch counterexamples --json report.json
     spechtbranch sweep --n-max 4 --fields 0,3
 
-Exit code 0 means every expectation was met, 1 means a check failed,
-2 means the invocation was rejected (bad arguments or a guardrail).
+Exit codes:
+    0  every expectation was met
+    1  a check failed
+    2  the invocation was rejected: bad arguments or a guardrail
+       (ValueError)
+    3  the run could not decide or failed internally: an undecided
+       certificate, or an internal consistency check that did not hold
+       (ArithmeticError)
 """
 
 from __future__ import annotations
@@ -88,7 +94,7 @@ def _cmd_blocks(args) -> tuple[list, dict | None]:
 
 def _cmd_decompose(args) -> tuple[list, dict | None]:
     module = _build(args.lam, args.field, args.direction)
-    parts = decompose(module, seed=args.seed)
+    parts = decompose(module)
     what = {RESTRICT: "restriction", INDUCE: "induction"}.get(args.direction, "module")
     report = VerificationReport(f"decompose {what} ({args.lam})", str(args.field),
                                 args.direction, seed=args.seed)
@@ -189,9 +195,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         reports, extra = args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"undecided or internal failure: {exc}", file=sys.stderr)
+        return 3
 
     for report in reports:
         if len(reports) > 6 and report.passed:

@@ -7,17 +7,21 @@ the way becomes a constraint on the seed images.  The solution space starts
 as all seed-image tuples and shrinks through the constraints, which keeps
 the elimination at seed scale instead of (dim x dim)-unknown scale.
 
-Indecomposability is decided through the Fitting trichotomy in the left
-regular representation of the commutant: an endomorphism is invertible or
-nilpotent exactly when its left multiplication matrix is, and a module is
-indecomposable exactly when every endomorphism is one of the two.
+Indecomposability is decided by one deterministic certificate on the
+commutant E = End(M): a module is indecomposable exactly when E is local.
+Each basis element b of E is sorted by the roots in F of its minimal
+polynomial.  An element with a root lam whose minimal polynomial is not a
+power of (x - lam) gives a Fitting witness b - lam that splits the module;
+when every basis element is a scalar plus a nilpotent and the nilpotent
+parts span a subalgebra, Wedderburn's theorem makes that span the radical
+of codimension one, so E is local.  Anything else is reported undecided,
+never guessed.  Isomorphism of modules rests on the same certificate
+(see is_isomorphic).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +29,7 @@ import numpy as np
 
 from .exact import (
     Matrix,
+    Polynomial,
     RowBasis,
     Subspace,
     _mul,
@@ -35,8 +40,6 @@ from .exact import (
 )
 from .fields import FieldSpec
 from .modules import GroupActionModule
-
-ENUMERATION_CAP = 10 ** 6
 
 
 def _unit_row(field: FieldSpec, n: int, i: int) -> np.ndarray:
@@ -176,6 +179,8 @@ def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
     return out
 
 
+
+
 class EndoAlgebra:
     """The commutant of a module, with multiplication tables."""
 
@@ -191,7 +196,6 @@ class EndoAlgebra:
             idx, _ = flat.insert(b.a.reshape(-1))
             if idx is None:
                 raise ArithmeticError("commutant basis is dependent")
-        self._flat = flat
         n = len(basis)
         self.structure = self.field.zeros((n, n, n))
         for i in range(n):
@@ -214,14 +218,6 @@ class EndoAlgebra:
         c = np.asarray(coeffs, dtype=self.field.dtype)
         return Matrix(self.field, np.tensordot(c, self._stack, axes=(0, 0)))
 
-    def coords_of(self, x: Matrix):
-        return self._flat.coords(x.a.reshape(-1))
-
-    def left_mult(self, coeffs) -> Matrix:
-        """Matrix of y -> x y on the algebra, rows = coordinate images."""
-        c = np.asarray(coeffs, dtype=self.field.dtype)
-        return Matrix(self.field, np.tensordot(c, self.structure, axes=(0, 0)))
-
 
 def commutant(module: GroupActionModule) -> EndoAlgebra:
     return EndoAlgebra(module, hom_space(module, module))
@@ -231,9 +227,10 @@ def commutant(module: GroupActionModule) -> EndoAlgebra:
 class DecompositionCertificate:
     """The outcome of an indecomposability check.
 
-    deterministic means the verdict is proved: by exhaustion, by a scalar
-    commutant, or by an explicit verified witness.  The probabilistic
-    verdict only says a budgeted search found no witness.
+    deterministic means the verdict is proved: a zero module, a scalar
+    commutant, a Wedderburn locality proof, or a verified Fitting witness.
+    An "undecided" verdict is not deterministic and claims nothing.
+    trials counts the commutant basis elements examined.
     """
 
     verdict: str
@@ -241,41 +238,11 @@ class DecompositionCertificate:
     deterministic: bool
     witness: Matrix | None = None
     split_dims: tuple | None = None
-    seed: int | None = None
     trials: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "branch": self.branch,
-            "deterministic": self.deterministic,
-            "split_dims": list(self.split_dims) if self.split_dims else None,
-            "seed": self.seed,
-            "trials": self.trials,
-        }
-
-
-def _is_nilpotent(m: Matrix) -> bool:
-    return m.pow(m.nrows).is_zero()
 
 
 def _rank(m: Matrix) -> int:
     return rref(m)[1]
-
-
-def _trichotomy_witness(algebra: EndoAlgebra, coeffs):
-    """The element at coeffs if it is neither nilpotent nor invertible."""
-    lm = algebra.left_mult(coeffs)
-    if _rank(lm) == algebra.dim or _is_nilpotent(lm):
-        return None
-    return algebra.element(coeffs)
-
-
-def _projective_coeff_vectors(q: int, d: int):
-    """One representative per scalar line of GF(q)^d, deterministic order."""
-    for lead in range(d):
-        for tail in itertools.product(range(q), repeat=d - lead - 1):
-            yield (0,) * lead + (1,) + tail
 
 
 def _rational_roots(poly) -> list[Fraction]:
@@ -312,105 +279,135 @@ def _rational_roots(poly) -> list[Fraction]:
     return sorted(roots)
 
 
-def certify_indecomposable(module: GroupActionModule,
-                           cap: int = ENUMERATION_CAP,
-                           seed: int = 0,
-                           trials: int = 500) -> DecompositionCertificate:
+def _roots(poly: Polynomial) -> list:
+    """The roots of a polynomial in its field, ascending.  Over GF(p) every
+    residue is evaluated, so the cost grows linearly with p."""
+    p = poly.field.characteristic
+    if p:
+        return [c for c in range(p) if poly.eval_scalar(c) == 0]
+    return _rational_roots(poly)
+
+
+LOCAL = "wedderburn-locality"
+SPLIT = "fitting-witness"
+ROOTLESS = "no-root-in-field"
+NOT_CLOSED = "nilpotent-span-not-closed"
+
+
+def locality_certificate(field: FieldSpec, structure: np.ndarray,
+                         identity: np.ndarray):
+    """Certify an algebra E local, or find an element that splits it.
+
+    E has basis b_1..b_d with structure[i, j] the coordinates of b_i b_j,
+    and identity the coordinates of its unit.  Returns (branch, witness
+    coordinates or None, basis elements examined), where branch is
+
+    - SPLIT: some b_i has a root lam in F of its minimal polynomial mu_i
+      with mu_i != (x - lam)^k; the witness b_i - lam (lam the smallest such
+      root) is singular and not nilpotent.
+    - LOCAL: every mu_i = (x - lam_i)^k_i and the nilpotent parts
+      b_i - lam_i span a subalgebra N; then E is local with E/J(E) = F
+      (the proof is in certify_indecomposable).
+    - ROOTLESS: no witness, and some mu_i has no root in F, so E/J(E) is
+      not F: E is not local, or its residue algebra is larger than F.
+    - NOT_CLOSED: no witness, and N is not closed under products, so E is
+      not local (a local E whose basis elements all have one eigenvalue in
+      F has E/J(E) = F and passes, see certify_indecomposable).
+
+    mu_i is the minimal polynomial of left multiplication by b_i, which is
+    that of b_i itself because E is unital.
+    """
+    d = structure.shape[0]
+    nilpotent = RowBasis(field, d, track=False)
+    parts = []
+    rootless = False
+    for i in range(d):
+        mu = minimal_polynomial(Matrix(field, structure[i]))
+        roots = _roots(mu)
+        if not roots:
+            rootless = True
+            continue
+        lam = roots[0]
+        shifted = -lam * identity
+        shifted[i] += 1
+        shifted = field.reduce_array(shifted)
+        if mu != Polynomial.from_roots(field, [lam] * mu.degree):
+            return SPLIT, shifted, i + 1
+        parts.append(shifted)
+        nilpotent.insert(shifted)
+    if rootless:
+        return ROOTLESS, None, d
+    for u in parts:
+        left = field.reduce_array(np.tensordot(u, structure, axes=(0, 0)))
+        for v in parts:
+            if not nilpotent.contains(_mul(field, v.reshape(1, -1), left)[0]):
+                return NOT_CLOSED, None, d
+    return LOCAL, None, d
+
+
+def certify_indecomposable(module: GroupActionModule) -> DecompositionCertificate:
     """Decide whether a module is zero, indecomposable, or decomposable.
 
-    Over GF(q) with q^dim(commutant) within the cap the decision is by full
-    enumeration of the commutant up to scalars.  Beyond the cap (and over Q)
-    a deterministic scan of basis elements, pairwise sums, products, and
-    eigenvalue shifts runs first, then a seeded random search; a witness
-    found any way is verified, so only the no-witness outcome of the random
-    phase is less than a proof.
+    M is indecomposable exactly when E = End(M) is local.  The argument runs
+    on the echelon basis b_1..b_d of E from hom_space (locality_certificate):
+
+    - A basis element b with a root lam of its minimal polynomial that is
+      not a power of (x - lam) makes b - lam singular and not nilpotent, so
+      the Fitting split of M under b - lam is a nontrivial direct sum.  The
+      split is computed and checked before "decomposable" is returned.
+    - If every b_i is lam_i + n_i with n_i nilpotent, then E = F*1 + N for
+      N = span(n_i).  When N is closed under products it is an associative
+      algebra spanned by nilpotent elements, so N is nilpotent by
+      Wedderburn's theorem.  Then 1 is not in N and E = F*1 (+) N; N is an
+      ideal, since E N = (F*1 + N) N lies in N; and a nilpotent ideal of
+      codimension one is the radical J(E), with E/J(E) = F.  So E is local
+      and M is indecomposable.
+    - Otherwise the verdict is "undecided" (deterministic False): E/J(E)
+      is not F, and no basis element exposes a witness.  That happens when
+      E is local with a residue algebra larger than F (End/rad not split),
+      or when E is not local but each basis element has at most one
+      eigenvalue in F.  Nothing is guessed.
+
+    Every local E with E/J(E) = F passes: lam_i is the image of b_i in F, so
+    each n_i lies in J(E), and N = J(E) is closed.  So does every local E
+    whose basis elements all have one eigenvalue in F, as the images of the
+    b_i then span E/J(E) = F.
     """
     if module.dim == 0:
-        return DecompositionCertificate("zero", "zero-module", True, seed=seed)
+        return DecompositionCertificate("zero", "zero-module", True)
     algebra = commutant(module)
-    d = algebra.dim
-    field = module.field
-    if d == 1:
-        return DecompositionCertificate(
-            "indecomposable", "scalar-commutant", True, seed=seed, trials=0)
-
-    def decomposable(coeffs, branch, count):
-        witness = algebra.element(coeffs)
-        ker, image = fitting_split(witness)
-        if ker.dim == 0 or image.dim == 0:
-            raise ArithmeticError("witness produced a trivial split")
-        return DecompositionCertificate(
-            "decomposable", branch, True, witness=witness,
-            split_dims=(ker.dim, image.dim), seed=seed, trials=count)
-
-    q = field.characteristic
-    if q and q ** d <= cap:
-        count = 0
-        for coeffs in _projective_coeff_vectors(q, d):
-            count += 1
-            if _trichotomy_witness(algebra, coeffs) is not None:
-                return decomposable(coeffs, "exhaustive-enumeration", count)
-        return DecompositionCertificate(
-            "indecomposable", "exhaustive-enumeration", True,
-            seed=seed, trials=count)
-
-    count = 0
-    scan = []
-    for i in range(d):
-        scan.append(tuple(1 if j == i else 0 for j in range(d)))
-    for i in range(d):
-        for j in range(i + 1, d):
-            scan.append(tuple((1 if k == i else 0) + (1 if k == j else 0)
-                              for k in range(d)))
-    for i in range(d):
-        for j in range(d):
-            scan.append(tuple(field.scalar(x) for x in algebra.structure[i, j]))
-    for coeffs in scan:
-        count += 1
-        if any(coeffs) and _trichotomy_witness(algebra, coeffs) is not None:
-            return decomposable(coeffs, "witness-search", count)
-
-    if q == 0:
-        # every eigenvalue shift of a commutant element is singular, and a
-        # non-nilpotent shifted element splits the module
-        for i in range(d):
-            coeffs = [Fraction(0)] * d
-            coeffs[i] = Fraction(1)
-            lm = algebra.left_mult(coeffs)
-            for root in _rational_roots(minimal_polynomial(lm)):
-                shifted = [c - root * e for c, e in
-                           zip(coeffs, algebra.identity_coords)]
-                count += 1
-                if _trichotomy_witness(algebra, shifted) is not None:
-                    return decomposable(shifted, "eigenvalue-shift", count)
-
-    rng = random.Random(seed)
-    for _ in range(trials):
-        if q:
-            coeffs = tuple(rng.randrange(q) for _ in range(d))
-        else:
-            coeffs = tuple(Fraction(rng.randint(-5, 5)) for _ in range(d))
-        count += 1
-        if any(coeffs) and _trichotomy_witness(algebra, coeffs) is not None:
-            return decomposable(coeffs, "random-search", count)
-
+    if algebra.dim == 1:
+        return DecompositionCertificate("indecomposable", "scalar-commutant", True)
+    branch, coeffs, examined = locality_certificate(
+        module.field, algebra.structure, algebra.identity_coords)
+    if branch == LOCAL:
+        return DecompositionCertificate("indecomposable", branch, True,
+                                        trials=examined)
+    if branch != SPLIT:
+        return DecompositionCertificate("undecided", branch, False,
+                                        trials=examined)
+    witness = algebra.element(coeffs)
+    ker, image = fitting_split(witness)
+    if ker.dim == 0 or image.dim == 0:
+        raise ArithmeticError("witness produced a trivial split")
     return DecompositionCertificate(
-        "indecomposable (probabilistic)", "budget-exhausted", False,
-        seed=seed, trials=count)
+        "decomposable", branch, True, witness=witness,
+        split_dims=(ker.dim, image.dim), trials=examined)
 
 
-def decompose(module: GroupActionModule, cap: int = ENUMERATION_CAP,
-              seed: int = 0) -> list[tuple[Subspace, DecompositionCertificate]]:
+def decompose(module: GroupActionModule
+              ) -> list[tuple[Subspace, DecompositionCertificate]]:
     """Split a module into certified summands by recursive Fitting splits.
 
     Subspaces come back in the coordinates of the original module; they are
-    independent and exhaustive by construction.
+    independent and exhaustive by construction.  A summand whose certificate
+    is undecided is returned as it is, with that certificate.
     """
     field = module.field
     out: list[tuple[Subspace, DecompositionCertificate]] = []
 
     def rec(sub: GroupActionModule, rows: Matrix):
-        cert = certify_indecomposable(sub, cap=cap, seed=seed)
+        cert = certify_indecomposable(sub)
         if cert.verdict == "decomposable":
             ker, image = fitting_split(cert.witness)
             for part in (ker, image):
@@ -424,80 +421,51 @@ def decompose(module: GroupActionModule, cap: int = ENUMERATION_CAP,
     return out
 
 
-def is_isomorphic(m1: GroupActionModule, m2: GroupActionModule,
-                  cap: int = ENUMERATION_CAP, seed: int = 0,
-                  trials: int = 500) -> bool:
-    """Whether the modules are isomorphic, by finding an invertible hom.
+def _has_invertible_hom(m1: GroupActionModule, m2: GroupActionModule) -> bool:
+    """Whether some echelon basis element of Hom(m1, m2) is invertible."""
+    return m1.dim == m2.dim and any(_rank(x) == m1.dim
+                                    for x in hom_space(m1, m2))
 
-    Over GF(q) with a small hom space the search is exhaustive, so both
-    answers are proofs.  Otherwise a deterministic scan plus a seeded random
-    search runs; failure to find an invertible element then raises rather
-    than returning a potentially wrong False.
+
+def _summands(module: GroupActionModule) -> list[GroupActionModule]:
+    """The certified indecomposable summands of a module."""
+    out = []
+    for space, cert in decompose(module):
+        if cert.verdict != "indecomposable":
+            raise ArithmeticError(
+                f"isomorphism undecided: a summand of {module.label} is "
+                f"{cert.verdict} ({cert.branch})")
+        out.append(module.submodule(space.basis))
+    return out
+
+
+def is_isomorphic(m1: GroupActionModule, m2: GroupActionModule) -> bool:
+    """Whether the modules are isomorphic; both answers are proofs.
+
+    True when some basis element h_i of Hom(m1, m2) is invertible.  When
+    none is and m1 is indecomposable, the answer is False: its commutant is
+    local, and an isomorphism f = sum c_i h_i with inverse g = sum d_j g_j
+    (g_j a basis of Hom(m2, m1)) would write 1 = sum c_i d_j h_i g_j; in a
+    local ring a sum of non-units is a non-unit, so some h_i g_j would be
+    invertible, making h_i injective between equal dimensions.  Otherwise
+    both modules are decomposed into certified indecomposable summands and
+    matched up to isomorphism, summand by summand (Krull-Schmidt).  Raises
+    ArithmeticError only when some certificate is undecided.
     """
     if m1.dim != m2.dim:
         return False
     if m1.dim == 0:
         return True
-    homs = hom_space(m1, m2)
-    if not homs:
-        return False
-    d = m1.dim
-    for x in homs:
-        if _rank(x) == d:
-            return True
-    field = m1.field
-    stack = np.stack([x.a for x in homs])
-    q = field.characteristic
-    if q and q ** len(homs) <= cap:
-        for coeffs in _projective_coeff_vectors(q, len(homs)):
-            c = np.asarray(coeffs, dtype=field.dtype)
-            x = Matrix(field, np.tensordot(c, stack, axes=(0, 0)))
-            if _rank(x) == d:
-                return True
-        return False
-    rng = random.Random(seed)
-    for _ in range(trials):
-        if q:
-            coeffs = [rng.randrange(q) for _ in range(len(homs))]
-        else:
-            coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(len(homs))]
-        c = np.asarray(coeffs, dtype=field.dtype)
-        x = Matrix(field, np.tensordot(c, stack, axes=(0, 0)))
-        if _rank(x) == d:
-            return True
-    raise ArithmeticError("isomorphism search budget exhausted without a proof")
-
-
-def find_separating_vector(module: GroupActionModule, z: Matrix,
-                           expected_degree: int) -> np.ndarray:
-    """A vector whose first expected_degree Krylov images under z are
-    independent.  Searches unit vectors, then pairs, then triples."""
-    field = module.field
-    d = module.dim
-    if z.nrows != d or z.ncols != d:
-        raise ValueError("operator shape does not match the module")
-    if expected_degree < 1:
-        raise ValueError("expected_degree must be at least 1")
-    if minimal_polynomial(z).degree < expected_degree:
-        raise ValueError(
-            f"no separating vector: minimal polynomial degree is below "
-            f"{expected_degree}")
-
-    def chain_ok(v: np.ndarray) -> bool:
-        rb = RowBasis(field, d)
-        w = v
-        for _ in range(expected_degree):
-            idx, _ = rb.insert(w)
-            if idx is None:
-                return False
-            w = _mul(field, w.reshape(1, -1), z.a)[0]
+    if _has_invertible_hom(m1, m2):
         return True
-
-    for size in (1, 2, 3):
-        for support in itertools.combinations(range(d), size):
-            v = field.zeros(d)
-            for i in support:
-                v[i] = 1
-            if chain_ok(v):
-                return v
-    raise ArithmeticError("no separating vector found in the search lattice")
+    parts1 = _summands(m1)
+    if len(parts1) == 1:
+        return False
+    unmatched = _summands(m2)
+    for part in parts1:
+        match = next((other for other in unmatched
+                      if _has_invertible_hom(part, other)), None)
+        if match is None:
+            return False
+        unmatched.remove(match)
+    return not unmatched

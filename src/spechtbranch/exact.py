@@ -337,11 +337,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F^{self.ambient})"
 
 
-def solve_in_span(space: Subspace, v: np.ndarray):
-    """Coordinates of v over space's basis rows, or None if outside."""
-    return space.coords(v)
-
-
 class Polynomial:
     """A polynomial over a FieldSpec; coefficients ascending, exact."""
 
@@ -496,10 +491,6 @@ class Polynomial:
         return f"Polynomial({self.field}, {self})"
 
 
-def poly_product_from_roots(field: FieldSpec, roots) -> Polynomial:
-    return Polynomial.from_roots(field, roots)
-
-
 def minimal_polynomial(m: Matrix) -> Polynomial:
     """Minimal polynomial, as the lcm of cyclic-vector local polynomials.
 
@@ -545,12 +536,6 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     if np.any(acc):
         raise ArithmeticError("minimal polynomial candidate fails to annihilate")
     return f
-
-
-def generalized_eigenspace(m: Matrix, c) -> Subspace:
-    """Left kernel of (m - c)^n where n is the ambient dimension."""
-    shifted = m.shift(m.field.neg(m.field.scalar(c)))
-    return kernel(shifted.pow(m.nrows))
 
 
 def fitting_split(m: Matrix):

@@ -52,17 +52,23 @@ class FieldSpec:
     # -- scalar arithmetic ------------------------------------------------
 
     def scalar(self, x) -> "int | Fraction":
-        """Reduce an integer or Fraction into the field."""
+        """Reduce an integer or Fraction into the field.
+
+        Floats are rejected with TypeError: a float is not an exact scalar,
+        and reducing it would silently truncate it.
+        """
         p = self.characteristic
-        if p:
-            if isinstance(x, Fraction):
-                if x.denominator % p == 0:
-                    raise ZeroDivisionError(f"denominator divisible by {p}")
-                return x.numerator * pow(x.denominator, p - 2, p) % p
-            return int(x) % p
-        if isinstance(x, Fraction) and x.denominator == 1:
-            return x.numerator
-        return x
+        if isinstance(x, int):
+            return x % p if p else x
+        if isinstance(x, Fraction):
+            if not p:
+                return x.numerator if x.denominator == 1 else x
+            if x.denominator % p == 0:
+                raise ZeroDivisionError(f"denominator divisible by {p}")
+            return x.numerator * pow(x.denominator, p - 2, p) % p
+        if isinstance(x, (float, np.floating)):
+            raise TypeError(f"not an exact scalar: {x!r}")
+        return int(x) % p if p else x
 
     def zero(self):
         return 0

@@ -177,18 +177,6 @@ class GroupActionModule:
         return tuple(self.perm_matrix(adjacent(self.degree, i))
                      for i in range(1, self.degree))
 
-    def coords_of(self, vec: ModuleVector):
-        """Module coordinates of a sparse tabloid vector, or None."""
-        if vec.shape != self.shape or vec.field != self.field:
-            raise ValueError("vector lives in a different tabloid space")
-        return self.solver.coords(_dense_row(vec, self.field))
-
-    def vector_from_coords(self, coords) -> ModuleVector:
-        row = np.asarray(coords, dtype=self.field.dtype).reshape(1, -1)
-        amb = (Matrix(self.field, row) @ self.basis).a[0]
-        return ModuleVector(self.shape, self.field,
-                            {j: self.field.scalar(x) for j, x in enumerate(amb) if x})
-
     def submodule(self, coeff_rows: Matrix, label: str = "") -> "GroupActionModule":
         """The row space spanned by combinations of basis rows."""
         sub_basis = coeff_rows @ self.basis
@@ -312,8 +300,3 @@ def build_induction(lam, field: FieldSpec) -> GroupActionModule:
                                  label=f"S^({lam}) induced, over {field}")
 
     return _cached_module(("I", lam, field), make)
-
-
-def action_matrix(module: GroupActionModule, elt: AlgebraElement) -> Matrix:
-    """Matrix of a group algebra element on a module (see element_matrix)."""
-    return module.element_matrix(elt)

@@ -151,19 +151,6 @@ def p_core(lam: Partition, p: int) -> Partition:
     return Partition(x for x in parts if x > 0)
 
 
-def dominates(mu: Partition, lam: Partition) -> bool:
-    """Dominance order: every leading partial sum of mu is >= that of lam."""
-    if mu.size != lam.size:
-        raise ValueError(f"sizes differ: |{mu}| = {mu.size}, |{lam}| = {lam.size}")
-    acc_m = acc_l = 0
-    for i in range(max(len(mu), len(lam))):
-        acc_m += mu[i] if i < len(mu) else 0
-        acc_l += lam[i] if i < len(lam) else 0
-        if acc_m < acc_l:
-            return False
-    return True
-
-
 def hook_lengths(lam: Partition) -> list[list[int]]:
     conj = conjugate(lam)
     return [[lam[r] - c - 1 + conj[c] - r for c in range(lam[r])]

@@ -1,28 +1,40 @@
 """Hom spaces, commutants, indecomposability certificates, decompositions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from spechtbranch.central import RESTRICT, branching_factors, split_branching
+
+from spechtbranch import endo
+from spechtbranch.central import (
+    INDUCE,
+    RESTRICT,
+    block_split,
+    branching_factors,
+    split_branching,
+)
 from spechtbranch.endo import (
-    EndoAlgebra,
+    LOCAL,
+    NOT_CLOSED,
+    ROOTLESS,
+    SPLIT,
+    DecompositionCertificate,
     certify_indecomposable,
     commutant,
     decompose,
-    find_separating_vector,
     hom_space,
     is_isomorphic,
+    locality_certificate,
 )
-from spechtbranch.exact import Matrix, rref
+from spechtbranch.exact import Matrix, RowBasis, fitting_split, rref
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import (
     build_induction,
     build_restriction,
     build_specht,
-    murphy_element,
-    transposition_sum,
 )
-from spechtbranch.partitions import Partition
+from spechtbranch.partitions import Partition, partitions_of
 
 
 def test_schur_endomorphisms_of_specht():
@@ -99,7 +111,7 @@ def test_certify_decomposable_restriction():
     over_3 = certify_indecomposable(build_restriction(Partition((2, 1)), GF(3)))
     assert over_3.verdict == "decomposable"
     assert over_3.deterministic
-    assert over_3.branch == "exhaustive-enumeration"
+    assert over_3.branch == "fitting-witness"
 
 
 def test_certify_zero_module():
@@ -157,22 +169,154 @@ def test_is_isomorphic_detects_shifted_copy():
         assert is_isomorphic(comp.as_module(), direct)
 
 
-def test_find_separating_vector():
-    module = build_restriction(Partition((2, 1)), QQ)
-    z = module.element_matrix(transposition_sum(2))
-    vec = find_separating_vector(module, z, 2)
-    chain = Matrix(QQ, vec.reshape(1, -1))
-    stacked = Matrix(QQ, np.vstack([chain.a, (chain @ z).a]))
-    _, rank, _ = rref(stacked)
-    assert rank == 2
-    with pytest.raises(ValueError):
-        find_separating_vector(module, z, 3)
+def test_is_isomorphic_matches_summands_of_decomposable_modules():
+    """Decomposable modules are compared summand by summand when no basis
+    element of the hom space is invertible."""
+    # R(2,1) = S^(2) + S^(1,1) over GF(3), and the same module in a basis
+    # where the echelon hom basis holds only the two projections
+    module = build_restriction(Partition((2, 1)), GF(3))
+    rebased = module.submodule(Matrix.from_rows(GF(3), [[1, 1], [0, 2]]))
+    assert not any(rref(x)[1] == 2 for x in hom_space(module, rebased))
+    assert is_isomorphic(module, rebased)
+    # over Q, R(3,1) = S^(3) + S^(2,1) and Ind S^(1,1) = S^(1,1,1) + S^(2,1)
+    restricted = build_restriction(Partition((3, 1)), QQ)
+    assert is_isomorphic(restricted, build_induction(Partition((2,)), QQ))
+    assert not is_isomorphic(restricted, build_induction(Partition((1, 1)), QQ))
 
 
-def test_find_separating_vector_degenerate():
-    module = build_specht(Partition((2, 2)), GF(3))
-    z = module.element_matrix(murphy_element(4))
-    from spechtbranch.exact import minimal_polynomial
-    d = minimal_polynomial(z).degree
-    vec = find_separating_vector(module, z, d)
-    assert vec is not None
+def test_is_isomorphic_raises_on_undecided_certificate(monkeypatch):
+    undecided = DecompositionCertificate("undecided", ROOTLESS, False, trials=2)
+    monkeypatch.setattr(endo, "certify_indecomposable", lambda module: undecided)
+    a = build_restriction(Partition((3, 1)), QQ)
+    b = build_induction(Partition((1, 1)), QQ)
+    with pytest.raises(ArithmeticError):
+        is_isomorphic(a, b)
+
+
+# -- the locality certificate against exhaustive enumeration --------------
+
+def _projective_coeff_vectors(q: int, d: int):
+    """One representative per scalar line of GF(q)^d."""
+    for lead in range(d):
+        for tail in itertools.product(range(q), repeat=d - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def _local_by_enumeration(field, structure, identity) -> bool:
+    """Reference: an algebra over GF(q) is local exactly when every element
+    is nilpotent or invertible, checked on every element up to scalars."""
+    d = structure.shape[0]
+    for coeffs in _projective_coeff_vectors(field.characteristic, d):
+        c = np.asarray(coeffs, dtype=field.dtype)
+        left = Matrix(field, np.tensordot(c, structure, axes=(0, 0)))
+        if rref(left)[1] != d and not left.pow(d).is_zero():
+            return False
+    return True
+
+
+def _matrix_algebra(field, mats):
+    """Structure tensor and identity coordinates of the matrix algebra with
+    the given basis (which must be closed under products)."""
+    basis = [Matrix.from_rows(field, m) for m in mats]
+    flat = RowBasis(field, basis[0].nrows * basis[0].ncols)
+    for b in basis:
+        assert flat.insert(b.a.reshape(-1))[0] is not None, "dependent basis"
+
+    def coords(m):
+        c = flat.coords(m.a.reshape(-1))
+        assert c is not None, "basis does not span an algebra"
+        return c
+
+    structure = np.stack([np.stack([coords(x @ y) for y in basis])
+                          for x in basis])
+    return structure, coords(Matrix.identity(field, basis[0].nrows))
+
+
+def _is_fitting_witness(field, structure, coeffs) -> bool:
+    left = Matrix(field, field.reduce_array(
+        np.tensordot(coeffs, structure, axes=(0, 0))))
+    ker, image = fitting_split(left)
+    return ker.dim > 0 and image.dim > 0
+
+
+I2 = [[1, 0], [0, 1]]
+E11, E12, E21 = [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+ROT = [[0, -1], [1, 0]]  # a square root of -1
+NIL = [[1, 1], [-1, -1]]  # nilpotent, with a non-scalar diagonal
+
+HAND_BUILT = [
+    # F[x]/(x^2), once with a basis element that is not nilpotent
+    ("dual numbers", [I2, E12], LOCAL, (GF(2), GF(3), GF(5), QQ)),
+    ("dual numbers, shifted", [[[1, 1], [0, 1]], [[2, 1], [0, 2]]], LOCAL,
+     (GF(3), GF(5), QQ)),
+    # F x F: a diagonal basis element has two eigenvalues
+    ("F x F", [I2, E11], SPLIT, (GF(2), GF(3), GF(5), QQ)),
+    ("F x F, diag(1, 2)", [I2, [[1, 0], [0, 2]]], SPLIT, (GF(3), GF(5), QQ)),
+    # GF(3)[i] is the field GF(9), local with a residue field larger than
+    # GF(3); over GF(5), -1 is a square and the same algebra is F x F
+    ("F[i]", [I2, ROT], ROOTLESS, (GF(3), QQ)),
+    ("F[i], -1 a square", [I2, ROT], SPLIT, (GF(5),)),
+    # M_2(F), in bases whose elements have a single eigenvalue or none
+    ("M_2, nilpotent basis", [I2, E12, E21, NIL], NOT_CLOSED,
+     (GF(3), GF(5), QQ)),
+    ("M_2, with a rotation", [I2, E12, ROT, NIL], ROOTLESS, (GF(3),)),
+    # over GF(2) every scalar plus nilpotent has equal diagonal entries, so
+    # a fourth basis element needs a minimal polynomial without roots
+    ("M_2, with x^2 + x + 1", [I2, E12, E21, [[0, 1], [1, 1]]], ROOTLESS,
+     (GF(2),)),
+    ("M_2, with an idempotent", [I2, E11, E12, E21], SPLIT, (GF(3), QQ)),
+]
+
+
+@pytest.mark.parametrize("name,mats,branch,fields", HAND_BUILT,
+                         ids=[case[0] for case in HAND_BUILT])
+def test_locality_certificate_on_hand_built_algebras(name, mats, branch, fields):
+    for field in fields:
+        structure, identity = _matrix_algebra(field, mats)
+        got, coeffs, examined = locality_certificate(field, structure, identity)
+        assert got == branch, (name, field)
+        assert 1 <= examined <= len(mats)
+        if got == SPLIT:
+            assert _is_fitting_witness(field, structure, coeffs), (name, field)
+        else:
+            assert coeffs is None
+        if field.characteristic:
+            # never call a non-local algebra local
+            local = _local_by_enumeration(field, structure, identity)
+            assert local or got != LOCAL, (name, field)
+
+
+def test_fitting_witness_uses_the_smallest_root():
+    field = GF(5)
+    structure, identity = _matrix_algebra(field, [[[3, 0], [0, 1]], I2])
+    branch, coeffs, examined = locality_certificate(field, structure, identity)
+    # the first basis element has roots 1 and 3; its witness is b - 1
+    assert (branch, examined) == (SPLIT, 1)
+    assert list(coeffs) == [1, 4]
+
+
+def test_certificate_matches_exhaustive_enumeration_through_n5():
+    """On the restriction and the induction of S^lam, |lam| <= 5, over GF(2),
+    GF(3) and GF(5), and on each of their block components, the
+    certificate's verdict is the verdict of exhaustive enumeration of the
+    commutant.  The whole modules supply the decomposable cases: every
+    block component in this range is indecomposable."""
+    for p in (2, 3, 5):
+        field = GF(p)
+        for n in range(1, 6):
+            for lam in partitions_of(n):
+                for direction, build in ((RESTRICT, build_restriction),
+                                         (INDUCE, build_induction)):
+                    if direction == RESTRICT and n < 2:
+                        continue
+                    module = build(lam, field)
+                    factors = branching_factors(lam, direction)
+                    comps = block_split(module, p, factors)
+                    for sub in [module] + [comp.as_module() for comp in comps]:
+                        cert = certify_indecomposable(sub)
+                        algebra = commutant(sub)
+                        local = _local_by_enumeration(
+                            field, algebra.structure, algebra.identity_coords)
+                        expected = "indecomposable" if local else "decomposable"
+                        assert cert.verdict == expected, (lam, p, direction)
+                        assert cert.deterministic

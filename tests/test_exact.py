@@ -12,12 +12,9 @@ from spechtbranch.exact import (
     RowBasis,
     Subspace,
     fitting_split,
-    generalized_eigenspace,
     kernel,
     minimal_polynomial,
-    poly_product_from_roots,
     rref,
-    solve_in_span,
 )
 from spechtbranch.fields import GF, QQ
 
@@ -130,13 +127,14 @@ def test_subspace_invariance_and_restriction():
         tilted.restrict(m)
 
 
-def test_solve_in_span():
-    field = GF(3)
-    space = Subspace.from_rows(field, Matrix.from_rows(field, [[1, 2, 0], [0, 0, 1]]))
-    v = np.array([2, 1, 1], dtype=np.int64)
-    coeffs = solve_in_span(space, v)
-    recon = (Matrix(field, coeffs.reshape(1, -1)) @ space.basis).a[0]
-    assert np.array_equal(recon, field.reduce_array(v))
+def test_scalar_rejects_floats():
+    for field in FIELDS:
+        for bad in (1.0, 2.5, np.float64(3.0), np.float32(1.0)):
+            with pytest.raises(TypeError):
+                field.scalar(bad)
+    assert GF(5).scalar(7) == 2 and GF(5).scalar(np.int64(-1)) == 4
+    assert GF(5).scalar(Fraction(1, 2)) == 3
+    assert QQ.scalar(Fraction(4, 2)) == 2 and QQ.scalar(-3) == -3
 
 
 def test_polynomial_ring_identities():
@@ -166,7 +164,7 @@ def test_from_roots_keeps_multiplicity():
     x = Polynomial.x(field)
     one = Polynomial.one(field)
     assert f == (x - one) * (x - one) * (x - Polynomial(field, [2]))
-    assert poly_product_from_roots(field, []) == Polynomial.one(field)
+    assert Polynomial.from_roots(field, []) == Polynomial.one(field)
 
 
 def test_eval_matrix_matches_naive_power_sum():
@@ -220,15 +218,6 @@ def test_minimal_polynomial_oracles():
     assert f == Polynomial(GF(7), [-3, -2, 1])
     empty = Matrix.zeros(field, 0, 0)
     assert minimal_polynomial(empty) == Polynomial.one(field)
-
-
-def test_generalized_eigenspace():
-    field = GF(5)
-    m = Matrix.from_rows(field, [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
-    two = generalized_eigenspace(m, 2)
-    three = generalized_eigenspace(m, 3)
-    assert two.dim == 2 and three.dim == 1
-    assert two.is_invariant(m) and three.is_invariant(m)
 
 
 def test_fitting_split_soundness():

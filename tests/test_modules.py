@@ -10,7 +10,6 @@ from spechtbranch.exact import Matrix, minimal_polynomial
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import (
     DEGREE_GUARDRAIL,
-    action_matrix,
     build_induction,
     build_restriction,
     build_specht,
@@ -108,7 +107,6 @@ def test_element_matrix_linearity():
     for j in range(1, k):
         total = total + module.perm_matrix(transposition(k, j, k))
     assert total == module.element_matrix(murphy_element(k))
-    assert action_matrix(module, murphy_element(k)) == total
 
 
 def test_transposition_sum_scalar_on_specht():
@@ -160,14 +158,6 @@ def test_action_outside_submodule_raises():
         Matrix.from_rows(QQ, [[1, 0]]), label="non-invariant line")
     with pytest.raises(ArithmeticError):
         line.perm_matrix(adjacent(3, 2))
-
-
-def test_coords_round_trip():
-    module = build_specht(Partition((3, 1)), GF(5))
-    coords = [1, 2, 3]
-    vec = module.vector_from_coords(coords)
-    back = module.coords_of(vec)
-    assert np.array_equal(back, np.array(coords, dtype=np.int64))
 
 
 def test_module_cache_reuse():

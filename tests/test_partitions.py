@@ -11,7 +11,6 @@ from spechtbranch.partitions import (
     conjugate,
     content_sum,
     contents,
-    dominates,
     elementary_symmetric_of_contents,
     hook_lengths,
     induce_at,
@@ -185,8 +184,6 @@ def test_partitions_of_counts_and_order():
 
 
 def test_dominance_and_conjugate():
-    assert dominates(Partition((3, 1)), Partition((2, 2)))
-    assert not dominates(Partition((2, 2)), Partition((3, 1)))
     assert conjugate(Partition((3, 1))) == Partition((2, 1, 1))
     assert conjugate(Partition((6, 1, 1, 1))) == Partition((4, 1, 1, 1, 1, 1))
     for lam in partitions_of(7):

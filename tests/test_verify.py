@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from spechtbranch import verify
 from spechtbranch.central import INDUCE, RESTRICT
 from spechtbranch.cli import main
 from spechtbranch.fields import GF, QQ
 from spechtbranch.partitions import Partition
 from spechtbranch.verify import (
+    VerificationReport,
     sweep,
     verify_branching,
     verify_coefficient_induction,
@@ -113,6 +115,32 @@ def test_cli_en_scalar_and_exit_codes(capsys):
     assert "PASS" in out
     assert main(["minpoly", "--lambda", "2,1", "--field", "0",
                  "--direction", "restrict"]) == 0
+
+
+def _failing_report(*args, **kwargs):
+    report = VerificationReport("stub", "GF(3)", None)
+    report.add("stub-check", "1", "0", False)
+    return report
+
+
+def _raise(exc):
+    def verifier(*args, **kwargs):
+        raise exc
+    return verifier
+
+
+@pytest.mark.parametrize("verifier,code,stream,text", [
+    (_failing_report, 1, "out", "stub-check"),
+    (_raise(ValueError("rejected input")), 2, "err", "rejected input"),
+    (_raise(ArithmeticError("isomorphism undecided")), 3, "err",
+     "isomorphism undecided"),
+    (_raise(ZeroDivisionError("inverse of zero")), 3, "err", "inverse of zero"),
+], ids=["check-failed", "usage-error", "undecided", "internal-failure"])
+def test_cli_exit_code_per_outcome(monkeypatch, capsys, verifier, code, stream,
+                                   text):
+    monkeypatch.setattr(verify, "verify_en_scalar", verifier)
+    assert main(["en-scalar", "--lambda", "2,1", "--field", "3"]) == code
+    assert text in getattr(capsys.readouterr(), stream)
 
 
 def test_cli_blocks_and_decompose(capsys):
