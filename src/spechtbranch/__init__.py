@@ -49,7 +49,6 @@ from .tabloids import (
     ModuleVector,
     Tableau,
     canonical_tableau,
-    extended_tableaux,
     extension,
     induced_polytabloid,
     polytabloid,
@@ -78,7 +77,7 @@ __all__ = [
     "VerificationReport", "block_label", "block_split", "branching_factors",
     "build_induction", "build_restriction", "build_specht",
     "canonical_tableau", "central_symmetric_action", "certify_indecomposable",
-    "commutant", "decompose", "extended_tableaux", "extension", "hom_space",
+    "commutant", "decompose", "extension", "hom_space",
     "induced_polytabloid", "is_isomorphic", "kernel", "minimal_polynomial",
     "murphy_element",
     "partitions_of", "polytabloid", "predicted_min_poly", "predicted_scalar",

@@ -115,7 +115,7 @@ def _cmd_sweep(args) -> tuple[list, dict | None]:
     return reports, result
 
 
-def _common(sub, lam=True, field=True, direction="required"):
+def _common(sub, lam=True, field=True, direction="required", seed=False):
     if lam:
         sub.add_argument("--lambda", dest="lam", type=_partition, required=True,
                          metavar="PARTS", help="partition, e.g. 6,1,1,1")
@@ -126,7 +126,8 @@ def _common(sub, lam=True, field=True, direction="required"):
         sub.add_argument("--direction", choices=[RESTRICT, INDUCE], required=True)
     elif direction == "optional":
         sub.add_argument("--direction", choices=[RESTRICT, INDUCE], default=None)
-    sub.add_argument("--seed", type=int, default=0)
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", dest="json_path", metavar="PATH",
                      help="write the report as JSON")
 
@@ -154,12 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("branching", help="block components of the branching "
                           "module and their indecomposability certificates")
-    _common(sub)
+    _common(sub, seed=True)
     sub.set_defaults(handler=_cmd_branching)
 
     sub = subs.add_parser("counterexamples", help="the characteristic-2 "
                           "decomposable cases")
-    _common(sub, lam=False, field=False, direction=None)
+    _common(sub, lam=False, field=False, direction=None, seed=True)
     sub.set_defaults(handler=_cmd_counterexamples)
 
     sub = subs.add_parser("blocks", help="list block components without "
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("decompose", help="split a module into indecomposable "
                           "summands")
-    _common(sub, direction="optional")
+    _common(sub, direction="optional", seed=True)
     sub.set_defaults(handler=_cmd_decompose)
 
     sub = subs.add_parser("sweep", help="run every verifier over all "

@@ -9,8 +9,6 @@ operators act on the right, so "kernel" always means the left kernel
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .fields import FieldSpec

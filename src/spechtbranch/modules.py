@@ -4,9 +4,16 @@ A module here is a row space inside the tabloid module of an ambient shape,
 together with the symmetric group degree that acts.  Permutations act on
 tabloid coordinates by index gathering, so a matrix in the module basis is
 one batched coordinate solve away from the ambient picture.  Restriction
-reuses the Specht basis verbatim with the degree dropped by one; induction
-to the next symmetric group is spanned by polytabloids of one-node
-extensions.
+reuses the Specht basis verbatim with the degree dropped by one.
+
+Induction to the next symmetric group sits in M^(lam + a bottom node) and
+has a basis known in advance, from James's standard basis theorem (James,
+LNM 682): for each a in 1..n+1 and each standard tableau t of lam relabelled
+order-preservingly onto {1..n+1} minus {a}, the induced polytabloid e_T of
+T = t + (a).  e_T is supported on tabloids whose last row is {a}, so blocks
+with different a are disjoint; within one block the vectors are the
+standard polytabloids of S^lam on that alphabet.  The (n+1) * dim S^lam
+rows are therefore independent over every field.
 """
 
 from __future__ import annotations
@@ -18,14 +25,14 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import Matrix, RowBasis
-from .fields import FieldSpec, GF
-from .partitions import Partition, specht_dimension
+from .fields import FieldSpec
+from .partitions import Partition
 from .perms import Perm, adjacent, embed, inverse, transposition
 from .tabloids import (
     ModuleVector,
+    Tableau,
     act_key,
     enumerate_tabloids,
-    extended_tableaux,
     induced_polytabloid,
     polytabloid,
     standard_tableaux,
@@ -91,13 +98,6 @@ def _tabloid_src(shape: Partition, pi: Perm) -> np.ndarray:
     return np.array([index[act_key(k, sigma)] for k in keys], dtype=np.intp)
 
 
-def _dense_row(vec: ModuleVector, field: FieldSpec) -> np.ndarray:
-    row = field.zeros(len(enumerate_tabloids(vec.shape)))
-    for j, c in vec.coords.items():
-        row[j] = c
-    return row
-
-
 class GroupActionModule:
     """A symmetric group module realized as rows in a tabloid space."""
 
@@ -158,19 +158,12 @@ class GroupActionModule:
             raise ValueError(
                 f"element degree {elt.degree} exceeds ambient size {self.shape.size}")
         if elt not in self._elt_cache:
-            self._elt_cache[elt] = self._to_module_coords(self.ambient_image(elt))
+            acc = self.field.zeros((self.dim, self.ambient_width))
+            for perm, coeff in elt.terms:
+                src = _tabloid_src(self.shape, embed(perm, self.shape.size))
+                acc += coeff * self.basis.a[:, src]
+            self._elt_cache[elt] = self._to_module_coords(acc)
         return self._elt_cache[elt]
-
-    def ambient_image(self, elt: AlgebraElement) -> np.ndarray:
-        """Basis rows acted on by elt, left in ambient tabloid coordinates."""
-        if elt.degree > self.shape.size:
-            raise ValueError(
-                f"element degree {elt.degree} exceeds ambient size {self.shape.size}")
-        acc = self.field.zeros((self.dim, self.ambient_width))
-        for perm, coeff in elt.terms:
-            src = _tabloid_src(self.shape, embed(perm, self.shape.size))
-            acc += coeff * self.basis.a[:, src]
-        return self.field.reduce_array(acc)
 
     def gens(self) -> tuple[Matrix, ...]:
         """Matrices of the Coxeter generators s_1 .. s_{degree-1}."""
@@ -203,6 +196,16 @@ def clear_module_cache():
     _module_cache.clear()
 
 
+def _polytabloid_basis(shape: Partition, vectors, field: FieldSpec) -> Matrix:
+    """Sparse tabloid vectors of one shape written out as dense rows."""
+    vectors = list(vectors)
+    rows = field.zeros((len(vectors), len(enumerate_tabloids(shape))))
+    for i, vec in enumerate(vectors):
+        for j, c in vec.coords.items():
+            rows[i, j] = c
+    return Matrix(field, rows)
+
+
 def build_specht(lam, field: FieldSpec) -> GroupActionModule:
     """The Specht module S^lam, with the standard polytabloid basis."""
     lam = Partition(lam)
@@ -213,13 +216,8 @@ def build_specht(lam, field: FieldSpec) -> GroupActionModule:
         raise ValueError(f"degree guardrail: {n} > {DEGREE_GUARDRAIL}")
 
     def make():
-        dim = specht_dimension(lam)
-        width = len(enumerate_tabloids(lam))
-        rows = field.zeros((dim, width))
-        for i, t in enumerate(standard_tableaux(lam)):
-            for j, c in polytabloid(t, field).coords.items():
-                rows[i, j] = c
-        basis = Matrix(field, rows)
+        basis = _polytabloid_basis(
+            lam, (polytabloid(t, field) for t in standard_tableaux(lam)), field)
         return GroupActionModule(n, field, lam, basis, label=f"S^({lam}) over {field}")
 
     return _cached_module(("S", lam, field), make)
@@ -240,36 +238,33 @@ def build_restriction(lam, field: FieldSpec) -> GroupActionModule:
     return _cached_module(("R", lam, field), make)
 
 
-# prime used to pre-screen row independence before exact rational elimination
-_SCAN_PRIME = 1048573
+def _induction_tableaux(lam: Partition) -> list[Tableau]:
+    """The tableaux T = t + (a) whose induced polytabloids form the basis.
 
-
-def _scan_independent_tableaux(lam: Partition, scan_field: FieldSpec, target: int):
-    """First extended tableaux whose induced polytabloids are independent.
-
-    Scans the spanning enumeration in order and keeps a tableau whenever its
-    row enlarges the span over scan_field, stopping at target rows.
+    For a = 1..n+1 in turn, every standard tableau t of lam (in the order of
+    its columns) relabelled order-preservingly onto {1..n+1} minus {a}.
     """
-    width = len(enumerate_tabloids(Partition(tuple(lam) + (1,))))
-    rb = RowBasis(scan_field, width)
-    kept = []
-    for T in extended_tableaux(lam):
-        row = _dense_row(induced_polytabloid(T, lam, scan_field), scan_field)
-        idx, _ = rb.insert(row)
-        if idx is not None:
-            kept.append(T)
-            if len(kept) == target:
-                return kept
-    raise ArithmeticError(
-        f"induced polytabloids span only {len(kept)} of {target} dimensions")
+    n = lam.size
+    standard = sorted(standard_tableaux(lam), key=Tableau.columns)
+    out = []
+    for a in range(1, n + 2):
+        others = [x for x in range(1, n + 2) if x != a]
+        for t in standard:
+            rows = tuple(tuple(others[x - 1] for x in row) for row in t)
+            out.append(Tableau(rows + ((a,),)))
+    return out
 
 
 def build_induction(lam, field: FieldSpec) -> GroupActionModule:
     """S^lam induced to the next symmetric group, inside M^(lam + one node).
 
-    The basis is the first spanning subset of induced polytabloids e_T, with
-    T running over extensions of lam by a bottom node whose restriction has
-    increasing columns.  The dimension is (n+1) * dim S^lam.
+    The basis is James's standard basis, block by block: for a = 1..n+1, the
+    induced polytabloids e_T with T a standard tableau of lam on the symbols
+    other than a, plus a bottom node holding a.  Every tabloid in e_T has
+    {a} as its last row, so distinct blocks have disjoint supports, and one
+    block is the standard basis of S^lam on its n symbols; the rows are
+    independent over every field and number (n+1) * dim S^lam.  The module
+    constructor still checks that independence.
     """
     lam = Partition(lam)
     n = lam.size
@@ -279,23 +274,10 @@ def build_induction(lam, field: FieldSpec) -> GroupActionModule:
         raise ValueError(f"degree guardrail: {n + 1} > {DEGREE_GUARDRAIL}")
 
     def make():
-        target = (n + 1) * specht_dimension(lam)
-        if field.characteristic == 0:
-            # rows independent modulo a prime are independent over Q, so a
-            # fast residue scan picks the basis and Q only checks it
-            try:
-                kept = _scan_independent_tableaux(lam, GF(_SCAN_PRIME), target)
-            except ArithmeticError:
-                kept = _scan_independent_tableaux(lam, field, target)
-        else:
-            kept = _scan_independent_tableaux(lam, field, target)
         shape = Partition(tuple(lam) + (1,))
-        width = len(enumerate_tabloids(shape))
-        rows = field.zeros((target, width))
-        for i, T in enumerate(kept):
-            for j, c in induced_polytabloid(T, lam, field).coords.items():
-                rows[i, j] = c
-        basis = Matrix(field, rows)
+        basis = _polytabloid_basis(
+            shape, (induced_polytabloid(T, lam, field)
+                    for T in _induction_tableaux(lam)), field)
         return GroupActionModule(n + 1, field, shape, basis,
                                  label=f"S^({lam}) induced, over {field}")
 

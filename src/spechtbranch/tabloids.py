@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import FieldSpec
-from .partitions import Partition, conjugate, removable_nodes
+from .partitions import Partition, removable_nodes
 from .perms import Perm
 
 TabloidKey = tuple[tuple[int, ...], ...]
@@ -280,32 +280,3 @@ def region_V(t: Tableau, u: int) -> frozenset:
     hi = rem[u - 1][1]
     lo = rem[u][1] if u < len(rem) else 0
     return frozenset(x for row in t for c, x in enumerate(row, start=1) if lo < c <= hi)
-
-
-def extended_tableaux(lam: Partition):
-    """Spanning enumeration for induction: tableaux of shape lam plus a
-    bottom node whose restriction to lam has increasing columns.
-
-    Signed duplicates (column re-orderings of the restriction) are omitted,
-    which leaves one representative per polytabloid up to sign.  Order: the
-    extra entry ascending, then column fillings lexicographically.
-    """
-    n = lam.size
-    cols = conjugate(lam)
-
-    def fill(avail: tuple[int, ...], remaining: tuple[int, ...]):
-        if not remaining:
-            yield ()
-            return
-        for head in itertools.combinations(avail, remaining[0]):
-            chosen = set(head)
-            rest = tuple(x for x in avail if x not in chosen)
-            for tail in fill(rest, remaining[1:]):
-                yield (head,) + tail
-
-    for a in range(1, n + 2):
-        others = tuple(x for x in range(1, n + 2) if x != a)
-        for columns in fill(others, tuple(cols)):
-            rows = tuple(tuple(columns[c][r] for c in range(lam[r]))
-                         for r in range(len(lam)))
-            yield Tableau(rows + ((a,),))

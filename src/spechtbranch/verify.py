@@ -22,14 +22,12 @@ from .central import (
     block_split,
     branching_factors,
     predicted_min_poly,
-    predicted_scalar,
 )
 from .endo import certify_indecomposable, decompose, is_isomorphic
 from .exact import Matrix, minimal_polynomial
 from .fields import GF, QQ, FieldSpec
 from .modules import (
     AlgebraElement,
-    GroupActionModule,
     build_induction,
     build_restriction,
     build_specht,
@@ -42,12 +40,10 @@ from .partitions import (
     p_core,
     partitions_of,
     removable_nodes,
-    specht_dimension,
 )
 from .perms import identity_perm
 from .tabloids import (
     ModuleVector,
-    Tableau,
     canonical_tableau,
     extension,
     induced_polytabloid,

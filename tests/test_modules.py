@@ -1,28 +1,39 @@
 """Specht, restriction and induction modules: dimensions, relations,
-guardrails and the ambient-embedding action."""
+guardrails, the ambient-embedding action, and the induction basis against
+a rank scan over all column-increasing extended tableaux."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from spechtbranch.exact import Matrix, minimal_polynomial
+from spechtbranch import modules
+from spechtbranch.exact import Matrix, RowBasis, minimal_polynomial, rref
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import (
     DEGREE_GUARDRAIL,
+    _induction_tableaux,
     build_induction,
     build_restriction,
     build_specht,
+    clear_module_cache,
     murphy_element,
     transposition_sum,
 )
 from spechtbranch.partitions import (
     Partition,
+    conjugate,
     content_sum,
     partitions_of,
     specht_dimension,
 )
 from spechtbranch.perms import adjacent, compose, transposition
+from spechtbranch.tabloids import (
+    Tableau,
+    enumerate_tabloids,
+    induced_polytabloid,
+)
 
 
 def _random_perm(rng, n):
@@ -185,3 +196,113 @@ def _rational_root_check(poly):
         if poly.eval_scalar(poly.field.scalar(c)) == poly.field.scalar(0):
             roots.append(c)
     return roots
+
+
+def _extended_tableaux(lam):
+    """Spanning enumeration for induction: tableaux of shape lam plus a
+    bottom node whose restriction to lam has increasing columns.
+
+    Signed duplicates (column re-orderings of the restriction) are omitted,
+    which leaves one representative per polytabloid up to sign.  Order: the
+    extra entry ascending, then column fillings lexicographically.
+    """
+    n = lam.size
+    cols = conjugate(lam)
+
+    def fill(avail, remaining):
+        if not remaining:
+            yield ()
+            return
+        for head in itertools.combinations(avail, remaining[0]):
+            chosen = set(head)
+            rest = tuple(x for x in avail if x not in chosen)
+            for tail in fill(rest, remaining[1:]):
+                yield (head,) + tail
+
+    for a in range(1, n + 2):
+        others = tuple(x for x in range(1, n + 2) if x != a)
+        for columns in fill(others, tuple(cols)):
+            rows = tuple(tuple(columns[c][r] for c in range(lam[r]))
+                         for r in range(len(lam)))
+            yield Tableau(rows + ((a,),))
+
+
+def _induced_row(T, lam, field, width):
+    row = field.zeros(width)
+    for j, c in induced_polytabloid(T, lam, field).coords.items():
+        row[j] = c
+    return row
+
+
+def _scan_independent_tableaux(lam, field):
+    """The first extended tableaux whose induced polytabloids enlarge the
+    span, up to (n+1) * dim S^lam rows."""
+    target = (lam.size + 1) * specht_dimension(lam)
+    width = len(enumerate_tabloids(Partition(tuple(lam) + (1,))))
+    rb = RowBasis(field, width)
+    kept = []
+    for T in _extended_tableaux(lam):
+        idx, _ = rb.insert(_induced_row(T, lam, field, width))
+        if idx is not None:
+            kept.append(T)
+            if len(kept) == target:
+                return kept
+    raise ArithmeticError(
+        f"induced polytabloids span only {len(kept)} of {target} dimensions")
+
+
+def test_extended_tableaux_cover_and_shapes():
+    """Shape lam plus a new bottom cell; the restriction (all rows but the
+    last) is column increasing, one representative per polytabloid sign
+    class.  For (2,1): 4 choices of the moved symbol times 3 column-standard
+    fillings."""
+    lam = Partition((2, 1))
+    seen = list(_extended_tableaux(lam))
+    assert len(seen) == len(set(seen)) == 12
+    for T in seen:
+        assert T.shape == Partition((2, 1, 1))
+        assert len(T[-1]) == 1
+        rest = Tableau(T[:-1])
+        assert rest.shape == lam
+        for col in rest.columns():
+            assert list(col) == sorted(col)
+        symbols = sorted(x for row in T for x in row)
+        assert symbols == [1, 2, 3, 4]
+
+
+def test_induction_basis_is_the_rank_scan_choice():
+    """The standard basis picks the same tableaux, in the same order, as the
+    rank scan over every extended tableau, for every lam of size <= 6."""
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            assert _induction_tableaux(lam) == _scan_independent_tableaux(lam, GF(3))
+
+
+def test_induction_row_space_matches_rank_scan():
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            width = len(enumerate_tabloids(Partition(tuple(lam) + (1,))))
+            for field in (QQ, GF(2), GF(3), GF(5)):
+                scanned = Matrix(field, np.array(
+                    [_induced_row(T, lam, field, width)
+                     for T in _scan_independent_tableaux(lam, field)]))
+                module = build_induction(lam, field)
+                assert rref(module.basis)[0] == rref(scanned)[0], (lam, field)
+
+
+def test_induction_builds_one_polytabloid_per_basis_row(monkeypatch):
+    """S^(6,1,1) induced over GF(2): 9 * 21 rows from 189 polytabloids; a
+    rank scan reaches its 189th independent row only at candidate 56,161."""
+    calls = []
+
+    def counting(T, lam, field):
+        calls.append(T)
+        return induced_polytabloid(T, lam, field)
+
+    monkeypatch.setattr(modules, "induced_polytabloid", counting)
+    clear_module_cache()
+    try:
+        module = build_induction(Partition((6, 1, 1)), GF(2))
+    finally:
+        clear_module_cache()
+    assert module.dim == len(calls) == 189

@@ -22,7 +22,6 @@ from spechtbranch.tabloids import (
     canonical_tableau,
     column_signed_maps,
     enumerate_tabloids,
-    extended_tableaux,
     extension,
     induced_polytabloid,
     polytabloid,
@@ -201,21 +200,3 @@ def test_extension_and_induced_polytabloid():
     with pytest.raises(ValueError):
         induced_polytabloid(t, lam, QQ)
 
-
-def test_extended_tableaux_cover_and_shapes():
-    """Shape lam plus a new bottom cell; the restriction (all rows but the
-    last) is column increasing, one representative per polytabloid sign
-    class.  For (2,1): 4 choices of the moved symbol times 3 column-standard
-    fillings."""
-    lam = Partition((2, 1))
-    seen = list(extended_tableaux(lam))
-    assert len(seen) == len(set(seen)) == 12
-    for T in seen:
-        assert T.shape == Partition((2, 1, 1))
-        assert len(T[-1]) == 1
-        rest = Tableau(T[:-1])
-        assert rest.shape == lam
-        for col in rest.columns():
-            assert list(col) == sorted(col)
-        symbols = sorted(x for row in T for x in row)
-        assert symbols == [1, 2, 3, 4]

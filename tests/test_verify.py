@@ -1,12 +1,13 @@
 """Verification reports: schema, determinism, spot values, CLI plumbing."""
 
+import argparse
 import json
 
 import pytest
 
 from spechtbranch import verify
 from spechtbranch.central import INDUCE, RESTRICT
-from spechtbranch.cli import main
+from spechtbranch.cli import build_parser, main
 from spechtbranch.fields import GF, QQ
 from spechtbranch.partitions import Partition
 from spechtbranch.verify import (
@@ -182,3 +183,32 @@ def test_cli_sweep_small(tmp_path, capsys):
 def test_cli_rejects_bad_partition(capsys):
     with pytest.raises(SystemExit):
         main(["en-scalar", "--lambda", "1,2", "--field", "3"])
+
+
+def test_cli_seed_only_on_verbs_that_use_it(capsys):
+    """sweep passes --seed to its checks and branching, counterexamples and
+    decompose record it in their reports; the other verbs would ignore it,
+    so they refuse it."""
+    minimal = {
+        "minpoly": ["--lambda", "2,1", "--direction", "restrict"],
+        "en-scalar": ["--lambda", "2,1"],
+        "coeff-lemma": ["--lambda", "2,1"],
+        "branching": ["--lambda", "2,1", "--direction", "restrict"],
+        "counterexamples": [],
+        "blocks": ["--lambda", "2,1", "--direction", "restrict"],
+        "decompose": ["--lambda", "2,1"],
+        "sweep": ["--n-max", "2"],
+    }
+    parser = build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(minimal)
+    for verb, argv in minimal.items():
+        if verb in ("sweep", "branching", "counterexamples", "decompose"):
+            assert parser.parse_args([verb, *argv]).seed == 0
+            assert parser.parse_args([verb, *argv, "--seed", "7"]).seed == 7
+        else:
+            assert not hasattr(parser.parse_args([verb, *argv]), "seed")
+            with pytest.raises(SystemExit):
+                parser.parse_args([verb, *argv, "--seed", "7"])
+            assert "--seed" in capsys.readouterr().err
