@@ -13,7 +13,6 @@ from .central import (
     branching_factors,
     central_symmetric_action,
     predicted_min_poly,
-    predicted_scalar,
     split_branching,
 )
 from .endo import (
@@ -80,7 +79,7 @@ __all__ = [
     "commutant", "decompose", "extension", "hom_space",
     "induced_polytabloid", "is_isomorphic", "kernel", "minimal_polynomial",
     "murphy_element",
-    "partitions_of", "polytabloid", "predicted_min_poly", "predicted_scalar",
+    "partitions_of", "polytabloid", "predicted_min_poly",
     "rref", "run_char2_counterexamples", "specht_dimension", "split_branching",
     "standard_tableaux", "sweep", "transposition_sum", "verify_branching",
     "verify_coefficient_induction", "verify_coefficient_restriction",

@@ -1,14 +1,13 @@
-"""Central characters and block components of restricted/induced modules.
+"""Block components of restricted and induced modules.
 
 Restriction of S^lam one degree down is filtered by the Specht modules at
 the removable nodes; induction one degree up by those at the addable nodes.
-Each factor lies in one block of the acting group algebra.  The elementary
-symmetric polynomials e_k(L_1, ..., L_K) of the Murphy elements are central
-and act on a factor S^mu by e_k(contents(mu)), so the tuple of these values
-is a complete block invariant: over GF(p) it pins down the content multiset
-mod p, hence the p-core; over Q it pins down the content multiset itself.
-The block component for a label is then the simultaneous generalized
-eigenspace of the central operators at the label's values.
+Each factor S^mu lies in one block of the acting group algebra, labeled by
+the p-core of mu (over Q, by mu itself).  The transposition sum E of the
+acting degree is central and acts on S^mu by content_sum(mu).  Every factor
+differs from lam by one node, so two factors share a block exactly when
+their E values agree in the field, and a block's component is one
+generalized eigenspace of E.
 """
 
 from __future__ import annotations
@@ -17,12 +16,11 @@ from dataclasses import dataclass
 
 from .exact import Matrix, Polynomial, Subspace, kernel
 from .fields import FieldSpec
-from .modules import GroupActionModule, murphy_element, transposition_sum
+from .modules import GroupActionModule, transposition_sum
 from .partitions import (
     Partition,
     addable_nodes,
     content_sum,
-    elementary_symmetric_of_contents,
     induce_at,
     p_core,
     removable_nodes,
@@ -47,11 +45,6 @@ def branching_factors(lam: Partition, direction: str) -> tuple[Partition, ...]:
     raise ValueError(f"direction must be {RESTRICT!r} or {INDUCE!r}")
 
 
-def predicted_scalar(mu: Partition, k: int, field: FieldSpec):
-    """The scalar by which e_k(L_1, ..., L_degree) acts on S^mu."""
-    return elementary_symmetric_of_contents(Partition(mu), k, field)
-
-
 def predicted_min_poly(lam: Partition, direction: str, field: FieldSpec) -> Polynomial:
     """Product of (x - E(factor)) over the branching factors, with
     multiplicity; degree m for restriction, m+1 for induction."""
@@ -66,13 +59,10 @@ class BlockLabel:
 
     For p > 0 the core is the shared p-core of the factors in the block;
     for p = 0 each factor is its own block and core is the factor itself.
-    character_values are e_k(contents) for k = 1..degree, reduced into the
-    field; they are what the splitting actually matches against.
     """
 
     p: int
     core: Partition
-    character_values: tuple
 
     def __str__(self) -> str:
         if self.p:
@@ -84,10 +74,7 @@ def block_label(mu: Partition, field: FieldSpec) -> BlockLabel:
     """The label of the block of the degree-|mu| group algebra holding S^mu."""
     mu = Partition(mu)
     p = field.characteristic
-    values = tuple(field.scalar(elementary_symmetric_of_contents(mu, k, field))
-                   for k in range(1, mu.size + 1))
-    core = p_core(mu, p) if p else mu
-    return BlockLabel(p, core, values)
+    return BlockLabel(p, p_core(mu, p) if p else mu)
 
 
 @dataclass
@@ -116,50 +103,41 @@ class BlockComponent:
         return f"<block {self.label}: dim {self.dim}>"
 
 
-def central_symmetric_action(module: GroupActionModule, k: int) -> Matrix:
-    """Matrix of e_k(L_1, ..., L_K) on the module, K the acting degree.
+def central_symmetric_action(module: GroupActionModule) -> Matrix:
+    """Matrix of the transposition sum E of the acting degree on the module.
 
-    k = 1 is the transposition sum and is computed directly; higher k share
-    one memoized pass that multiplies out prod_i (x + L_i), keeping the
-    elementary symmetric matrix coefficients.
+    E is central and acts on S^mu by content_sum(mu).
     """
-    k_top = module.degree
-    if not 1 <= k <= k_top:
-        raise ValueError(f"need 1 <= k <= {k_top}, got {k}")
-    if k == 1:
-        return module.element_matrix(transposition_sum(k_top))
-    memo = getattr(module, "_central_memo", None)
-    if memo is None:
-        acc = [Matrix.identity(module.field, module.dim)]
-        acc += [Matrix.zeros(module.field, module.dim, module.dim)
-                for _ in range(k_top)]
-        for i in range(2, k_top + 1):
-            li = module.element_matrix(murphy_element(i))
-            for j in range(min(i, k_top), 0, -1):
-                acc[j] = acc[j] + acc[j - 1] @ li
-        memo = acc[1:]
-        module._central_memo = memo
-    return memo[k - 1]
-
-
-def _refine(space: Subspace, operator: Matrix, value, expected: int) -> Subspace:
-    """Shrink an invariant subspace to the generalized eigenspace of one
-    operator inside it."""
-    field = space.field
-    local = space.restrict(operator).shift(field.neg(field.scalar(value)))
-    ker = kernel(local.pow(space.dim))
-    return Subspace.from_rows(field, ker.basis @ space.basis)
+    return module.element_matrix(transposition_sum(module.degree))
 
 
 def block_split(module: GroupActionModule, p: int,
                 candidate_factors) -> list[BlockComponent]:
     """Split a restricted or induced module into its block components.
 
-    candidate_factors are the branching factors of the module; they are
-    grouped by block label, and each label's component is cut out by
-    refining generalized eigenspaces of e_1, e_2, ... until the dimension
-    matches the factor bookkeeping (almost always after e_1).  Components
-    come back in the order the blocks first appear along the filtration.
+    candidate_factors are the Specht factors of a filtration of the module.
+    They are grouped by block label, and the component of a label is
+    ker (E - c)^m on the whole module, with E the transposition sum, c the
+    label's E value content_sum(mu) in the field and m its factor count.
+    Why that is the block component:
+
+    * the filtration gives prod_i (E - c_i) = 0 over the factors, so the
+      module is the direct sum of the generalized eigenspaces of E, and the
+      one at c is ker (E - c)^m when c occurs m times among the c_i;
+    * E is central, so each of them is a submodule, and it holds exactly the
+      factors with E value c;
+    * factors with one label have one content multiset mod p, hence one E
+      value; branching factors with different labels differ from lam by
+      nodes of different residues, hence have different E values.  A
+      caller-supplied list can break this, and two labels with one E value
+      raise ArithmeticError.
+
+    Each component's dimension must be the sum of its factors' dimensions,
+    and the components' dimensions must add up to the module's.  Kernels at
+    distinct E values are independent, so these checks certify the direct
+    sum whatever factors were supplied.  Over Q a branching factor is its
+    own label, so m = 1 and no power is taken.  Components come back in the
+    order the blocks first appear along the filtration.
     """
     field = module.field
     if p != field.characteristic:
@@ -172,31 +150,25 @@ def block_split(module: GroupActionModule, p: int,
     if any(mu.size != module.degree for mu in factors):
         raise ValueError("factor sizes must equal the acting degree")
 
-    labels: list[BlockLabel] = []
     by_label: dict = {}
     for mu in factors:
-        lab = block_label(mu, field)
-        if lab not in by_label:
-            labels.append(lab)
-            by_label[lab] = []
-        by_label[lab].append(mu)
-    if len({lab.core for lab in labels}) != len(labels):
+        by_label.setdefault(block_label(mu, field), []).append(mu)
+    values = {lab: field.scalar(content_sum(mus[0]))
+              for lab, mus in by_label.items()}
+    if len(set(values.values())) != len(values):
         raise ArithmeticError(
-            "factors with a common core disagree on central values")
+            "factors in different blocks share a transposition-sum value")
 
+    e = central_symmetric_action(module)
     out = []
-    for lab in labels:
-        expected = sum(specht_dimension(mu) for mu in by_label[lab])
-        space = Subspace.full(field, module.dim)
-        for k, value in enumerate(lab.character_values, start=1):
-            if space.dim == expected:
-                break
-            space = _refine(space, central_symmetric_action(module, k),
-                            value, expected)
-        if space.dim != expected:
-            raise ArithmeticError(
-                f"component {lab} has dimension {space.dim}, expected {expected}")
-        out.append(BlockComponent(lab, tuple(by_label[lab]), space, module))
+    for lab, mus in by_label.items():
+        shifted = e.shift(field.neg(values[lab]))
+        space = kernel(shifted if len(mus) == 1 else shifted.pow(len(mus)))
+        comp = BlockComponent(lab, tuple(mus), space, module)
+        if comp.dim != comp.expected_dim:
+            raise ArithmeticError(f"component {lab} has dimension {comp.dim}, "
+                                  f"expected {comp.expected_dim}")
+        out.append(comp)
 
     if sum(c.dim for c in out) != module.dim:
         raise ArithmeticError("block dimensions do not sum to the module dimension")

@@ -88,9 +88,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not np.any(self.a)
 
-    def is_identity(self) -> bool:
-        return self == Matrix.identity(self.field, self.nrows)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -98,9 +95,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.field, self.a.shape, self.a.tobytes() if self.a.dtype != object else str(self.a)))
-
-    def to_lists(self):
-        return [[self.field.scalar(x) for x in row] for row in self.a]
 
     def __str__(self) -> str:
         render = self.field.render
@@ -282,10 +276,6 @@ class Subspace:
         r, _, _ = rref(rows)
         return cls(field, rows.ncols, r)
 
-    @classmethod
-    def full(cls, field: FieldSpec, n: int) -> "Subspace":
-        return cls(field, n, Matrix.identity(field, n))
-
     @property
     def dim(self) -> int:
         return self.basis.nrows
@@ -373,9 +363,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def monic(self) -> "Polynomial":
         if self.is_zero():

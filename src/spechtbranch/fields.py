@@ -70,12 +70,6 @@ class FieldSpec:
             raise TypeError(f"not an exact scalar: {x!r}")
         return int(x) % p if p else x
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def inv(self, a):
         p = self.characteristic
         if p:

@@ -16,8 +16,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .fields import FieldSpec
-
 Node = tuple[int, int]
 
 
@@ -113,25 +111,6 @@ def contents(lam: Partition) -> list[int]:
 def content_sum(lam: Partition) -> int:
     """Integer sum of all node contents (the transposition-sum scalar)."""
     return sum(contents(lam))
-
-
-def residue_sum(lam: Partition, field: FieldSpec):
-    """content_sum reduced into the field."""
-    return field.scalar(content_sum(lam))
-
-
-def elementary_symmetric_of_contents(lam: Partition, k: int, field: FieldSpec):
-    """e_k of the content multiset, computed over Z and reduced last."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    cs = contents(lam)
-    if k > len(cs):
-        return field.scalar(0)
-    coeffs = [1] + [0] * k
-    for c in cs:
-        for j in range(min(k, len(coeffs) - 1), 0, -1):
-            coeffs[j] += c * coeffs[j - 1]
-    return field.scalar(coeffs[k])
 
 
 def p_core(lam: Partition, p: int) -> Partition:

@@ -8,8 +8,6 @@ application order).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 Perm = tuple[int, ...]
 
 
@@ -49,32 +47,3 @@ def embed(p: Perm, k: int) -> Perm:
     if len(p) > k:
         raise ValueError(f"cannot embed degree {len(p)} into degree {k}")
     return p + tuple(range(len(p) + 1, k + 1))
-
-
-def perm_sign(p: Perm) -> int:
-    sign = 1
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
-
-@lru_cache(maxsize=None)
-def adjacent_word(p: Perm) -> tuple[int, ...]:
-    """Indices i_1, ..., i_T with p = s_{i_1} s_{i_2} ... s_{i_T}.
-
-    Bubble sort of the one-line form; each recorded swap is a Coxeter
-    generator, applied in the recorded order.
-    """
-    arr = list(p)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(arr) - 1):
-            if arr[i] > arr[i + 1]:
-                arr[i], arr[i + 1] = arr[i + 1], arr[i]
-                word.append(i + 1)
-                changed = True
-    return tuple(word)

@@ -36,16 +36,6 @@ class Tableau(tuple):
     def size(self) -> int:
         return sum(len(row) for row in self)
 
-    def validate(self) -> "Tableau":
-        self.shape  # raises unless weakly decreasing
-        seen = sorted(x for row in self for x in row)
-        if seen != list(range(1, self.size + 1)):
-            raise ValueError(f"entries must be 1..{self.size}, got {self}")
-        return self
-
-    def entry(self, r: int, c: int) -> int:
-        return self[r - 1][c - 1]
-
     def act(self, pi: Perm) -> "Tableau":
         """Replace every entry x by its image under pi."""
         return Tableau(tuple(pi[x - 1] for x in row) for row in self)
@@ -188,16 +178,6 @@ class ModuleVector:
             return NotImplemented
         return (self.shape, self.field) == (other.shape, other.field) and self.coords == other.coords
 
-    def dump(self) -> str:
-        """Plain-text dump, one term per line, sorted by tabloid index."""
-        keys = enumerate_tabloids(self.shape)
-        lines = []
-        for i in sorted(self.coords):
-            rows = " | ".join(",".join(str(x) for x in row) for row in keys[i])
-            lines.append(f"{self.field.render(self.coords[i])} : ({rows})")
-        return "\n".join(lines)
-
-
 def column_signed_maps(t: Tableau):
     """All (symbol map, sign) pairs from the column stabilizer of t."""
     per_column = []
@@ -227,16 +207,21 @@ def column_signed_maps(t: Tableau):
         yield mapping, sign
 
 
-def polytabloid(t: Tableau, field: FieldSpec) -> ModuleVector:
-    """Alternating sum of tabloids over the column stabilizer of t."""
-    shape = t.shape
+def _signed_column_sum(t: Tableau, rows: Tableau, field: FieldSpec) -> ModuleVector:
+    """Sum of sign(sigma) {rows sigma} over the column stabilizer of t."""
+    shape = rows.shape
     index = tabloid_index(shape)
     coords: dict = {}
     for mapping, sign in column_signed_maps(t):
-        key = tuple(tuple(sorted(mapping.get(x, x) for x in row)) for row in t)
+        key = tuple(tuple(sorted(mapping.get(x, x) for x in row)) for row in rows)
         i = index[key]
         coords[i] = field.scalar(coords.get(i, 0) + sign)
     return ModuleVector(shape, field, coords)
+
+
+def polytabloid(t: Tableau, field: FieldSpec) -> ModuleVector:
+    """Alternating sum of tabloids over the column stabilizer of t."""
+    return _signed_column_sum(t, t, field)
 
 
 def extension(t: Tableau) -> Tableau:
@@ -252,15 +237,7 @@ def induced_polytabloid(T: Tableau, lam: Partition, field: FieldSpec) -> ModuleV
     """
     if T.shape != Partition(tuple(lam) + (1,)):
         raise ValueError(f"shape of {T} is not {lam} plus a bottom node")
-    t = Tableau(tuple(T)[:-1])
-    shape = T.shape
-    index = tabloid_index(shape)
-    coords: dict = {}
-    for mapping, sign in column_signed_maps(t):
-        key = tuple(tuple(sorted(mapping.get(x, x) for x in row)) for row in T)
-        i = index[key]
-        coords[i] = field.scalar(coords.get(i, 0) + sign)
-    return ModuleVector(shape, field, coords)
+    return _signed_column_sum(Tableau(tuple(T)[:-1]), T, field)
 
 
 def region_H(t: Tableau, u: int) -> frozenset:

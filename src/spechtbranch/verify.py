@@ -182,8 +182,11 @@ def _apply_affine_poly(vec: ModuleVector, coeffs, shift, sign: int,
     return acc
 
 
-def verify_poly_transfer(lam, field: FieldSpec, seed: int = 0,
-                         rounds: int = 3) -> VerificationReport:
+# seeded (tableau, polynomial) draws per poly-transfer report
+POLY_TRANSFER_ROUNDS = 3
+
+
+def verify_poly_transfer(lam, field: FieldSpec, seed: int = 0) -> VerificationReport:
     """On polytabloids, polynomials in the transposition sum transfer to
     polynomials in a single Murphy element:
     e_t f(E_{n-1}) = e_t f(E(lam) - L_n) and, on the extension,
@@ -198,7 +201,7 @@ def verify_poly_transfer(lam, field: FieldSpec, seed: int = 0,
         m = len(removable_nodes(lam))
         e_lam = content_sum(lam)
         tableaux = standard_tableaux(lam)
-        for r in range(rounds):
+        for r in range(POLY_TRANSFER_ROUNDS):
             tab = tableaux[rng.randrange(len(tableaux))]
             deg = rng.randrange(m + 2)
             if field.characteristic:

@@ -1,4 +1,4 @@
-"""Central characters, predicted spectra and block splitting."""
+"""Predicted spectra, block labels and block splitting."""
 
 import itertools
 
@@ -12,10 +12,9 @@ from spechtbranch.central import (
     branching_factors,
     central_symmetric_action,
     predicted_min_poly,
-    predicted_scalar,
     split_branching,
 )
-from spechtbranch.exact import Matrix, Polynomial, minimal_polynomial
+from spechtbranch.exact import Matrix, Polynomial, kernel, minimal_polynomial
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import (
     build_induction,
@@ -25,7 +24,7 @@ from spechtbranch.modules import (
 )
 from spechtbranch.partitions import (
     Partition,
-    contents,
+    content_sum,
     p_core,
     partitions_of,
     specht_dimension,
@@ -41,23 +40,6 @@ def test_branching_factors():
                                               Partition((3, 2, 1)))
     with pytest.raises(ValueError):
         branching_factors(lam, "sideways")
-
-
-def test_predicted_scalar_is_elementary_symmetric():
-    mu = Partition((3, 1))
-    cs = contents(mu)
-    for field in (QQ, GF(5)):
-        for k in range(1, 5):
-            brute = sum(_prod(c) for c in itertools.combinations(cs, k))
-            assert predicted_scalar(mu, k, field) == field.scalar(brute)
-    assert predicted_scalar(mu, 2, GF(5)) == GF(5).scalar(-1)
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def test_predicted_min_poly_examples():
@@ -89,43 +71,29 @@ def test_block_label_char_zero():
     for mu, lab in zip(parts, labels):
         assert lab.core == mu
         assert lab.p == 0
-        assert len(lab.character_values) == 5
 
 
 def test_central_symmetric_action_first_level():
     module = build_restriction(Partition((3, 2)), GF(3))
-    k1 = central_symmetric_action(module, 1)
-    assert k1 == module.element_matrix(transposition_sum(module.degree))
+    e = central_symmetric_action(module)
+    assert e == module.element_matrix(transposition_sum(module.degree))
 
 
 def test_central_symmetric_action_commutes_with_generators():
     for lam, field in ((Partition((3, 1)), GF(2)), (Partition((2, 2)), QQ)):
         module = build_restriction(lam, field)
-        gens = module.gens()
-        for k in range(1, module.degree + 1):
-            ck = central_symmetric_action(module, k)
-            for g in gens:
-                assert ck @ g == g @ ck
-
-
-def test_central_symmetric_action_top_degree_vanishes():
-    """e_degree(L_1..L_degree) contains the factor L_1 = 0."""
-    module = build_specht(Partition((2, 2)), GF(5))
-    top = central_symmetric_action(module, module.degree)
-    assert top.is_zero()
+        e = central_symmetric_action(module)
+        for g in module.gens():
+            assert e @ g == g @ e
 
 
 def test_central_action_scalar_on_specht():
-    """On S^mu the k-th elementary symmetric central element acts by the
-    predicted scalar."""
+    """On S^mu the transposition sum acts by the content sum of mu."""
     for mu in (Partition((3, 1)), Partition((2, 2, 1))):
         for field in (QQ, GF(3)):
             module = build_specht(mu, field)
-            for k in range(1, mu.size + 1):
-                mat = central_symmetric_action(module, k)
-                want = Matrix.identity(field, module.dim).scale(
-                    predicted_scalar(mu, k, field))
-                assert mat == want, (mu, field, k)
+            want = Matrix.identity(field, module.dim).scale(content_sum(mu))
+            assert central_symmetric_action(module) == want, (mu, field)
 
 
 def test_block_split_classical_restriction():
@@ -187,3 +155,41 @@ def test_component_modules_carry_action():
         ident = Matrix.identity(GF(3), sub.dim)
         for g in sub.gens():
             assert g @ g == ident
+
+
+def _eigenspace_oracle(module, lam, direction):
+    """Each block's generalized eigenspace as ker (E - c)^dim on the whole
+    module, keyed by the block's p-core (by the factor itself over Q)."""
+    field = module.field
+    p = field.characteristic
+    e = module.element_matrix(transposition_sum(module.degree))
+    values = {}
+    for mu in branching_factors(lam, direction):
+        values.setdefault(p_core(mu, p) if p else mu, content_sum(mu))
+    return {core: kernel(e.shift(-c).pow(module.dim))
+            for core, c in values.items()}
+
+
+@pytest.mark.parametrize("field,n_max", [(QQ, 5), (GF(2), 6), (GF(3), 6),
+                                         (GF(5), 6)], ids=str)
+def test_block_split_matches_generalized_eigenspace_oracle(field, n_max):
+    builders = {RESTRICT: build_restriction, INDUCE: build_induction}
+    for n in range(1, n_max + 1):
+        for lam in partitions_of(n):
+            for direction, build in builders.items():
+                if direction == RESTRICT and n == 1:
+                    continue
+                module = build(lam, field)
+                got = {c.label.core: c.subspace
+                       for c in split_branching(module, lam, direction)}
+                assert got == _eigenspace_oracle(module, lam, direction), \
+                    (lam, field, direction)
+
+
+def test_block_split_rejects_blocks_sharing_an_e_value():
+    """(4,1,1) and (3,3) both have content sum 3, and 5-cores of their own."""
+    for field in (QQ, GF(5)):
+        module = build_specht(Partition((3, 3)), field)
+        with pytest.raises(ArithmeticError, match="share"):
+            block_split(module, field.characteristic,
+                        [Partition((4, 1, 1)), Partition((3, 3))])

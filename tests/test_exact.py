@@ -111,7 +111,6 @@ def test_subspace_membership_and_intersection():
     assert meet.dim == 1
     assert meet.contains(np.array([0, 3, 0, 0], dtype=np.int64))
     assert not meet.contains(np.array([1, 0, 0, 0], dtype=np.int64))
-    assert Subspace.full(field, 4).dim == 4
 
 
 def test_subspace_invariance_and_restriction():

@@ -1,4 +1,5 @@
-"""Every name the package imports is used in the module that imports it."""
+"""Every name the package or its tests import is used in the file that
+imports it."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import spechtbranch
 
 PACKAGE_DIR = Path(spechtbranch.__file__).parent
+TESTS_DIR = Path(__file__).parent
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -33,8 +35,16 @@ def test_scanner_flags_an_unused_import():
     assert _unused_imports("from x import y\n__all__ = ['y']\n") == []
 
 
+def _unused_by_file(directory: Path) -> dict:
+    files = sorted(directory.glob("*.py"))
+    assert files
+    unused = {path.name: _unused_imports(path.read_text()) for path in files}
+    return {name: found for name, found in unused.items() if found}
+
+
 def test_package_has_no_unused_imports():
-    modules = sorted(PACKAGE_DIR.glob("*.py"))
-    assert modules
-    unused = {path.name: _unused_imports(path.read_text()) for path in modules}
-    assert {name: found for name, found in unused.items() if found} == {}
+    assert _unused_by_file(PACKAGE_DIR) == {}
+
+
+def test_tests_have_no_unused_imports():
+    assert _unused_by_file(TESTS_DIR) == {}

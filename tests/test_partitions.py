@@ -4,14 +4,12 @@ import itertools
 
 import pytest
 
-from spechtbranch.fields import GF
 from spechtbranch.partitions import (
     Partition,
     addable_nodes,
     conjugate,
     content_sum,
     contents,
-    elementary_symmetric_of_contents,
     hook_lengths,
     induce_at,
     p_core,
@@ -72,19 +70,6 @@ def test_contents_and_sums():
     assert content_sum(Partition((1, 1, 1))) == -3
 
 
-def test_elementary_symmetric_against_brute_force():
-    for n in range(1, 8):
-        for lam in partitions_of(n):
-            cs = contents(lam)
-            for field in (GF(3), GF(7)):
-                for k in range(1, n + 1):
-                    brute = sum(
-                        _prod(combo)
-                        for combo in itertools.combinations(cs, k))
-                    assert elementary_symmetric_of_contents(lam, k, field) \
-                        == field.scalar(brute)
-
-
 def _prod(xs):
     out = 1
     for x in xs:
@@ -130,22 +115,24 @@ def test_p_core_spot_values():
     assert p_core(Partition((3, 2, 1)), 3) == Partition(())
 
 
-def test_content_multiset_mod_p_matches_p_core():
-    """Two partitions of n share all elementary symmetric content values
-    mod p exactly when they share a p-core.  This is what makes central
-    characters a complete block invariant."""
-    for n in range(1, 8):
-        parts = partitions_of(n)
-        for p in (2, 3, 5):
-            field = GF(p)
-            sig = {
-                lam: tuple(elementary_symmetric_of_contents(lam, k, field)
-                           for k in range(1, n + 1))
-                for lam in parts
-            }
-            for mu, nu in itertools.combinations(parts, 2):
-                assert (sig[mu] == sig[nu]) == (p_core(mu, p) == p_core(nu, p)), \
-                    (mu, nu, p)
+def test_branching_factors_share_a_block_exactly_when_e_agrees():
+    """Among the restriction factors of lam, or among its induction factors,
+    two have equal content sums mod p exactly when they share a p-core, and
+    over Q (p = 0) no two have equal content sums.  This is what lets the
+    transposition sum alone split a branching module into blocks."""
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            restricted = [restrict_at(lam, u)
+                          for u in range(1, len(removable_nodes(lam)) + 1)]
+            induced = [induce_at(lam, u)
+                       for u in range(1, len(addable_nodes(lam)) + 1)]
+            for factors in (restricted, induced):
+                for mu, nu in itertools.combinations(factors, 2):
+                    diff = content_sum(mu) - content_sum(nu)
+                    assert diff != 0, (lam, mu, nu)
+                    for p in (2, 3, 5, 7):
+                        same_block = p_core(mu, p) == p_core(nu, p)
+                        assert (diff % p == 0) == same_block, (lam, mu, nu, p)
 
 
 def test_hook_lengths_and_dimension():

@@ -16,7 +16,6 @@ from spechtbranch.partitions import (
 from spechtbranch.perms import compose, identity_perm, transposition
 from spechtbranch.modules import transposition_sum
 from spechtbranch.tabloids import (
-    ModuleVector,
     Tableau,
     act_key,
     canonical_tableau,
