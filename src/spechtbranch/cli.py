@@ -12,8 +12,9 @@ Exit codes:
     2  the invocation was rejected: bad arguments or a guardrail
        (ValueError)
     3  the run could not decide or failed internally: an undecided
-       certificate, or an internal consistency check that did not hold
-       (ArithmeticError)
+       certificate, an internal consistency check that did not hold
+       (ArithmeticError), or any other exception, a bug, whose traceback
+       is printed to stderr
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import verify
 from .central import INDUCE, RESTRICT, block_split, branching_factors
@@ -201,6 +203,9 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"undecided or internal failure: {exc}", file=sys.stderr)
+        return 3
+    except Exception:
+        traceback.print_exc()
         return 3
 
     for report in reports:

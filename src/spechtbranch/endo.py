@@ -1,11 +1,13 @@
 """Endomorphism algebras, Fitting splits and indecomposability certificates.
 
-hom_space computes intertwiners by spinning: the source module is generated
-from a few seed vectors by the generator matrices, every vector reached gets
-a word (a product of target generators), and every linear dependence met on
-the way becomes a constraint on the seed images.  The solution space starts
-as all seed-image tuples and shrinks through the constraints, which keeps
-the elimination at seed scale instead of (dim x dim)-unknown scale.
+hom_space computes intertwiners in one spin, the spin-and-solve of the
+MeatAxe (Parker 1984): the source module is generated from unit seed vectors
+by its generator matrices, and every vertex reached carries its images under
+all candidate homs that are still alive.  A new seed brings dim(target)
+candidates, a vertex reached by generator g takes its parent's images times
+the target's g, and every linear dependence met on the way keeps only the
+combinations of candidates whose images obey it too.  Each dependence costs
+(candidates x target dim) elimination, never (dim x dim) unknowns.
 
 Indecomposability is decided by one deterministic certificate on the
 commutant E = End(M): a module is indecomposable exactly when E is local.
@@ -42,61 +44,16 @@ from .fields import FieldSpec
 from .modules import GroupActionModule
 
 
-def _unit_row(field: FieldSpec, n: int, i: int) -> np.ndarray:
-    row = field.zeros(n)
-    row[i] = 1
-    return row
-
-
-def _spin_source(module: GroupActionModule):
-    """Generate the coordinate space of a module from seed vectors.
-
-    Returns (seed count, seed index per vertex, kept vertex rows as a
-    RowBasis, relations).  Each kept vertex remembers which seed and which
-    generator path reached it; each relation records a reached vector that
-    was already in the span, as (vertex, generator, dependency coefficients
-    over the kept vertices).
-    """
-    gens = module.gens()
-    d = module.dim
-    span = RowBasis(module.field, d)
-    vertices: list[np.ndarray] = []
-    seed_of: list[int] = []
-    parent: list[tuple] = []
-    relations: list[tuple] = []
-    seeds = 0
-    expand = 0
-    for i in range(d):
-        e = _unit_row(module.field, d, i)
-        if span.coords(e) is not None:
-            continue
-        span.insert(e)
-        vertices.append(e)
-        seed_of.append(seeds)
-        parent.append(None)
-        seeds += 1
-        while expand < len(vertices):
-            v = vertices[expand]
-            for g, gen in enumerate(gens):
-                w = _mul(module.field, v.reshape(1, -1), gen.a)[0]
-                idx, dep = span.insert(w)
-                if idx is None:
-                    relations.append((expand, g, dep))
-                else:
-                    vertices.append(w)
-                    seed_of.append(seed_of[expand])
-                    parent.append((expand, g))
-            expand += 1
-    if len(vertices) != d:
-        raise ArithmeticError("spinning failed to fill the coordinate space")
-    return seeds, seed_of, parent, span, relations
-
-
 def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
     """Basis of {X : G1[g] X = X G2[g] for every generator g}.
 
-    The basis is echelon-canonical in flattened coordinates, and every
-    element is re-verified to intertwine all generator pairs.
+    The source is spun from unit seed vectors, and the images of its spun
+    vertices under every surviving candidate hom are carried along.  A new
+    seed adds dim m2 candidates, sending it to each unit vector of m2 and
+    every earlier vertex to zero; a dependency met while spinning keeps the
+    combinations of candidates that respect it.  The basis is
+    echelon-canonical in flattened coordinates, and every element is
+    re-verified to intertwine all generator pairs.
     """
     if m1.degree != m2.degree:
         raise ValueError(f"degrees differ: {m1.degree} != {m2.degree}")
@@ -106,79 +63,62 @@ def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
     d1, d2 = m1.dim, m2.dim
     if d1 == 0 or d2 == 0:
         return []
-    if m1.degree == 1:
-        basis = []
-        for i in range(d1):
-            for j in range(d2):
-                x = Matrix.zeros(field, d1, d2)
-                x.a[i, j] = 1
-                basis.append(x)
-        return basis
-
-    seeds, seed_of, parent, span, relations = _spin_source(m1)
+    gens1 = [g.a for g in m1.gens()]
     gens2 = [g.a for g in m2.gens()]
 
-    # the image word of each vertex: a d2 x d2 product of target generators
-    paths = np.empty((d1,), dtype=object)
+    span = RowBasis(field, d1)
+    vertices: list[np.ndarray] = []
+    # images[v, r] is the image of vertex v under candidate r
+    images = field.zeros((d1, 0, d2))
     for i in range(d1):
-        if parent[i] is None:
-            paths[i] = Matrix.identity(field, d2).a
-        else:
-            pv, g = parent[i]
-            paths[i] = _mul(field, paths[pv], gens2[g])
-    paths_stack = np.stack(list(paths))
-    seed_arr = np.array(seed_of)
-
-    unknowns = seeds * d2
-    w_rows = Matrix.identity(field, unknowns).a
-    for vertex, g, dep in relations:
-        if w_rows.shape[0] == 0:
-            break
-        block = field.zeros((seeds, d2, d2))
-        block[seed_of[vertex]] = _mul(field, paths[vertex], gens2[g])
-        dep_full = field.zeros(d1)
-        dep_full[: len(dep)] = dep
-        for j in range(seeds):
-            coeffs = dep_full * (seed_arr == j)
-            if np.any(coeffs):
-                block[j] = field.reduce_array(
-                    block[j] - np.tensordot(coeffs, paths_stack, axes=(0, 0)))
-        constraint = block.reshape(unknowns, d2)
-        moved = _mul(field, w_rows, constraint)
-        if not np.any(moved):
+        seed = field.zeros(d1)
+        seed[i] = 1
+        if span.insert(seed)[0] is None:
             continue
-        ker = kernel(Matrix(field, moved))
-        w_rows = _mul(field, ker.basis.a, w_rows)
+        fresh = field.zeros((d1, d2, d2))
+        fresh[len(vertices)] = Matrix.identity(field, d2).a
+        images = np.concatenate([images, fresh], axis=1)
+        vertices.append(seed)
+        expand = len(vertices) - 1
+        while expand < len(vertices):
+            for g1, g2 in zip(gens1, gens2):
+                w = _mul(field, vertices[expand].reshape(1, -1), g1)[0]
+                moved = _mul(field, images[expand], g2)
+                idx, dep = span.insert(w)
+                if idx is not None:
+                    vertices.append(w)
+                    images[idx] = moved
+                    continue
+                # w = sum dep_j v_j, so its image must be sum dep_j image(v_j)
+                spun = len(dep)
+                spanned = _mul(field, dep.reshape(1, -1),
+                               images[:spun].reshape(spun, -1))
+                violation = field.reduce_array(moved - spanned.reshape(moved.shape))
+                if np.any(violation):
+                    keep = kernel(Matrix(field, violation)).basis.a
+                    kept = field.zeros((d1, len(keep), d2))
+                    kept[:spun] = _mul(field, keep, images[:spun])
+                    images = kept
+            expand += 1
 
-    if w_rows.shape[0] == 0:
+    k = images.shape[1]
+    if k == 0:
         return []
-
     ident_coords, ok = span.coords_many(Matrix.identity(field, d1).a)
     if not np.all(ok):
         raise ArithmeticError("spin basis does not span the module")
-
-    flat = field.zeros((w_rows.shape[0], d1 * d2))
-    for r in range(w_rows.shape[0]):
-        w = w_rows[r].reshape(seeds, d2)
-        x_spin = field.reduce_array(
-            np.einsum("ik,ikj->ij", w[seed_arr], paths_stack))
-        x = _mul(field, ident_coords, x_spin)
-        flat[r] = x.reshape(-1)
+    unit = _mul(field, ident_coords, images.reshape(d1, -1)).reshape(d1, k, d2)
+    flat = unit.transpose(1, 0, 2).reshape(k, d1 * d2)
     canon, rank, _ = rref(Matrix(field, flat))
 
     out = []
-    gens1 = [g.a for g in m1.gens()]
     for r in range(rank):
         x = Matrix(field, canon.a[r].reshape(d1, d2).copy())
-        for g in range(len(gens1)):
-            left = _mul(field, gens1[g], x.a)
-            right = _mul(field, x.a, gens2[g])
-            if not np.array_equal(left, right):
+        for g1, g2 in zip(gens1, gens2):
+            if not np.array_equal(_mul(field, g1, x.a), _mul(field, x.a, g2)):
                 raise ArithmeticError("solved hom fails to intertwine")
         out.append(x)
     return out
-
-
 
 
 class EndoAlgebra:

@@ -93,9 +93,6 @@ class Matrix:
             return NotImplemented
         return self.field == other.field and np.array_equal(self.a, other.a)
 
-    def __hash__(self):
-        return hash((self.field, self.a.shape, self.a.tobytes() if self.a.dtype != object else str(self.a)))
-
     def __str__(self) -> str:
         render = self.field.render
         cells = [[render(x) for x in row] for row in self.a]

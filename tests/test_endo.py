@@ -27,7 +27,7 @@ from spechtbranch.endo import (
     is_isomorphic,
     locality_certificate,
 )
-from spechtbranch.exact import Matrix, RowBasis, fitting_split, rref
+from spechtbranch.exact import Matrix, RowBasis, fitting_split, kernel, rref
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import (
     build_induction,
@@ -52,6 +52,57 @@ def test_hom_between_different_simples_is_zero():
     a = build_specht(Partition((3, 1)), GF(5))
     b = build_specht(Partition((2, 1, 1)), GF(5))
     assert hom_space(a, b) == []
+
+
+def _hom_by_kronecker(m1, m2) -> Matrix:
+    """Reference: Hom(m1, m2) as the left kernel of the linear system
+    x (kron(G1^T, I) - kron(I, G2)) = 0 over every generator pair, x the
+    flattened d1 x d2 matrix, as a reduced echelon basis."""
+    field = m1.field
+    d1, d2 = m1.dim, m2.dim
+    blocks = [field.zeros((d1 * d2, 0))]
+    for g1, g2 in zip(m1.gens(), m2.gens()):
+        blocks.append(np.kron(g1.a.T, np.eye(d2, dtype=int))
+                      - np.kron(np.eye(d1, dtype=int), g2.a))
+    system = Matrix(field, np.concatenate(blocks, axis=1).astype(field.dtype))
+    return kernel(system).basis
+
+
+def _modules_by_degree(field, n_max):
+    """The Specht, restriction and induction modules built from every lam
+    with |lam| <= n_max, grouped by degree."""
+    by_degree = {}
+    for n in range(1, n_max + 1):
+        for lam in partitions_of(n):
+            built = [build_specht(lam, field), build_induction(lam, field)]
+            if n >= 2:
+                built.append(build_restriction(lam, field))
+            for module in built:
+                by_degree.setdefault(module.degree, []).append(module)
+    return by_degree
+
+
+def test_hom_space_matches_kronecker_oracle():
+    """hom_space returns the echelon basis of the Kronecker system's left
+    kernel on every ordered pair of one degree (d1 * d2 <= 144).  The pairs
+    include R(2,1) in the basis (e2, e1 + e2): over GF(3) its first unit
+    vector spans the sign submodule, so every candidate hom into S^(2) from
+    the first seed dies before the second seed brings a live one."""
+    for field, n_max in ((GF(2), 4), (GF(3), 4), (GF(5), 4), (QQ, 3)):
+        by_degree = _modules_by_degree(field, n_max)
+        restricted = build_restriction(Partition((2, 1)), field)
+        by_degree[2].append(
+            restricted.submodule(Matrix.from_rows(field, [[0, 1], [1, 1]])))
+        for modules in by_degree.values():
+            for m1, m2 in itertools.product(modules, repeat=2):
+                if m1.dim * m2.dim > 144:
+                    continue
+                got = [x.a.reshape(-1) for x in hom_space(m1, m2)]
+                expected = _hom_by_kronecker(m1, m2)
+                assert len(got) == expected.nrows, (m1.label, m2.label, field)
+                if got:
+                    assert Matrix(field, np.stack(got)) == expected, (
+                        m1.label, m2.label, field)
 
 
 def test_hom_degree_mismatch_rejected():
@@ -141,11 +192,11 @@ def test_decompose_indecomposable_is_identity():
 
 
 def test_small_specht_char_two_still_indecomposable():
-    """S^(2,2) over GF(2) is indecomposable; the enumeration branch proves
-    it outright (q^d = 4 candidate endomorphisms)."""
+    """S^(2,2) over GF(2) is indecomposable: its commutant is the scalars."""
     cert = certify_indecomposable(build_specht(Partition((2, 2)), GF(2)))
     assert cert.verdict == "indecomposable"
     assert cert.deterministic
+    assert cert.branch == "scalar-commutant"
 
 
 def test_is_isomorphic_basic():

@@ -48,6 +48,13 @@ def test_matrix_arithmetic_identities():
         assert a.shift(field.scalar(2)) == a + i.scale(field.scalar(2))
 
 
+def test_matrix_is_unhashable():
+    """Equal matrices must not hash differently, so a Matrix, which compares
+    by value and holds mutable data, has no hash at all."""
+    with pytest.raises(TypeError):
+        hash(Matrix.identity(QQ, 2))
+
+
 def test_rank_nullity():
     rng = random.Random(23)
     for field in FIELDS:

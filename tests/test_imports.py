@@ -1,5 +1,6 @@
 """Every name the package or its tests import is used in the file that
-imports it."""
+imports it, and every private top-level function or class of the package
+is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,44 @@ def test_package_has_no_unused_imports():
 
 def test_tests_have_no_unused_imports():
     assert _unused_by_file(TESTS_DIR) == {}
+
+
+def _unused_private_definitions(sources: dict) -> list[str]:
+    """Module-level _private functions and classes that no source names.
+
+    sources maps file names to their text; a definition counts as used when
+    its name appears in any of them as a name, an attribute or an import.
+    """
+    defined = []
+    used = set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(f"{name}: {definition}" for name, definition in defined
+                  if definition not in used)
+
+
+def test_scanner_flags_an_unused_private_definition():
+    sources = {
+        "a.py": "def _dead():\n    pass\n\nclass _Gone:\n    pass\n\n"
+                "def _called():\n    pass\n\ndef _imported():\n    pass\n\n"
+                "def public():\n    return _called()\n",
+        "b.py": "from .a import _imported\n",
+    }
+    assert _unused_private_definitions(sources) == ["a.py: _Gone", "a.py: _dead"]
+
+
+def test_package_has_no_unused_private_definitions():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _unused_private_definitions(sources) == []

@@ -136,7 +136,9 @@ def _raise(exc):
     (_raise(ArithmeticError("isomorphism undecided")), 3, "err",
      "isomorphism undecided"),
     (_raise(ZeroDivisionError("inverse of zero")), 3, "err", "inverse of zero"),
-], ids=["check-failed", "usage-error", "undecided", "internal-failure"])
+    (_raise(RuntimeError("a bug")), 3, "err", "RuntimeError: a bug"),
+], ids=["check-failed", "usage-error", "undecided", "internal-failure",
+        "unexpected-exception"])
 def test_cli_exit_code_per_outcome(monkeypatch, capsys, verifier, code, stream,
                                    text):
     monkeypatch.setattr(verify, "verify_en_scalar", verifier)
