@@ -10,7 +10,7 @@ Exit codes:
     0  every expectation was met
     1  a check failed
     2  the invocation was rejected: bad arguments or a guardrail
-       (ValueError)
+       (ValueError), or the --json report could not be written (OSError)
     3  the run could not decide or failed internally: an undecided
        certificate, an internal consistency check that did not hold
        (ArithmeticError), or any other exception, a bug, whose traceback
@@ -225,9 +225,13 @@ def main(argv=None) -> int:
             payload = reports[0].to_dict()
         if extra is not None:
             payload = {**extra, "reports": [r.to_dict() for r in reports]}
-        with open(args.json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.json_path, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
 
     return 0 if failures == 0 else 1
 

@@ -1,13 +1,33 @@
 """Exact dense linear algebra over Q and GF(p).
 
-Matrices wrap numpy arrays: ``int64`` residues for GF(p), Python
-ints/Fractions in ``object`` arrays for Q.  Every operation is exact; there
-is no floating point and no tolerance anywhere.  Vectors are rows and
-operators act on the right, so "kernel" always means the left kernel
-``{v : v A = 0}`` and spans are row spaces.
+Matrices wrap numpy arrays: ``int64`` residues for GF(p), Python ints in
+``object`` arrays for Q, with a ``Fraction`` only where an entry is not an
+integer.  Every operation is exact; there is no floating point and no
+tolerance anywhere.  Vectors are rows and operators act on the right, so
+"kernel" always means the left kernel ``{v : v A = 0}`` and spans are row
+spaces.
+
+Elimination (``RowBasis``, and ``rref``, ``kernel`` and
+``minimal_polynomial`` on top of it) is one fraction-free algorithm for
+both fields, in the manner of Bareiss (1968).  Stored rows are integral,
+and the one field-specific step is ``FieldSpec.normalize_rows``: over GF(p)
+it scales a row to pivot 1, over Q it divides the row by its content.  The
+result is exact over Q because every step keeps an integer invariant: the
+stored rows R and their combination rows C satisfy R = C K exactly, K the
+kept input rows.  A new row L s v - d R is L s v - d C K, an integer
+combination; eliminating a pivot replaces a row by an integer combination
+of two rows, and its C-row by the same combination; dividing a row and its
+C-row by their common content is an exact integer division that keeps the
+equation.  A row v lies in the span exactly when its reduction L s v - d R
+is zero, since L s is not zero, and then v = (d C / L s) K: coordinates
+and dependencies come from one division at the end, an int whenever it is
+exact.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -111,52 +131,146 @@ def _mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return field.reduce_array(a @ b)
 
 
-class RowBasis:
-    """Incrementally built reduced row echelon basis with coordinate tracking.
+# int() keeps a numpy integer that strayed into an object array from
+# overflowing in later products
+_num_den = np.frompyfunc(lambda x: (int(x.numerator), x.denominator), 1, 2)
 
-    Rows are inserted one at a time.  The internal matrix R stays fully
-    reduced with unit pivots, and C records each R-row as a combination of
-    the kept (independent) input rows, so membership tests also produce
-    coordinates over the original inputs.
+
+def _integral(a: np.ndarray):
+    """(s a, s) for the rows of a: s[i] clears the denominators of row i.
+
+    GF(p) arrays hold integers already, and there s is 1.
+    """
+    if a.dtype != object:
+        return a, [1] * a.shape[0]
+    num, den = _num_den(a)
+    s = [math.lcm(*row) for row in den.tolist()]
+    if any(x != 1 for x in s):
+        num = num * (np.array(s, dtype=object)[:, None] // den)
+    return num, s
+
+
+def _ratio(n, d):
+    q, r = divmod(n, d)
+    return q if r == 0 else Fraction(n, d)
+
+
+_ratio_entries = np.frompyfunc(_ratio, 2, 1)
+
+
+def _divide(a: np.ndarray, den: list) -> np.ndarray:
+    """Row i of a divided by den[i], an int wherever the quotient is one.
+
+    Over GF(p) every den[i] is 1, and a comes back as it is.
+    """
+    if all(x == 1 for x in den):
+        return a
+    return _ratio_entries(a, np.array(den, dtype=object)[:, None])
+
+
+class RowBasis:
+    """Incrementally built reduced echelon basis with coordinate tracking.
+
+    Rows are inserted one at a time.  The stored matrix R stays fully
+    reduced: each pivot column is zero outside its own row.  C records each
+    R-row as a combination of the kept (independent) input rows K, with
+    R = C K exactly, so membership tests also produce coordinates over the
+    original inputs.  R and C sit side by side in one array, row i being
+    [R_i | C_i].
+
+    Rows are stored integrally: a stored row [R_i | C_i] is the canonical
+    multiple that ``FieldSpec.normalize_rows`` picks, pivot 1 over GF(p),
+    content 1 and a positive pivot over Q.  Let L be the lcm of the pivot
+    entries (always 1 over GF(p)).  A row v, scaled by the lcm s of its
+    denominators, reduces to L s v - d R with d integral: L s times the true
+    residual, zero exactly when v lies in the span, and then
+    v = (d C / L s) K.  The division by L s is the only one, made once on
+    the way out; no Fraction is formed inside the elimination.
     """
 
     def __init__(self, field: FieldSpec, width: int, track: bool = True):
         self.field = field
         self.width = width
         self.track = track
-        self._r = field.zeros((8, width))
-        self._c = field.zeros((8, 8)) if track else None
+        self._rc = field.zeros((8, width + 8 if track else width))
         self.pivots: list[int] = []
         self.size = 0
+        self._lcm = 1      # L, the lcm of the pivot entries
+        self._mult = None  # L // pivot entry, row by row, when L != 1
 
     def _grow(self):
-        cap = self._r.shape[0]
+        cap = self._rc.shape[0]
         if self.size < cap:
             return
-        r = self.field.zeros((2 * cap, self.width))
-        r[:cap] = self._r
-        self._r = r
-        if self.track:
-            c = self.field.zeros((2 * cap, 2 * cap))
-            c[:cap, :cap] = self._c
-            self._c = c
+        width = self.width + 2 * cap if self.track else self.width
+        rc = self.field.zeros((2 * cap, width))
+        rc[:cap, : self._rc.shape[1]] = self._rc
+        self._rc = rc
+
+    def _leads(self) -> np.ndarray:
+        return self._rc[np.arange(self.size), self.pivots]
 
     @property
     def rows(self) -> np.ndarray:
-        return self._r[: self.size]
+        """The rows of R scaled to pivot 1, in insertion order."""
+        return _divide(self._rc[: self.size, : self.width], self._leads().tolist())
 
-    @property
-    def combos(self) -> np.ndarray:
-        return self._c[: self.size, : self.size]
-
-    def reduce(self, v: np.ndarray):
-        """Return (residual, coeffs over current echelon rows)."""
+    def _reduce(self, a: np.ndarray):
+        """(residual, d, s) for the rows of a: s[i] is the lcm of row i's
+        denominators, and residual = L s a - d R row by row."""
         field = self.field
+        a, s = _integral(a)
         if self.size == 0:
-            return field.reduce_array(v.copy()), field.zeros(0)
-        d = v[self.pivots]
-        residual = field.reduce_array(v - _mul(field, d.reshape(1, -1), self.rows)[0])
-        return residual, field.reduce_array(d)
+            return field.reduce_array(a), field.zeros((a.shape[0], 0)), s
+        d = a[:, self.pivots]
+        if self._lcm != 1:
+            a = a * self._lcm
+            d = d * self._mult
+        d = field.reduce_array(d)
+        residual = field.reduce_array(
+            a - _mul(field, d, self._rc[: self.size, : self.width]))
+        return residual, d, s
+
+    def _insert(self, v: np.ndarray):
+        """Insert one row: (kept_index, None, None), or, for a row in the
+        span, (None, dc, den) with den v = dc K (dc is None when tracking
+        is off)."""
+        field = self.field
+        k, w = self.size, self.width
+        residual, d, s = self._reduce(v.reshape(1, -1))
+        den = self._lcm * s[0]
+        dc = _mul(field, d, self._rc[:k, w: w + k])[0] if self.track else None
+        nz = residual[0].nonzero()[0]
+        if len(nz) == 0:
+            return None, dc, den
+        j = int(nz[0])
+        self._grow()
+        end = w + k + 1 if self.track else w
+        new = self._rc[k, :end]
+        new[:w] = residual[0]
+        if self.track:
+            # R_k = L s v - d R = L s v - d C K
+            new[w: w + k] = field.reduce_array(-dc)
+            new[w + k] = den
+        new[:] = field.normalize_rows(new.reshape(1, -1), [new[j]])[0]
+        col = self._rc[:k, j].copy()
+        hit = col.nonzero()[0]
+        if len(hit):
+            upd = field.reduce_array(
+                self._rc[hit, :end] * new[j] - np.outer(col[hit], new))
+            if new[j] != 1 or self._lcm != 1:
+                # (when every pivot was 1 and the new one is 1 too, the
+                # updated rows keep pivot 1 and are canonical already)
+                upd = field.normalize_rows(
+                    upd, upd[np.arange(len(hit)), np.array(self.pivots)[hit]])
+            self._rc[hit, :end] = upd
+        self.pivots.append(j)
+        self.size = k + 1
+        if new[j] != 1 or self._lcm != 1:
+            leads = self._leads()
+            self._lcm = math.lcm(*leads.tolist())
+            self._mult = self._lcm // leads
+        return k, None, None
 
     def insert(self, v: np.ndarray):
         """Insert a row; returns (kept_index, None) or (None, dependency).
@@ -164,70 +278,38 @@ class RowBasis:
         The dependency expresses v as a combination of previously kept rows
         (or None when coordinate tracking is off).
         """
-        field = self.field
-        residual, d = self.reduce(v)
-        nz = np.nonzero(residual)[0]
-        if len(nz) == 0:
-            if not self.track:
-                return None, None
-            dep = _mul(field, d.reshape(1, -1), self.combos)[0] if self.size else field.zeros(0)
-            return None, dep
-        j = int(nz[0])
-        inv = field.inv(residual[j])
-        row = field.reduce_array(residual * inv)
-        k = self.size
-        if self.track:
-            crow = field.zeros(k + 1)
-            if k:
-                crow[:k] = field.reduce_array(
-                    -_mul(field, d.reshape(1, -1), self.combos)[0] * inv)
-            crow[k] = field.scalar(inv) if field.characteristic else inv
-        self._grow()
-        if k:
-            col = self._r[:k, j].copy()
-            if np.any(col):
-                self._r[:k] = field.reduce_array(self._r[:k] - np.outer(col, row))
-                if self.track:
-                    self._c[:k, : k + 1] = field.reduce_array(
-                        self._c[:k, : k + 1] - np.outer(col, crow))
-        self._r[k] = row
-        if self.track:
-            self._c[k, : k + 1] = crow
-        self.pivots.append(j)
-        self.size = k + 1
-        return k, None
+        idx, dc, den = self._insert(v)
+        if dc is None:
+            return idx, None
+        return None, _divide(dc.reshape(1, -1), [den])[0]
 
     def contains(self, v: np.ndarray) -> bool:
-        residual, _ = self.reduce(v)
+        residual, _, _ = self._reduce(v.reshape(1, -1))
         return not np.any(residual)
 
-    def coords(self, v: np.ndarray):
-        """Coordinates of v over the kept input rows, or None."""
+    def _coords(self, vmat: np.ndarray):
         if not self.track:
             raise RuntimeError("coordinate tracking is off for this basis")
-        residual, d = self.reduce(v)
-        if np.any(residual):
-            return None
-        if self.size == 0:
-            return self.field.zeros(0)
-        return _mul(self.field, d.reshape(1, -1), self.combos)[0]
+        residual, d, s = self._reduce(vmat)
+        ok = ~np.any(residual, axis=1)
+        w = self.width
+        dc = _mul(self.field, d, self._rc[: self.size, w: w + self.size])
+        return _divide(dc, [self._lcm * x for x in s]), ok
+
+    # coords calls _coords itself, so a traced count of coords_many calls
+    # counts batched solves only
+    def coords(self, v: np.ndarray):
+        """Coordinates of v over the kept input rows, or None."""
+        coeffs, ok = self._coords(v.reshape(1, -1))
+        return coeffs[0] if ok[0] else None
 
     def coords_many(self, vmat: np.ndarray):
         """Vectorized coords; returns (coeff matrix, boolean mask of rows in span)."""
-        if not self.track:
-            raise RuntimeError("coordinate tracking is off for this basis")
-        field = self.field
-        if self.size == 0:
-            ok = ~np.any(vmat, axis=1)
-            return field.zeros((vmat.shape[0], 0)), ok
-        d = vmat[:, self.pivots]
-        residual = field.reduce_array(vmat - _mul(field, d, self.rows))
-        ok = ~np.any(residual, axis=1)
-        return _mul(field, d, self.combos), ok
+        return self._coords(vmat)
 
 
 def rref(m: Matrix):
-    """Reduced row echelon form: returns (R, rank, pivots)."""
+    """Reduced row echelon form, unit pivots: returns (R, rank, pivots)."""
     rb = RowBasis(m.field, m.ncols, track=False)
     for i in range(m.nrows):
         rb.insert(m.a[i])
@@ -244,13 +326,14 @@ def kernel(m: Matrix) -> "Subspace":
     kept: list[int] = []
     kernel_rows = []
     for i in range(m.nrows):
-        idx, dep = rb.insert(m.a[i])
+        idx, dc, den = rb._insert(m.a[i])
         if idx is not None:
             kept.append(i)
         else:
+            # den row_i - dc . (kept rows) = 0, an integral relation
             row = field.zeros(m.nrows)
-            row[kept[: len(dep)]] = field.reduce_array(-dep) if len(dep) else dep
-            row[i] = 1
+            row[kept] = field.reduce_array(-dc)
+            row[i] = den
             kernel_rows.append(row)
     if not kernel_rows:
         return Subspace(field, m.nrows, Matrix.zeros(field, 0, m.nrows))

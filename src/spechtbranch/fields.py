@@ -1,11 +1,17 @@
 """Exact coefficient fields: the rationals and the prime fields GF(p).
 
-Scalars are plain Python objects: ``int`` residues in ``0..p-1`` for GF(p),
-``int``/``Fraction`` for the rationals.  No floating point anywhere.
+Scalars are plain Python objects: ``int`` residues in ``0..p-1`` for GF(p);
+``int`` or ``Fraction`` for the rationals, where ``scalar`` and ``inv``
+return an ``int`` whenever the value is one.  No floating point anywhere.
+Over Q the linear algebra runs on integers: rows are held as integer
+vectors, a rational row is first scaled by the lcm of its denominators,
+and ``normalize_rows`` divides a row by its content, an exact division
+(see ``exact``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,7 +85,8 @@ class FieldSpec:
             return pow(a, p - 2, p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1, 1) / Fraction(a)
+        inv = 1 / Fraction(a)
+        return inv.numerator if inv.denominator == 1 else inv
 
     def neg(self, a):
         if self.characteristic:
@@ -93,6 +100,26 @@ class FieldSpec:
         return str(Fraction(a))
 
     # -- array support -----------------------------------------------------
+
+    def normalize_rows(self, rows: np.ndarray, leads) -> np.ndarray:
+        """Each row scaled to its canonical multiple; leads[i] is the pivot
+        (first nonzero) entry of row i.
+
+        GF(p): the multiple with pivot 1.  Q, for integral rows: the row
+        divided by its content (the gcd of its entries), signed so that the
+        pivot is positive; the division is exact, and the row stays integral.
+        """
+        p = self.characteristic
+        if p:
+            inv = [self.inv(x) for x in leads]
+            if all(x == 1 for x in inv):
+                return rows
+            return rows * np.array(inv, dtype=rows.dtype)[:, None] % p
+        content = [math.gcd(*row) if lead > 0 else -math.gcd(*row)
+                   for row, lead in zip(rows.tolist(), leads)]
+        if all(x == 1 for x in content):
+            return rows
+        return rows // np.array(content, dtype=object)[:, None]
 
     @property
     def dtype(self):

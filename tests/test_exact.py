@@ -1,5 +1,6 @@
 """Exact linear algebra: seeded randomized identities plus hand oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -241,3 +242,176 @@ def test_fitting_split_soundness():
                 _, rank, _ = rref(local)
                 assert rank == img.dim
             assert ker.intersect(img).dim == 0
+
+
+class _UnitPivotBasis:
+    """The elimination RowBasis ran before it kept integral rows: every
+    stored row is scaled to pivot 1 with FieldSpec.inv, so over Q each
+    product is a Fraction product.  The oracle for the integral elimination.
+    """
+
+    def __init__(self, field, width):
+        self.field = field
+        self.rows = np.zeros((0, width), dtype=field.dtype)
+        self.combos = np.zeros((0, 0), dtype=field.dtype)
+        self.pivots = []
+
+    def _product(self, a, b):
+        return (Matrix(self.field, a) @ Matrix(self.field, b)).a
+
+    def reduce(self, v):
+        """(residual, coefficients over the stored rows) for one row."""
+        d = v[self.pivots].reshape(1, -1)
+        return self.field.reduce_array(v - self._product(d, self.rows)[0]), d
+
+    def insert(self, v):
+        """(kept index, None), or (None, v over the kept input rows)."""
+        field = self.field
+        residual, d = self.reduce(v)
+        dep = self._product(d, self.combos)[0]
+        nz = np.nonzero(residual)[0]
+        if len(nz) == 0:
+            return None, dep
+        j = int(nz[0])
+        inv = field.inv(residual[j])
+        row = field.reduce_array(residual * inv)
+        crow = field.reduce_array(np.append(-dep, 1) * inv)
+        col = self.rows[:, j].copy()
+        self.rows = field.reduce_array(
+            np.vstack([self.rows - np.outer(col, row), row]))
+        combos = np.hstack([self.combos, field.zeros((len(col), 1))])
+        self.combos = field.reduce_array(
+            np.vstack([combos - np.outer(col, crow), crow]))
+        self.pivots.append(j)
+        return len(self.pivots) - 1, None
+
+    def coords(self, v):
+        """v over the kept input rows, or None outside the span."""
+        residual, d = self.reduce(v)
+        return None if np.any(residual) else self._product(d, self.combos)[0]
+
+
+def _oracle_rref(m):
+    basis = _UnitPivotBasis(m.field, m.ncols)
+    for row in m.a:
+        basis.insert(row)
+    order = np.argsort(basis.pivots).astype(int)
+    return (Matrix(m.field, basis.rows[order]), len(order),
+            [basis.pivots[i] for i in order])
+
+
+def _oracle_kernel(m):
+    field = m.field
+    basis = _UnitPivotBasis(field, m.ncols)
+    kept, rows = [], []
+    for i, v in enumerate(m.a):
+        idx, dep = basis.insert(v)
+        if idx is not None:
+            kept.append(i)
+            continue
+        row = field.zeros(m.nrows)
+        row[kept] = field.reduce_array(-dep)
+        row[i] = 1
+        rows.append(row)
+    if not rows:
+        return field.zeros((0, m.nrows))
+    return _oracle_rref(Matrix(field, np.stack(rows)))[0].a
+
+
+def _oracle_min_poly(m):
+    """lcm of the local minimal polynomials of the unit vectors."""
+    field, n = m.field, m.nrows
+    f = Polynomial.one(field)
+    for i in range(n):
+        chain = _UnitPivotBasis(field, n)
+        v = field.zeros(n)
+        v[i] = 1
+        while True:
+            idx, dep = chain.insert(v)
+            if idx is None:
+                f = f.lcm(Polynomial(field, [field.neg(c) for c in dep] + [1]))
+                break
+            v = (Matrix(field, v.reshape(1, -1)) @ m).a[0]
+    return f
+
+
+def _awkward_matrix(rng, field, nrows, ncols):
+    """Random rows of low rank, with zero rows and repeated rows mixed in;
+    over Q the entries are Fractions."""
+    rank = rng.randint(0, min(nrows, ncols))
+    gens = _random_matrix(rng, field, rank, ncols).a if rank else None
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rank == 0 or kind < 0.15:
+            rows.append(field.zeros(ncols))
+        elif kind < 0.3 and rows:
+            rows.append(rows[rng.randrange(len(rows))].copy())
+        else:
+            coeffs = _random_matrix(rng, field, 1, rank).a
+            rows.append((Matrix(field, coeffs) @ Matrix(field, gens)).a[0])
+    return Matrix(field, np.stack(rows))
+
+
+def _is_int_or_proper_fraction(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_elimination_matches_unit_pivot_oracle(field):
+    """rref, kernel, insert dependencies, coords and coords_many (values and
+    the in-span mask) and minimal polynomials agree with the unit-pivot
+    elimination on random matrices; over Q every result entry is an int
+    unless it is a proper fraction, and every stored row, with its
+    combination row, is primitive with a positive pivot."""
+    rng = random.Random(20261018)
+    for _ in range(40):
+        m = _awkward_matrix(rng, field, rng.randint(1, 12), rng.randint(1, 12))
+        r, rank, pivots = rref(m)
+        r0, rank0, pivots0 = _oracle_rref(m)
+        assert (r, rank, pivots) == (r0, rank0, pivots0)
+        assert np.array_equal(kernel(m).basis.a, _oracle_kernel(m))
+
+        basis, oracle = RowBasis(field, m.ncols), _UnitPivotBasis(field, m.ncols)
+        for row in m.a:
+            idx, dep = basis.insert(row)
+            idx0, dep0 = oracle.insert(row)
+            assert idx == idx0
+            assert (dep is None) == (dep0 is None)
+            if dep is not None:
+                assert np.array_equal(dep, dep0)
+        probes = np.vstack([m.a, _awkward_matrix(rng, field, 6, m.ncols).a,
+                            _random_matrix(rng, field, 3, m.ncols).a])
+        coeffs, ok = basis.coords_many(probes)
+        for v, c, inside in zip(probes, coeffs, ok):
+            c0 = oracle.coords(v)
+            assert inside == (c0 is not None)
+            if inside:
+                assert np.array_equal(c, c0)
+                assert np.array_equal(basis.coords(v), c0)
+            else:
+                assert basis.coords(v) is None
+
+        if field.characteristic == 0:
+            stored = basis._rc[: basis.size, : m.ncols + basis.size]
+            for i, j in enumerate(basis.pivots):
+                assert all(type(x) is int for x in stored[i])
+                assert math.gcd(*stored[i]) == 1 and stored[i, j] > 0
+            untracked = RowBasis(field, m.ncols, track=False)
+            for row in m.a:
+                untracked.insert(row)
+            for i, j in enumerate(untracked.pivots):
+                row = untracked._rc[i]
+                assert math.gcd(*row) == 1 and row[j] > 0
+            assert all(_is_int_or_proper_fraction(x)
+                       for x in np.concatenate([r.a.ravel(), coeffs.ravel()]))
+
+        n = rng.randint(1, 8)
+        square = _awkward_matrix(rng, field, n, n)
+        assert minimal_polynomial(square) == _oracle_min_poly(square)
+
+
+def test_rational_inverse_is_an_int_when_integral():
+    assert type(QQ.inv(1)) is int and type(QQ.inv(Fraction(-1, 1))) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(2) == Fraction(1, 2)

@@ -130,6 +130,15 @@ def test_transposition_sum_scalar_on_specht():
             assert a == expected
 
 
+def test_rational_module_matrices_hold_python_ints():
+    """Young's natural representation is integral, so over Q the generator
+    and element matrices hold Python ints, not Fraction(1, 1) objects."""
+    gens = build_restriction((2, 1), QQ).gens()
+    e4 = build_induction((2, 1), QQ).element_matrix(transposition_sum(4))
+    entries = [x for m in gens + (e4,) for x in m.a.ravel()]
+    assert entries and all(type(x) is int for x in entries)
+
+
 def test_restriction_shares_dimension_and_lowers_degree():
     lam = Partition((3, 2))
     module = build_restriction(lam, GF(3))

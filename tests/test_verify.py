@@ -130,19 +130,30 @@ def _raise(exc):
     return verifier
 
 
-@pytest.mark.parametrize("verifier,code,stream,text", [
-    (_failing_report, 1, "out", "stub-check"),
-    (_raise(ValueError("rejected input")), 2, "err", "rejected input"),
-    (_raise(ArithmeticError("isomorphism undecided")), 3, "err",
+def _passing_report(*args, **kwargs):
+    report = VerificationReport("stub", "GF(3)", None)
+    report.add("stub-check", "1", "1", True)
+    return report
+
+
+@pytest.mark.parametrize("verifier,json_to_missing_dir,code,stream,text", [
+    (_failing_report, False, 1, "out", "stub-check"),
+    (_raise(ValueError("rejected input")), False, 2, "err", "rejected input"),
+    (_passing_report, True, 2, "err", "error: cannot write report:"),
+    (_raise(ArithmeticError("isomorphism undecided")), False, 3, "err",
      "isomorphism undecided"),
-    (_raise(ZeroDivisionError("inverse of zero")), 3, "err", "inverse of zero"),
-    (_raise(RuntimeError("a bug")), 3, "err", "RuntimeError: a bug"),
-], ids=["check-failed", "usage-error", "undecided", "internal-failure",
-        "unexpected-exception"])
-def test_cli_exit_code_per_outcome(monkeypatch, capsys, verifier, code, stream,
-                                   text):
+    (_raise(ZeroDivisionError("inverse of zero")), False, 3, "err",
+     "inverse of zero"),
+    (_raise(RuntimeError("a bug")), False, 3, "err", "RuntimeError: a bug"),
+], ids=["check-failed", "usage-error", "unwritable-report", "undecided",
+        "internal-failure", "unexpected-exception"])
+def test_cli_exit_code_per_outcome(monkeypatch, capsys, tmp_path, verifier,
+                                   json_to_missing_dir, code, stream, text):
     monkeypatch.setattr(verify, "verify_en_scalar", verifier)
-    assert main(["en-scalar", "--lambda", "2,1", "--field", "3"]) == code
+    argv = ["en-scalar", "--lambda", "2,1", "--field", "3"]
+    if json_to_missing_dir:
+        argv += ["--json", str(tmp_path / "missing" / "report.json")]
+    assert main(argv) == code
     assert text in getattr(capsys.readouterr(), stream)
 
 
