@@ -131,8 +131,13 @@ class FieldSpec:
         return a
 
     def array(self, data) -> np.ndarray:
-        out = np.array(data, dtype=self.dtype)
-        return self.reduce_array(out)
+        """Nested rows of scalars as a field array, every entry through
+        ``scalar``: a Fraction is reduced, not truncated, and a float is
+        rejected."""
+        raw = np.array(data, dtype=object)
+        out = np.empty(raw.shape, dtype=self.dtype)
+        out.flat = [self.scalar(x) for x in raw.flat]
+        return out
 
     def zeros(self, shape) -> np.ndarray:
         if self.characteristic:

@@ -1,10 +1,13 @@
 """Specht modules, their restrictions and inductions, as explicit row spaces.
 
 A module here is a row space inside the tabloid module of an ambient shape,
-together with the symmetric group degree that acts.  Permutations act on
-tabloid coordinates by index gathering, so a matrix in the module basis is
-one batched coordinate solve away from the ambient picture.  Restriction
-reuses the Specht basis verbatim with the degree dropped by one.
+together with the symmetric group degree that acts.  A permutation acts
+through its tabloid index table (``tabloids.tabloid_permutation``): column i
+of a dense row moves to column dst[i], so a group algebra element is a sum
+of scattered copies of the rows, and a matrix in the module basis is one
+batched coordinate solve away from the ambient picture.  Sparse tabloid
+vectors are acted on the same way, written out as one dense row.
+Restriction reuses the Specht basis verbatim with the degree dropped by one.
 
 Induction to the next symmetric group sits in M^(lam + a bottom node) and
 has a basis known in advance, from James's standard basis theorem (James,
@@ -20,23 +23,21 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .exact import Matrix, RowBasis
 from .fields import FieldSpec
 from .partitions import Partition
-from .perms import Perm, adjacent, embed, inverse, transposition
+from .perms import Perm, adjacent, embed, transposition
 from .tabloids import (
     ModuleVector,
     Tableau,
-    act_key,
     enumerate_tabloids,
     induced_polytabloid,
     polytabloid,
     standard_tableaux,
-    tabloid_index,
+    tabloid_permutation,
 )
 
 DEGREE_GUARDRAIL = 11
@@ -59,12 +60,22 @@ class AlgebraElement:
         return cls(degree, tuple(sorted((p, c) for p, c in acc.items() if c)))
 
     def apply(self, vec: ModuleVector) -> ModuleVector:
-        """Right action on a sparse tabloid vector."""
-        out = ModuleVector.zero(vec.shape, vec.field)
-        k = vec.shape.size
+        """Right action on a sparse tabloid vector.
+
+        The vector is written out as one dense row; each term scatters a
+        multiple of it through its permutation's index table, and the sum
+        is reduced once.
+        """
+        shape, field = vec.shape, vec.field
+        width = len(enumerate_tabloids(shape))
+        row = field.zeros(width)
+        row[list(vec.coords)] = list(vec.coords.values())
+        out = field.zeros(width)
         for perm, coeff in self.terms:
-            out = out + vec.act(embed(perm, k)).scale(coeff)
-        return out
+            out[tabloid_permutation(shape, embed(perm, shape.size))] += coeff * row
+        out = field.reduce_array(out)
+        support = np.flatnonzero(out)
+        return ModuleVector(shape, field, dict(zip(support.tolist(), out[support].tolist())))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -87,15 +98,6 @@ def transposition_sum(k: int) -> AlgebraElement:
     return AlgebraElement.from_terms(
         k, ((transposition(k, i, j), 1)
             for i in range(1, k + 1) for j in range(i + 1, k + 1)))
-
-
-@lru_cache(maxsize=4096)
-def _tabloid_src(shape: Partition, pi: Perm) -> np.ndarray:
-    """Gather indices: acting by pi on dense rows is ``row[src]``."""
-    keys = enumerate_tabloids(shape)
-    index = tabloid_index(shape)
-    sigma = inverse(pi)
-    return np.array([index[act_key(k, sigma)] for k in keys], dtype=np.intp)
 
 
 class GroupActionModule:
@@ -143,8 +145,9 @@ class GroupActionModule:
             raise ValueError(
                 f"permutation degree {len(pi)} exceeds ambient size {self.shape.size}")
         if pi not in self._perm_cache:
-            src = _tabloid_src(self.shape, embed(pi, self.shape.size))
-            self._perm_cache[pi] = self._to_module_coords(self.basis.a[:, src])
+            acc = np.empty_like(self.basis.a)
+            acc[:, tabloid_permutation(self.shape, embed(pi, self.shape.size))] = self.basis.a
+            self._perm_cache[pi] = self._to_module_coords(acc)
         return self._perm_cache[pi]
 
     def element_matrix(self, elt: AlgebraElement) -> Matrix:
@@ -160,8 +163,8 @@ class GroupActionModule:
         if elt not in self._elt_cache:
             acc = self.field.zeros((self.dim, self.ambient_width))
             for perm, coeff in elt.terms:
-                src = _tabloid_src(self.shape, embed(perm, self.shape.size))
-                acc += coeff * self.basis.a[:, src]
+                dst = tabloid_permutation(self.shape, embed(perm, self.shape.size))
+                acc[:, dst] += coeff * self.basis.a
             self._elt_cache[elt] = self._to_module_coords(acc)
         return self._elt_cache[elt]
 

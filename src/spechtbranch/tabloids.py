@@ -6,6 +6,14 @@ lexicographic order on their sorted rows, and module vectors index into
 that enumeration.  Polytabloids are alternating sums over the column
 stabilizer; the induced variant applies the column stabilizer of a smaller
 tableau sitting inside one extra node.
+
+Permutations act on tabloids through index tables.  Each shape keeps the
+row-label word of every tabloid, ``words[i, x-1]`` = the row holding x in
+tabloid i, and the words read as base-l numbers (l the number of rows),
+which tell tabloids apart, in sorted order.  Acting by pi moves column x-1
+of every word to column pi(x)-1; the codes of the moved words, looked up in
+the sorted codes, give ``tabloid_permutation(shape, pi)``: the index of
+{t_i} pi for every i at once, with no row sorted.
 """
 
 from __future__ import annotations
@@ -13,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .fields import FieldSpec
 from .partitions import Partition, removable_nodes
@@ -120,8 +130,44 @@ def tabloid_index(shape: Partition) -> dict:
     return {key: i for i, key in enumerate(enumerate_tabloids(shape))}
 
 
-def act_key(key: TabloidKey, pi: Perm) -> TabloidKey:
-    return tuple(tuple(sorted(pi[x - 1] for x in row)) for row in key)
+@lru_cache(maxsize=64)
+def _row_words(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(words, weights, sorted codes, order) for the tabloids of a shape.
+
+    ``words[i, x-1]`` is the row of symbol x in tabloid i, ``words @ weights``
+    reads each word in base l (l the number of rows), and ``order`` sorts
+    those codes.  The codes are int64 unless l**n would not fit, as for a
+    long first row like (62, 1); then they are Python ints.
+    """
+    keys = enumerate_tabloids(shape)
+    n, ell = shape.size, len(shape)
+    symbols = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(keys)),
+                          dtype=np.intp, count=len(keys) * n).reshape(len(keys), n)
+    words = np.empty_like(symbols)
+    words[np.arange(len(keys))[:, None], symbols - 1] = np.repeat(np.arange(ell), shape)
+    dtype = np.int64 if ell ** n <= np.iinfo(np.int64).max else object
+    weights = np.array([ell ** k for k in range(n)], dtype=dtype)
+    codes = words @ weights
+    order = np.argsort(codes)
+    out = (words, weights, codes[order], order)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=4096)
+def tabloid_permutation(shape: Partition, pi: Perm) -> np.ndarray:
+    """Index table of pi on the tabloids of a shape: ``dst[i]`` is the index
+    of {t_i} pi, where {t_i} is the i-th tabloid and pi has degree |shape|.
+
+    The table is read-only: every caller shares the cached array.
+    """
+    words, weights, sorted_codes, order = _row_words(shape)
+    moved = np.empty_like(words)
+    moved[:, np.asarray(pi, dtype=np.intp) - 1] = words
+    dst = order[np.searchsorted(sorted_codes, moved @ weights)]
+    dst.flags.writeable = False
+    return dst
 
 
 @dataclass
@@ -149,6 +195,9 @@ class ModuleVector:
         return self.coords.get(tabloid_index(self.shape)[key], 0)
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
+        if (self.shape, self.field) != (other.shape, other.field):
+            raise ValueError(f"cannot add a vector of shape {other.shape} over "
+                             f"{other.field} to one of shape {self.shape} over {self.field}")
         out = dict(self.coords)
         for i, c in other.coords.items():
             out[i] = self.field.scalar(out.get(i, 0) + c)
@@ -163,15 +212,14 @@ class ModuleVector:
                             {i: self.field.scalar(a * c) for i, a in self.coords.items()})
 
     def act(self, pi: Perm) -> "ModuleVector":
+        """Right action: the support is relabelled by pi's index table; pi
+        is a bijection on tabloids, so no coefficient changes."""
         if len(pi) != self.shape.size:
             raise ValueError(f"permutation degree {len(pi)} != {self.shape.size}")
-        keys = enumerate_tabloids(self.shape)
-        index = tabloid_index(self.shape)
-        out: dict = {}
-        for i, c in self.coords.items():
-            j = index[act_key(keys[i], pi)]
-            out[j] = self.field.scalar(out.get(j, 0) + c)
-        return ModuleVector(self.shape, self.field, out)
+        dst = tabloid_permutation(self.shape, pi)
+        moved = dst[np.fromiter(self.coords, dtype=np.intp, count=len(self.coords))]
+        return ModuleVector(self.shape, self.field,
+                            dict(zip(moved.tolist(), self.coords.values())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleVector):

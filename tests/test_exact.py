@@ -144,6 +144,17 @@ def test_scalar_rejects_floats():
     assert QQ.scalar(Fraction(4, 2)) == 2 and QQ.scalar(-3) == -3
 
 
+def test_matrix_entries_are_reduced_by_scalar():
+    """A Fraction entry of a GF(p) matrix is reduced, not truncated."""
+    assert Matrix.from_rows(GF(5), [[Fraction(1, 2), Fraction(7, 2)]]).a.tolist() == [[3, 1]]
+    assert Matrix.from_rows(GF(5), [[-1, 12]]).a.tolist() == [[4, 2]]
+    assert Matrix.from_rows(QQ, [[Fraction(4, 2), Fraction(1, 2)]]).a.tolist() == [
+        [2, Fraction(1, 2)]]
+    for field in FIELDS:
+        with pytest.raises(TypeError):
+            Matrix.from_rows(field, [[1, 0.5]])
+
+
 def test_polynomial_ring_identities():
     rng = random.Random(7)
     for field in FIELDS:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,11 +14,11 @@ from spechtbranch.partitions import (
     partitions_of,
     specht_dimension,
 )
-from spechtbranch.perms import compose, identity_perm, transposition
-from spechtbranch.modules import transposition_sum
+from spechtbranch.perms import adjacent, compose, embed, identity_perm, transposition
+from spechtbranch.modules import murphy_element, transposition_sum
 from spechtbranch.tabloids import (
+    ModuleVector,
     Tableau,
-    act_key,
     canonical_tableau,
     column_signed_maps,
     enumerate_tabloids,
@@ -29,7 +30,27 @@ from spechtbranch.tabloids import (
     standard_tableaux,
     tabloid,
     tabloid_index,
+    tabloid_permutation,
 )
+
+
+def act_key(key, pi):
+    """{t} pi on a tabloid key, each row relabelled and sorted: the oracle
+    for ``tabloid_permutation``."""
+    return tuple(tuple(sorted(pi[x - 1] for x in row)) for row in key)
+
+
+def _apply_per_term(elt, vec):
+    """vec * elt as a sparse sum, one act_key per coordinate per term: the
+    oracle for ``AlgebraElement.apply``."""
+    keys = enumerate_tabloids(vec.shape)
+    index = tabloid_index(vec.shape)
+    out = ModuleVector.zero(vec.shape, vec.field)
+    for perm, coeff in elt.terms:
+        pi = embed(perm, vec.shape.size)
+        moved = {index[act_key(keys[i], pi)]: c for i, c in vec.coords.items()}
+        out = out + ModuleVector(vec.shape, vec.field, moved).scale(coeff)
+    return out
 
 
 def _random_perm(rng, n):
@@ -84,6 +105,49 @@ def test_act_key_right_action_law():
         p = _random_perm(rng, 6)
         q = _random_perm(rng, 6)
         assert act_key(act_key(k, p), q) == act_key(k, compose(p, q))
+
+
+def test_tabloid_permutation_matches_act_key():
+    rng = random.Random(71)
+    # (62, 1): its base-2 codes have 63 digits, past int64
+    shapes = [lam for n in range(7) for lam in partitions_of(n)] + [Partition((62, 1))]
+    for lam in shapes:
+        n = lam.size
+        keys = enumerate_tabloids(lam)
+        index = tabloid_index(lam)
+        perms = [adjacent(n, i) for i in range(1, n)] + [_random_perm(rng, n) for _ in range(3)]
+        for pi in perms:
+            dst = tabloid_permutation(lam, pi)
+            assert dst.tolist() == [index[act_key(k, pi)] for k in keys], (lam, pi)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=str)
+def test_apply_matches_per_term_sparse_sum(field):
+    for n in range(2, 6):
+        elements = (murphy_element(n), murphy_element(n + 1),
+                    transposition_sum(n - 1), transposition_sum(n + 1))
+        for lam in partitions_of(n):
+            for t in standard_tableaux(lam):
+                vectors = [polytabloid(t, field), induced_polytabloid(extension(t), lam, field)]
+                if not field.characteristic:
+                    vectors += [v.scale(Fraction(1, 2)) for v in vectors]
+                for vec in vectors:
+                    for elt in elements:
+                        if elt.degree > vec.shape.size:
+                            continue
+                        once = elt.apply(vec)
+                        assert once == _apply_per_term(elt, vec), (lam, t, elt)
+                        assert elt.apply(once) == _apply_per_term(elt, once), (lam, t, elt)
+
+
+def test_module_vector_sum_needs_one_shape_and_field():
+    v = polytabloid(canonical_tableau(Partition((2, 1))), GF(3))
+    for other in (polytabloid(canonical_tableau(Partition((1, 1, 1))), GF(3)),
+                  polytabloid(canonical_tableau(Partition((2, 1))), GF(5))):
+        with pytest.raises(ValueError):
+            v + other
+        with pytest.raises(ValueError):
+            v - other
 
 
 def test_module_vector_right_action_law():
