@@ -17,9 +17,7 @@ from .central import (
 )
 from .endo import (
     DecompositionCertificate,
-    EndoAlgebra,
     certify_indecomposable,
-    commutant,
     decompose,
     hom_space,
     is_isomorphic,
@@ -70,13 +68,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "BlockComponent", "BlockLabel", "Check",
-    "DecompositionCertificate", "EndoAlgebra", "FieldSpec", "GF",
+    "DecompositionCertificate", "FieldSpec", "GF",
     "GroupActionModule", "INDUCE", "Matrix", "ModuleVector", "Partition",
     "Polynomial", "QQ", "RESTRICT", "RowBasis", "Subspace", "Tableau",
     "VerificationReport", "block_label", "block_split", "branching_factors",
     "build_induction", "build_restriction", "build_specht",
     "canonical_tableau", "central_symmetric_action", "certify_indecomposable",
-    "commutant", "decompose", "extension", "hom_space",
+    "decompose", "extension", "hom_space",
     "induced_polytabloid", "is_isomorphic", "kernel", "minimal_polynomial",
     "murphy_element",
     "partitions_of", "polytabloid", "predicted_min_poly",

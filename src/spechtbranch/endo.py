@@ -10,8 +10,9 @@ combinations of candidates whose images obey it too.  Each dependence costs
 (candidates x target dim) elimination, never (dim x dim) unknowns.
 
 Indecomposability is decided by one deterministic certificate on the
-commutant E = End(M): a module is indecomposable exactly when E is local.
-Each basis element b of E is sorted by the roots in F of its minimal
+commutant E = End(M), held as the d x d basis matrices that
+hom_space(M, M) returns: a module is indecomposable exactly when E is
+local.  Each basis matrix b of E is sorted by the roots in F of its minimal
 polynomial.  An element with a root lam whose minimal polynomial is not a
 power of (x - lam) gives a Fitting witness b - lam that splits the module;
 when every basis element is a scalar plus a nilpotent and the nilpotent
@@ -121,48 +122,6 @@ def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
     return out
 
 
-class EndoAlgebra:
-    """The commutant of a module, with multiplication tables."""
-
-    def __init__(self, module: GroupActionModule, basis: list[Matrix]):
-        self.module = module
-        self.field = module.field
-        self.basis = basis
-        d = module.dim
-        self._stack = (np.stack([b.a for b in basis])
-                       if basis else self.field.zeros((0, d, d)))
-        flat = RowBasis(self.field, d * d)
-        for b in basis:
-            idx, _ = flat.insert(b.a.reshape(-1))
-            if idx is None:
-                raise ArithmeticError("commutant basis is dependent")
-        n = len(basis)
-        self.structure = self.field.zeros((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                prod = _mul(self.field, basis[i].a, basis[j].a)
-                coords = flat.coords(prod.reshape(-1))
-                if coords is None:
-                    raise ArithmeticError("commutant is not closed under products")
-                self.structure[i, j] = coords
-        ident = Matrix.identity(self.field, d)
-        self.identity_coords = flat.coords(ident.a.reshape(-1))
-        if self.identity_coords is None:
-            raise ArithmeticError("commutant does not contain the identity")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def element(self, coeffs) -> Matrix:
-        c = np.asarray(coeffs, dtype=self.field.dtype)
-        return Matrix(self.field, np.tensordot(c, self._stack, axes=(0, 0)))
-
-
-def commutant(module: GroupActionModule) -> EndoAlgebra:
-    return EndoAlgebra(module, hom_space(module, module))
-
-
 @dataclass
 class DecompositionCertificate:
     """The outcome of an indecomposability check.
@@ -234,53 +193,56 @@ ROOTLESS = "no-root-in-field"
 NOT_CLOSED = "nilpotent-span-not-closed"
 
 
-def locality_certificate(field: FieldSpec, structure: np.ndarray,
-                         identity: np.ndarray):
-    """Certify an algebra E local, or find an element that splits it.
+def locality_certificate(field: FieldSpec, basis: list[Matrix]):
+    """Certify a matrix algebra E local, or find an element that splits it.
 
-    E has basis b_1..b_d with structure[i, j] the coordinates of b_i b_j,
-    and identity the coordinates of its unit.  Returns (branch, witness
-    coordinates or None, basis elements examined), where branch is
+    basis is a basis b_1..b_d of E, a set of square matrices closed under
+    products whose span holds the identity, as hom_space(M, M) returns it.
+    Returns (branch, witness matrix or None, basis elements examined), where
+    branch is
 
     - SPLIT: some b_i has a root lam in F of its minimal polynomial mu_i
       with mu_i != (x - lam)^k; the witness b_i - lam (lam the smallest such
       root) is singular and not nilpotent.
     - LOCAL: every mu_i = (x - lam_i)^k_i and the nilpotent parts
-      b_i - lam_i span a subalgebra N; then E is local with E/J(E) = F
-      (the proof is in certify_indecomposable).
+      n_i = b_i - lam_i span a subalgebra N; then E is local with
+      E/J(E) = F (the proof is in certify_indecomposable).
     - ROOTLESS: no witness, and some mu_i has no root in F, so E/J(E) is
       not F: E is not local, or its residue algebra is larger than F.
     - NOT_CLOSED: no witness, and N is not closed under products, so E is
       not local (a local E whose basis elements all have one eigenvalue in
       F has E/J(E) = F and passes, see certify_indecomposable).
 
-    mu_i is the minimal polynomial of left multiplication by b_i, which is
-    that of b_i itself because E is unital.
+    Raises ArithmeticError when the identity is not in the span of the
+    basis: every branch above reads E as F*1 + N.
     """
-    d = structure.shape[0]
-    nilpotent = RowBasis(field, d, track=False)
+    d = len(basis)
+    size = basis[0].nrows
+    span = RowBasis(field, size * size, track=False)
+    for b in basis:
+        span.insert(b.a.reshape(-1))
+    if not span.contains(Matrix.identity(field, size).a.reshape(-1)):
+        raise ArithmeticError("the algebra does not contain the identity")
+    nilpotent = RowBasis(field, size * size, track=False)
     parts = []
     rootless = False
-    for i in range(d):
-        mu = minimal_polynomial(Matrix(field, structure[i]))
+    for i, b in enumerate(basis):
+        mu = minimal_polynomial(b)
         roots = _roots(mu)
         if not roots:
             rootless = True
             continue
         lam = roots[0]
-        shifted = -lam * identity
-        shifted[i] += 1
-        shifted = field.reduce_array(shifted)
+        shifted = b.shift(-lam)
         if mu != Polynomial.from_roots(field, [lam] * mu.degree):
             return SPLIT, shifted, i + 1
         parts.append(shifted)
-        nilpotent.insert(shifted)
+        nilpotent.insert(shifted.a.reshape(-1))
     if rootless:
         return ROOTLESS, None, d
     for u in parts:
-        left = field.reduce_array(np.tensordot(u, structure, axes=(0, 0)))
         for v in parts:
-            if not nilpotent.contains(_mul(field, v.reshape(1, -1), left)[0]):
+            if not nilpotent.contains((u @ v).a.reshape(-1)):
                 return NOT_CLOSED, None, d
     return LOCAL, None, d
 
@@ -315,18 +277,16 @@ def certify_indecomposable(module: GroupActionModule) -> DecompositionCertificat
     """
     if module.dim == 0:
         return DecompositionCertificate("zero", "zero-module", True)
-    algebra = commutant(module)
-    if algebra.dim == 1:
+    basis = hom_space(module, module)
+    if len(basis) == 1:
         return DecompositionCertificate("indecomposable", "scalar-commutant", True)
-    branch, coeffs, examined = locality_certificate(
-        module.field, algebra.structure, algebra.identity_coords)
+    branch, witness, examined = locality_certificate(module.field, basis)
     if branch == LOCAL:
         return DecompositionCertificate("indecomposable", branch, True,
                                         trials=examined)
     if branch != SPLIT:
         return DecompositionCertificate("undecided", branch, False,
                                         trials=examined)
-    witness = algebra.element(coeffs)
     ker, image = fitting_split(witness)
     if ker.dim == 0 or image.dim == 0:
         raise ArithmeticError("witness produced a trivial split")

@@ -39,6 +39,9 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
+        if not isinstance(c, int):
+            raise TypeError(f"characteristic must be an int, got {c!r} "
+                            f"({type(c).__name__})")
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
 

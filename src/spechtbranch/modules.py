@@ -4,9 +4,9 @@ A module here is a row space inside the tabloid module of an ambient shape,
 together with the symmetric group degree that acts.  A permutation acts
 through its tabloid index table (``tabloids.tabloid_permutation``): column i
 of a dense row moves to column dst[i], so a group algebra element is a sum
-of scattered copies of the rows, and a matrix in the module basis is one
-batched coordinate solve away from the ambient picture.  Sparse tabloid
-vectors are acted on the same way, written out as one dense row.
+of scattered copies of the rows.  One scatter serves a single tabloid
+vector and a module's basis rows alike, and a matrix in the module basis is
+one batched coordinate solve away from the ambient picture.
 Restriction reuses the Specht basis verbatim with the degree dropped by one.
 
 Induction to the next symmetric group sits in M^(lam + a bottom node) and
@@ -33,7 +33,6 @@ from .perms import Perm, adjacent, embed, transposition
 from .tabloids import (
     ModuleVector,
     Tableau,
-    enumerate_tabloids,
     induced_polytabloid,
     polytabloid,
     standard_tableaux,
@@ -60,27 +59,24 @@ class AlgebraElement:
         return cls(degree, tuple(sorted((p, c) for p, c in acc.items() if c)))
 
     def apply(self, vec: ModuleVector) -> ModuleVector:
-        """Right action on a sparse tabloid vector.
-
-        The vector is written out as one dense row; each term scatters a
-        multiple of it through its permutation's index table, and the sum
-        is reduced once.
-        """
-        shape, field = vec.shape, vec.field
-        width = len(enumerate_tabloids(shape))
-        row = field.zeros(width)
-        row[list(vec.coords)] = list(vec.coords.values())
-        out = field.zeros(width)
-        for perm, coeff in self.terms:
-            out[tabloid_permutation(shape, embed(perm, shape.size))] += coeff * row
-        out = field.reduce_array(out)
-        support = np.flatnonzero(out)
-        return ModuleVector(shape, field, dict(zip(support.tolist(), out[support].tolist())))
+        """Right action on a tabloid vector, reduced once."""
+        return ModuleVector(vec.shape, vec.field,
+                            vec.field.reduce_array(_scatter(self, vec.shape, vec.row)))
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         return " + ".join(f"{c}*{p}" for p, c in self.terms)
+
+
+def _scatter(elt: AlgebraElement, shape: Partition, rows: np.ndarray) -> np.ndarray:
+    """rows times elt, unreduced: each term adds a multiple of the rows (one
+    row or a stack of them, one column per tabloid of shape) with column i
+    moved to column dst[i] of its permutation's index table."""
+    out = np.zeros_like(rows)
+    for perm, coeff in elt.terms:
+        out[..., tabloid_permutation(shape, embed(perm, shape.size))] += coeff * rows
+    return out
 
 
 def murphy_element(k: int) -> AlgebraElement:
@@ -161,11 +157,7 @@ class GroupActionModule:
             raise ValueError(
                 f"element degree {elt.degree} exceeds ambient size {self.shape.size}")
         if elt not in self._elt_cache:
-            acc = self.field.zeros((self.dim, self.ambient_width))
-            for perm, coeff in elt.terms:
-                dst = tabloid_permutation(self.shape, embed(perm, self.shape.size))
-                acc[:, dst] += coeff * self.basis.a
-            self._elt_cache[elt] = self._to_module_coords(acc)
+            self._elt_cache[elt] = self._to_module_coords(_scatter(elt, self.shape, self.basis.a))
         return self._elt_cache[elt]
 
     def gens(self) -> tuple[Matrix, ...]:
@@ -199,16 +191,6 @@ def clear_module_cache():
     _module_cache.clear()
 
 
-def _polytabloid_basis(shape: Partition, vectors, field: FieldSpec) -> Matrix:
-    """Sparse tabloid vectors of one shape written out as dense rows."""
-    vectors = list(vectors)
-    rows = field.zeros((len(vectors), len(enumerate_tabloids(shape))))
-    for i, vec in enumerate(vectors):
-        for j, c in vec.coords.items():
-            rows[i, j] = c
-    return Matrix(field, rows)
-
-
 def build_specht(lam, field: FieldSpec) -> GroupActionModule:
     """The Specht module S^lam, with the standard polytabloid basis."""
     lam = Partition(lam)
@@ -219,8 +201,8 @@ def build_specht(lam, field: FieldSpec) -> GroupActionModule:
         raise ValueError(f"degree guardrail: {n} > {DEGREE_GUARDRAIL}")
 
     def make():
-        basis = _polytabloid_basis(
-            lam, (polytabloid(t, field) for t in standard_tableaux(lam)), field)
+        basis = Matrix(field, np.stack([polytabloid(t, field).row
+                                        for t in standard_tableaux(lam)]))
         return GroupActionModule(n, field, lam, basis, label=f"S^({lam}) over {field}")
 
     return _cached_module(("S", lam, field), make)
@@ -278,9 +260,8 @@ def build_induction(lam, field: FieldSpec) -> GroupActionModule:
 
     def make():
         shape = Partition(tuple(lam) + (1,))
-        basis = _polytabloid_basis(
-            shape, (induced_polytabloid(T, lam, field)
-                    for T in _induction_tableaux(lam)), field)
+        basis = Matrix(field, np.stack([induced_polytabloid(T, lam, field).row
+                                        for T in _induction_tableaux(lam)]))
         return GroupActionModule(n + 1, field, shape, basis,
                                  label=f"S^({lam}) induced, over {field}")
 

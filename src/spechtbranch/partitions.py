@@ -49,10 +49,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
 
 def removable_nodes(lam: Partition) -> list[Node]:
     """Nodes whose removal leaves a partition, ordered by row."""

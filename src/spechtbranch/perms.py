@@ -35,13 +35,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(q[x - 1] for x in p)
 
 
-def inverse(p: Perm) -> Perm:
-    img = [0] * len(p)
-    for i, x in enumerate(p):
-        img[x - 1] = i + 1
-    return tuple(img)
-
-
 def embed(p: Perm, k: int) -> Perm:
     """View p inside the symmetric group of (larger) degree k."""
     if len(p) > k:

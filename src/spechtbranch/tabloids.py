@@ -2,18 +2,20 @@
 
 A tableau stores its rows directly; a tabloid is the canonical key obtained
 by sorting each row.  Tabloids of a fixed shape are enumerated once, in
-lexicographic order on their sorted rows, and module vectors index into
-that enumeration.  Polytabloids are alternating sums over the column
-stabilizer; the induced variant applies the column stabilizer of a smaller
-tableau sitting inside one extra node.
+lexicographic order on their sorted rows, and a module vector is one dense
+row over its field indexed by that enumeration.  Polytabloids are
+alternating sums over the column stabilizer; the induced variant applies
+the column stabilizer of a smaller tableau sitting inside one extra node.
 
-Permutations act on tabloids through index tables.  Each shape keeps the
-row-label word of every tabloid, ``words[i, x-1]`` = the row holding x in
-tabloid i, and the words read as base-l numbers (l the number of rows),
-which tell tabloids apart, in sorted order.  Acting by pi moves column x-1
-of every word to column pi(x)-1; the codes of the moved words, looked up in
-the sorted codes, give ``tabloid_permutation(shape, pi)``: the index of
-{t_i} pi for every i at once, with no row sorted.
+Tabloids are found through codes.  Each shape keeps the row-label word of
+every tabloid, ``words[i, x-1]`` = the row holding x in tabloid i, and the
+words read as base-l numbers (l the number of rows), which tell tabloids
+apart, in sorted order.  Acting by pi moves column x-1 of every word to
+column pi(x)-1; the codes of the moved words, looked up in the sorted
+codes, give ``tabloid_permutation(shape, pi)``: the index of {t_i} pi for
+every i at once, with no row sorted.  A code is a sum over the columns of
+a tableau, so a column stabilizer moves it by per-column offsets, and a
+key's coefficient is read at its code's position.
 """
 
 from __future__ import annotations
@@ -125,11 +127,6 @@ def enumerate_tabloids(shape: Partition) -> tuple[TabloidKey, ...]:
     return tuple(fill(symbols, tuple(shape)))
 
 
-@lru_cache(maxsize=None)
-def tabloid_index(shape: Partition) -> dict:
-    return {key: i for i, key in enumerate(enumerate_tabloids(shape))}
-
-
 @lru_cache(maxsize=64)
 def _row_words(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(words, weights, sorted codes, order) for the tabloids of a shape.
@@ -155,6 +152,12 @@ def _row_words(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return out
 
 
+def _code(weights: np.ndarray, rows) -> int:
+    """The code of the tabloid whose rows are given: the sum of
+    r * weights[x-1] over the symbols x of row r."""
+    return sum(r * weights[x - 1] for r, row in enumerate(rows) for x in row)
+
+
 @lru_cache(maxsize=4096)
 def tabloid_permutation(shape: Partition, pi: Perm) -> np.ndarray:
     """Index table of pi on the tabloids of a shape: ``dst[i]`` is the index
@@ -172,99 +175,77 @@ def tabloid_permutation(shape: Partition, pi: Perm) -> np.ndarray:
 
 @dataclass
 class ModuleVector:
-    """A vector in the tabloid module of a shape: index -> scalar."""
+    """A vector in the tabloid module of a shape: one dense row over the
+    field, entry i the coefficient of the i-th tabloid."""
 
     shape: Partition
     field: FieldSpec
-    coords: dict
-
-    def __post_init__(self):
-        self.coords = {i: c for i, c in self.coords.items() if c != 0}
+    row: np.ndarray
 
     @classmethod
     def zero(cls, shape: Partition, field: FieldSpec) -> "ModuleVector":
-        return cls(shape, field, {})
+        return cls(shape, field, field.zeros(len(enumerate_tabloids(shape))))
 
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def coefficient(self, key):
-        """Coefficient at a tabloid key or at an index."""
-        if isinstance(key, int):
-            return self.coords.get(key, 0)
-        return self.coords.get(tabloid_index(self.shape)[key], 0)
+    def coefficient(self, key: TabloidKey):
+        """Coefficient of the tabloid with this key; KeyError for a key
+        that is not a tabloid of the shape."""
+        _, weights, sorted_codes, order = _row_words(self.shape)
+        if all(1 <= x <= self.shape.size for row in key for x in row):
+            pos = int(np.searchsorted(sorted_codes, _code(weights, key)))
+            if pos < len(order) and enumerate_tabloids(self.shape)[order[pos]] == key:
+                return self.field.scalar(self.row[order[pos]])
+        raise KeyError(f"{key} is not a tabloid of shape {self.shape}")
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         if (self.shape, self.field) != (other.shape, other.field):
             raise ValueError(f"cannot add a vector of shape {other.shape} over "
                              f"{other.field} to one of shape {self.shape} over {self.field}")
-        out = dict(self.coords)
-        for i, c in other.coords.items():
-            out[i] = self.field.scalar(out.get(i, 0) + c)
-        return ModuleVector(self.shape, self.field, out)
+        return ModuleVector(self.shape, self.field,
+                            self.field.reduce_array(self.row + other.row))
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         return self + other.scale(-1)
 
     def scale(self, c) -> "ModuleVector":
-        c = self.field.scalar(c)
         return ModuleVector(self.shape, self.field,
-                            {i: self.field.scalar(a * c) for i, a in self.coords.items()})
-
-    def act(self, pi: Perm) -> "ModuleVector":
-        """Right action: the support is relabelled by pi's index table; pi
-        is a bijection on tabloids, so no coefficient changes."""
-        if len(pi) != self.shape.size:
-            raise ValueError(f"permutation degree {len(pi)} != {self.shape.size}")
-        dst = tabloid_permutation(self.shape, pi)
-        moved = dst[np.fromiter(self.coords, dtype=np.intp, count=len(self.coords))]
-        return ModuleVector(self.shape, self.field,
-                            dict(zip(moved.tolist(), self.coords.values())))
+                            self.field.reduce_array(self.row * self.field.scalar(c)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleVector):
             return NotImplemented
-        return (self.shape, self.field) == (other.shape, other.field) and self.coords == other.coords
-
-def column_signed_maps(t: Tableau):
-    """All (symbol map, sign) pairs from the column stabilizer of t."""
-    per_column = []
-    for col in t.columns():
-        if len(col) == 1:
-            per_column.append([((col[0],), 1)])
-            continue
-        options = []
-        for assigned in itertools.permutations(col):
-            pos = {x: i for i, x in enumerate(col)}
-            order = [pos[x] for x in assigned]
-            sign = 1
-            for i in range(len(order)):
-                for j in range(i + 1, len(order)):
-                    if order[i] > order[j]:
-                        sign = -sign
-            options.append((assigned, sign))
-        per_column.append(options)
-    cols = t.columns()
-    for combo in itertools.product(*per_column):
-        mapping = {}
-        sign = 1
-        for col, (assigned, s) in zip(cols, combo):
-            sign *= s
-            for src, dst in zip(col, assigned):
-                mapping[src] = dst
-        yield mapping, sign
+        return ((self.shape, self.field) == (other.shape, other.field)
+                and np.array_equal(self.row, other.row))
 
 
 def _signed_column_sum(t: Tableau, rows: Tableau, field: FieldSpec) -> ModuleVector:
-    """Sum of sign(sigma) {rows sigma} over the column stabilizer of t."""
+    """Sum of sign(sigma) {rows sigma} over the column stabilizer of t.
+
+    t is rows or rows without its last row, so the j-th entry of a column
+    of t sits in row j of rows.  A tabloid's code is a sum over symbols,
+    sum of r * l^(x-1) for x in row r, so sigma moves it column by column:
+    permuting column c_0..c_{k-1} so that c_{s(j)} lands in row j adds
+    sum_j j * (l^(c_{s(j)}-1) - l^(c_j-1)).  The codes of all sigma are
+    outer sums of those offsets, found in the sorted codes at once.
+    """
     shape = rows.shape
-    index = tabloid_index(shape)
-    coords: dict = {}
-    for mapping, sign in column_signed_maps(t):
-        key = tuple(tuple(sorted(mapping.get(x, x) for x in row)) for row in rows)
-        i = index[key]
-        coords[i] = field.scalar(coords.get(i, 0) + sign)
-    return ModuleVector(shape, field, coords)
+    _, weights, sorted_codes, order = _row_words(shape)
+    codes = np.array([_code(weights, rows)], dtype=weights.dtype)
+    signs = np.ones(1, dtype=field.dtype)
+    for col in t.columns():
+        k = len(col)
+        if k == 1:
+            continue
+        perms = np.array(list(itertools.permutations(range(k))))
+        parity = np.zeros(len(perms), dtype=np.int64)
+        for i, j in itertools.combinations(range(k), 2):
+            parity ^= perms[:, i] > perms[:, j]
+        symbols = np.asarray(col) - 1
+        offsets = weights[symbols[perms]] @ np.arange(k) - weights[symbols] @ np.arange(k)
+        codes = (codes[:, None] + offsets[None, :]).reshape(-1)
+        signs = (signs[:, None] * (1 - 2 * parity)[None, :]).reshape(-1)
+    row = field.zeros(len(order))
+    np.add.at(row, order[np.searchsorted(sorted_codes, codes)], signs)
+    return ModuleVector(shape, field, field.reduce_array(row))
 
 
 def polytabloid(t: Tableau, field: FieldSpec) -> ModuleVector:

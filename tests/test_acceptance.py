@@ -11,16 +11,16 @@ import time
 
 from fractions import Fraction
 
+from oracles import column_signed_maps
 from spechtbranch.central import INDUCE, RESTRICT
 from spechtbranch.exact import Matrix, RowBasis, fitting_split, kernel, rref
 from spechtbranch.fields import GF, QQ
-from spechtbranch.modules import build_specht, murphy_element
+from spechtbranch.modules import AlgebraElement, build_specht, murphy_element
 from spechtbranch.partitions import (Partition, partitions_of, removable_nodes,
                                      restrict_at, specht_dimension)
 from spechtbranch.perms import compose
-from spechtbranch.tabloids import (canonical_tableau, column_signed_maps,
-                                   enumerate_tabloids, polytabloid,
-                                   standard_tableaux)
+from spechtbranch.tabloids import (canonical_tableau, enumerate_tabloids,
+                                   polytabloid, standard_tableaux)
 from spechtbranch.verify import (run_char2_counterexamples, verify_branching,
                                  verify_coefficient_induction,
                                  verify_coefficient_restriction,
@@ -205,7 +205,8 @@ def test_property_suite_seeded_randomized():
             v = polytabloid(tabs[rng.randrange(len(tabs))], field)
             p = tuple(rng.sample(range(1, 6), 5))
             q = tuple(rng.sample(range(1, 6), 5))
-            if v.act(p).act(q) != v.act(compose(p, q)):
+            act = [AlgebraElement.from_terms(5, [(pi, 1)]) for pi in (p, q, compose(p, q))]
+            if act[1].apply(act[0].apply(v)) != act[2].apply(v):
                 failures.append(f"right action {p} {q} over {field}")
 
     # Garnir sanity, part one: a column-stabilizer permutation rescales
@@ -222,19 +223,12 @@ def test_property_suite_seeded_randomized():
     rng = random.Random(103)
     for field in (GF(2), GF(5)):
         lam = Partition((3, 2))
-        width = len(enumerate_tabloids(lam))
-        span = RowBasis(field, width)
+        span = RowBasis(field, len(enumerate_tabloids(lam)))
         for s in standard_tableaux(lam):
-            row = field.zeros(width)
-            for i, c in polytabloid(s, field).coords.items():
-                row[i] = c
-            span.insert(row)
+            span.insert(polytabloid(s, field).row)
         for _ in range(8):
             pi = tuple(rng.sample(range(1, 6), 5))
-            row = field.zeros(width)
-            for i, c in polytabloid(canonical_tableau(lam).act(pi), field).coords.items():
-                row[i] = c
-            if span.coords(row) is None:
+            if span.coords(polytabloid(canonical_tableau(lam).act(pi), field).row) is None:
                 failures.append(f"straightening {pi} over {field}")
 
     # Murphy elements commute pairwise in every representation built here.

@@ -21,7 +21,6 @@ from spechtbranch.endo import (
     SPLIT,
     DecompositionCertificate,
     certify_indecomposable,
-    commutant,
     decompose,
     hom_space,
     is_isomorphic,
@@ -128,20 +127,25 @@ def test_hom_restriction_to_factor():
 
 
 def test_commutant_structure():
+    """hom_space(M, M) spans an algebra: it holds the identity and is closed
+    under products."""
     big = build_restriction(Partition((2, 1)), QQ)
-    endo = commutant(big)
-    assert len(endo.basis) == 2
-    ident = Matrix.identity(QQ, 2)
-    coords = endo.identity_coords
+    basis = hom_space(big, big)
+    assert len(basis) == 2
+    span = RowBasis(QQ, 4)
+    for b in basis:
+        assert span.insert(b.a.reshape(-1))[0] is not None
+    coords = span.coords(Matrix.identity(QQ, 2).a.reshape(-1))
+    assert coords is not None
     recon = Matrix.zeros(QQ, 2, 2)
-    for c, b in zip(coords, endo.basis):
-        recon = recon + b.scale(QQ.scalar(c))
-    assert recon == ident
-    x = endo.element(np.array([QQ.scalar(1), QQ.scalar(2)], dtype=object))
-    y = endo.element(np.array([QQ.scalar(3), QQ.scalar(1)], dtype=object))
-    prod = x @ y
-    for g in big.gens():
-        assert prod @ g == g @ prod
+    for c, b in zip(coords, basis):
+        recon = recon + b.scale(c)
+    assert recon == Matrix.identity(QQ, 2)
+    for x, y in itertools.product(basis, repeat=2):
+        prod = x @ y
+        assert span.contains(prod.a.reshape(-1))
+        for g in big.gens():
+            assert prod @ g == g @ prod
 
 
 def test_certify_simple_specht_is_indecomposable():
@@ -265,10 +269,9 @@ def _local_by_enumeration(field, structure, identity) -> bool:
     return True
 
 
-def _matrix_algebra(field, mats):
-    """Structure tensor and identity coordinates of the matrix algebra with
-    the given basis (which must be closed under products)."""
-    basis = [Matrix.from_rows(field, m) for m in mats]
+def _matrix_algebra(field, basis):
+    """Structure tensor and identity coordinates of the algebra with the
+    given basis matrices (which must be closed under products)."""
     flat = RowBasis(field, basis[0].nrows * basis[0].ncols)
     for b in basis:
         assert flat.insert(b.a.reshape(-1))[0] is not None, "dependent basis"
@@ -283,10 +286,8 @@ def _matrix_algebra(field, mats):
     return structure, coords(Matrix.identity(field, basis[0].nrows))
 
 
-def _is_fitting_witness(field, structure, coeffs) -> bool:
-    left = Matrix(field, field.reduce_array(
-        np.tensordot(coeffs, structure, axes=(0, 0))))
-    ker, image = fitting_split(left)
+def _is_fitting_witness(witness) -> bool:
+    ker, image = fitting_split(witness)
     return ker.dim > 0 and image.dim > 0
 
 
@@ -323,27 +324,33 @@ HAND_BUILT = [
                          ids=[case[0] for case in HAND_BUILT])
 def test_locality_certificate_on_hand_built_algebras(name, mats, branch, fields):
     for field in fields:
-        structure, identity = _matrix_algebra(field, mats)
-        got, coeffs, examined = locality_certificate(field, structure, identity)
+        basis = [Matrix.from_rows(field, m) for m in mats]
+        got, witness, examined = locality_certificate(field, basis)
         assert got == branch, (name, field)
         assert 1 <= examined <= len(mats)
         if got == SPLIT:
-            assert _is_fitting_witness(field, structure, coeffs), (name, field)
+            assert _is_fitting_witness(witness), (name, field)
         else:
-            assert coeffs is None
+            assert witness is None
         if field.characteristic:
             # never call a non-local algebra local
-            local = _local_by_enumeration(field, structure, identity)
+            local = _local_by_enumeration(field, *_matrix_algebra(field, basis))
             assert local or got != LOCAL, (name, field)
 
 
 def test_fitting_witness_uses_the_smallest_root():
     field = GF(5)
-    structure, identity = _matrix_algebra(field, [[[3, 0], [0, 1]], I2])
-    branch, coeffs, examined = locality_certificate(field, structure, identity)
+    basis = [Matrix.from_rows(field, m) for m in ([[3, 0], [0, 1]], I2)]
+    branch, witness, examined = locality_certificate(field, basis)
     # the first basis element has roots 1 and 3; its witness is b - 1
     assert (branch, examined) == (SPLIT, 1)
-    assert list(coeffs) == [1, 4]
+    assert witness == Matrix.from_rows(field, [[2, 0], [0, 0]])
+
+
+def test_locality_certificate_needs_the_identity():
+    # E12 spans a closed algebra, (E12)^2 = 0, without the identity
+    with pytest.raises(ArithmeticError):
+        locality_certificate(GF(3), [Matrix.from_rows(GF(3), E12)])
 
 
 def test_certificate_matches_exhaustive_enumeration_through_n5():
@@ -365,9 +372,8 @@ def test_certificate_matches_exhaustive_enumeration_through_n5():
                     comps = block_split(module, p, factors)
                     for sub in [module] + [comp.as_module() for comp in comps]:
                         cert = certify_indecomposable(sub)
-                        algebra = commutant(sub)
                         local = _local_by_enumeration(
-                            field, algebra.structure, algebra.identity_coords)
+                            field, *_matrix_algebra(field, hom_space(sub, sub)))
                         expected = "indecomposable" if local else "decomposable"
                         assert cert.verdict == expected, (lam, p, direction)
                         assert cert.deterministic

@@ -236,22 +236,14 @@ def _extended_tableaux(lam):
             yield Tableau(rows + ((a,),))
 
 
-def _induced_row(T, lam, field, width):
-    row = field.zeros(width)
-    for j, c in induced_polytabloid(T, lam, field).coords.items():
-        row[j] = c
-    return row
-
-
 def _scan_independent_tableaux(lam, field):
     """The first extended tableaux whose induced polytabloids enlarge the
     span, up to (n+1) * dim S^lam rows."""
     target = (lam.size + 1) * specht_dimension(lam)
-    width = len(enumerate_tabloids(Partition(tuple(lam) + (1,))))
-    rb = RowBasis(field, width)
+    rb = RowBasis(field, len(enumerate_tabloids(Partition(tuple(lam) + (1,)))))
     kept = []
     for T in _extended_tableaux(lam):
-        idx, _ = rb.insert(_induced_row(T, lam, field, width))
+        idx, _ = rb.insert(induced_polytabloid(T, lam, field).row)
         if idx is not None:
             kept.append(T)
             if len(kept) == target:
@@ -290,10 +282,9 @@ def test_induction_basis_is_the_rank_scan_choice():
 def test_induction_row_space_matches_rank_scan():
     for n in range(1, 6):
         for lam in partitions_of(n):
-            width = len(enumerate_tabloids(Partition(tuple(lam) + (1,))))
             for field in (QQ, GF(2), GF(3), GF(5)):
                 scanned = Matrix(field, np.array(
-                    [_induced_row(T, lam, field, width)
+                    [induced_polytabloid(T, lam, field).row
                      for T in _scan_independent_tableaux(lam, field)]))
                 module = build_induction(lam, field)
                 assert rref(module.basis)[0] == rref(scanned)[0], (lam, field)

@@ -29,17 +29,38 @@ def _strip_millis(d):
 
 
 def test_report_schema_and_determinism():
-    a = verify_branching(Partition((2, 1)), 3, RESTRICT, seed=1)
-    b = verify_branching(Partition((2, 1)), 3, RESTRICT, seed=1)
-    assert a.passed and b.passed
-    da, db = a.to_dict(), b.to_dict()
-    assert set(da) == {"case", "field", "direction", "checks", "seed", "millis"}
-    for check in da["checks"]:
-        assert set(check) == {"name", "expected", "computed", "pass"}
-        assert isinstance(check["expected"], str)
-        assert isinstance(check["computed"], str)
-    assert _strip_millis(da) == _strip_millis(db)
-    json.dumps(da)  # serializable as-is
+    """One report from every verifier: the same schema, Python bools in
+    "pass", serializable as-is, and the same content on a rerun."""
+    lam = Partition((2, 1))
+    makers = [
+        lambda: verify_branching(lam, 3, RESTRICT, seed=1),
+        lambda: verify_branching(lam, 0, INDUCE, seed=1),
+        lambda: verify_en_scalar(lam, GF(3)),
+        lambda: verify_min_poly(lam, QQ, INDUCE),
+        lambda: verify_poly_transfer(lam, GF(5), seed=1),
+        lambda: verify_coefficient_restriction(lam, QQ),
+        lambda: verify_coefficient_induction(lam, GF(3)),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a.passed and b.passed, a.summary()
+        da, db = a.to_dict(), b.to_dict()
+        assert set(da) == {"case", "field", "direction", "checks", "seed", "millis"}
+        for check in da["checks"]:
+            assert set(check) == {"name", "expected", "computed", "pass"}
+            assert isinstance(check["expected"], str)
+            assert isinstance(check["computed"], str)
+            assert type(check["pass"]) is bool, (da["case"], check["name"])
+        assert _strip_millis(da) == _strip_millis(db)
+        json.dumps(da)  # serializable as-is
+
+
+def test_branching_rejects_a_field_as_characteristic():
+    with pytest.raises(TypeError, match=r"characteristic must be an int, got "
+                                        r"FieldSpec\(characteristic=3\) \(FieldSpec\)"):
+        verify_branching((1,) * 7, GF(3), INDUCE)
+    with pytest.raises(TypeError, match="characteristic must be an int"):
+        GF(3.0)
 
 
 def test_min_poly_spot_reports():
