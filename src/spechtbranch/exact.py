@@ -22,6 +22,14 @@ equation.  A row v lies in the span exactly when its reduction L s v - d R
 is zero, since L s is not zero, and then v = (d C / L s) K: coordinates
 and dependencies come from one division at the end, an int whenever it is
 exact.
+
+``minimal_polynomial`` inserts I, m, m^2, ... flattened into one such basis
+and stops at the first power in the span of the earlier ones.  The
+dependence it finds is re-verified on all d^2 entries, so the polynomial
+annihilates m; it is minimal because the earlier powers are independent.
+This costs deg mu products of d x d matrices and (deg mu + 1) d^2 stored
+entries: cheap at the low degrees of the paper's operators, dear for a
+matrix of degree near d (about d^4 operations).
 """
 
 from __future__ import annotations
@@ -47,7 +55,10 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows) -> "Matrix":
-        return cls(field, field.array(rows))
+        """The matrix with the given rows; no rows at all give the 0 x 0
+        matrix."""
+        a = field.array(rows)
+        return cls(field, a.reshape(0, 0) if a.shape == (0,) else a)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
@@ -444,12 +455,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        inv = self.field.inv(self.coeffs[-1])
-        return Polynomial(self.field, [c * inv for c in self.coeffs])
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
@@ -475,50 +480,11 @@ class Polynomial:
                 out[i + j] = out[i + j] + a * b
         return Polynomial(self.field, out)
 
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        rem = list(self.coeffs)
-        dn = other.degree
-        lead_inv = field.inv(other.coeffs[-1])
-        quot = [0] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - dn - 1, -1, -1):
-            c = field.scalar(rem[i + dn] * lead_inv)
-            quot[i] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = field.scalar(rem[i + j] - c * b)
-        return Polynomial(field, quot), Polynomial(field, rem[:dn])
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def gcd(self, other) -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
-    def lcm(self, other) -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.field)
-        g = self.gcd(other)
-        q, r = (self * other).divmod(g)
-        assert r.is_zero()
-        return q.monic()
-
     def eval_scalar(self, c):
         c = self.field.scalar(c)
         acc = self.field.scalar(0)
         for a in reversed(self.coeffs):
             acc = self.field.scalar(acc * c + a)
-        return acc
-
-    def eval_matrix(self, m: Matrix) -> Matrix:
-        acc = Matrix.zeros(m.field, m.nrows, m.ncols)
-        for a in reversed(self.coeffs):
-            acc = (acc @ m).shift(a)
         return acc
 
     def __eq__(self, other):
@@ -557,12 +523,25 @@ class Polynomial:
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:
-    """Minimal polynomial, as the lcm of cyclic-vector local polynomials.
+    """Minimal polynomial, from the first linear dependence among the powers
+    of m.
 
-    Every Krylov dependency is re-verified against the stored chain before
-    it contributes a factor, so the returned polynomial provably annihilates
-    a spanning set; minimality comes from the chain independence that the
-    echelon structure enforces.
+    I, m, m^2, ... are inserted, each flattened to one d^2-wide row, into
+    one tracked RowBasis.  The first power m^k that lies in the span of the
+    ones before it gives m^k = sum_j dep_j m^j, and mu = x^k - sum_j dep_j x^j.
+    The dependence is re-verified exactly, dep times the stored powers
+    against m^k, so mu(m) = 0 holds on all d^2 entries.  Minimality needs
+    no lcm: I, m, ..., m^(k-1) are independent, so no nonzero polynomial of
+    degree below k annihilates m.
+
+    The cost is deg mu products of d x d matrices and (deg mu + 1) d^2
+    stored entries.  That is cheap for the low degrees the paper's
+    operators have (the transposition sum has degree at most the number of
+    removable nodes plus one, and a basis matrix of a local End(M) is a
+    scalar plus a nilpotent), and dear for a matrix whose degree is near d,
+    where it is about d^4 operations and d^3 stored entries: a random
+    150 x 150 matrix over GF(5) takes seconds, where a spin of one vector
+    at a time took 0.1 s.
     """
     if m.nrows != m.ncols:
         raise ValueError("minimal polynomial needs a square matrix")
@@ -570,37 +549,19 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     n = m.nrows
     if n == 0:
         return Polynomial.one(field)
-    seen = RowBasis(field, n, track=False)
-    f = Polynomial.one(field)
-    for i in range(n):
-        if seen.size == n:
+    span = RowBasis(field, n * n)
+    powers = []
+    power = Matrix.identity(field, n).a
+    while True:
+        idx, dep = span.insert(power.reshape(-1))
+        if idx is None:
             break
-        e = field.zeros(n)
-        e[i] = 1
-        if seen.contains(e):
-            continue
-        local = RowBasis(field, n)
-        chain = []
-        v = e
-        while True:
-            idx, dep = local.insert(v)
-            if idx is None:
-                recon = _mul(field, dep.reshape(1, -1), np.stack(chain))[0]
-                if np.any(field.reduce_array(v - recon)):
-                    raise ArithmeticError("krylov dependency failed verification")
-                coeffs = [field.neg(c) for c in dep] + [1]
-                f = f.lcm(Polynomial(field, coeffs))
-                break
-            chain.append(field.reduce_array(v.copy()))
-            seen.insert(v)
-            v = _mul(field, v.reshape(1, -1), m.a)[0]
-    probe = field.reduce_array(np.arange(1, n + 1).astype(field.dtype))
-    acc = field.zeros(n)
-    for c in reversed(f.coeffs):
-        acc = field.reduce_array(_mul(field, acc.reshape(1, -1), m.a)[0] + probe * c)
-    if np.any(acc):
-        raise ArithmeticError("minimal polynomial candidate fails to annihilate")
-    return f
+        powers.append(power.reshape(-1))
+        power = _mul(field, power, m.a)
+    recon = _mul(field, dep.reshape(1, -1), np.stack(powers))[0]
+    if np.any(field.reduce_array(power.reshape(-1) - recon)):
+        raise ArithmeticError("dependence among the powers failed verification")
+    return Polynomial(field, [field.neg(c) for c in dep] + [1])
 
 
 def fitting_split(m: Matrix):

@@ -1,13 +1,17 @@
-"""Reference implementations of the tabloid layer, kept for the tests.
+"""Reference implementations kept for the tests.
 
-They walk the column stabilizer one permutation at a time and find each
-tabloid through a dict of sorted-row keys: slow, and independent of the
-row-word codes that ``spechtbranch.tabloids`` uses.
+The tabloid oracles walk the column stabilizer one permutation at a time
+and find each tabloid through a dict of sorted-row keys: slow, and
+independent of the row-word codes that ``spechtbranch.tabloids`` uses.
+The polynomial oracles (division, gcd, lcm, evaluation at a matrix) serve
+the minimal-polynomial oracles, which take the lcm of per-vector Krylov
+polynomials or search annihilators exhaustively.
 """
 
 import itertools
 from functools import lru_cache
 
+from spechtbranch.exact import Matrix, Polynomial
 from spechtbranch.tabloids import ModuleVector, enumerate_tabloids
 
 
@@ -56,3 +60,57 @@ def signed_column_sum(t, rows, field) -> ModuleVector:
         key = tuple(tuple(sorted(mapping.get(x, x) for x in r)) for r in rows)
         row[index[key]] += sign
     return ModuleVector(shape, field, field.reduce_array(row))
+
+
+def monic(f: Polynomial) -> Polynomial:
+    """f divided by its leading coefficient; the zero polynomial as it is."""
+    if f.is_zero():
+        return f
+    inv = f.field.inv(f.coeffs[-1])
+    return Polynomial(f.field, [c * inv for c in f.coeffs])
+
+
+def poly_divmod(f: Polynomial, g: Polynomial):
+    """(quotient, remainder) of f by g, by long division."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    field = f.field
+    rem = list(f.coeffs)
+    dn = g.degree
+    lead_inv = field.inv(g.coeffs[-1])
+    quot = [0] * max(len(rem) - dn, 0)
+    for i in range(len(rem) - dn - 1, -1, -1):
+        c = field.scalar(rem[i + dn] * lead_inv)
+        quot[i] = c
+        if c != 0:
+            for j, b in enumerate(g.coeffs):
+                rem[i + j] = field.scalar(rem[i + j] - c * b)
+    return Polynomial(field, quot), Polynomial(field, rem[:dn])
+
+
+def poly_mod(f: Polynomial, g: Polynomial) -> Polynomial:
+    return poly_divmod(f, g)[1]
+
+
+def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The monic gcd, by Euclid's algorithm (zero when both are zero)."""
+    while not g.is_zero():
+        f, g = g, poly_mod(f, g)
+    return monic(f)
+
+
+def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The monic lcm (zero when either is zero)."""
+    if f.is_zero() or g.is_zero():
+        return Polynomial.zero(f.field)
+    q, r = poly_divmod(f * g, poly_gcd(f, g))
+    assert r.is_zero()
+    return monic(q)
+
+
+def eval_matrix(f: Polynomial, m: Matrix) -> Matrix:
+    """f(m), by Horner's rule."""
+    acc = Matrix.zeros(m.field, m.nrows, m.ncols)
+    for a in reversed(f.coeffs):
+        acc = (acc @ m).shift(a)
+    return acc

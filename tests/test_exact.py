@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import eval_matrix, monic, poly_divmod, poly_gcd, poly_lcm, poly_mod
 from spechtbranch.exact import (
     Matrix,
     Polynomial,
@@ -18,6 +19,8 @@ from spechtbranch.exact import (
     rref,
 )
 from spechtbranch.fields import GF, QQ
+from spechtbranch.modules import build_induction, transposition_sum
+from spechtbranch.partitions import Partition
 
 
 def _random_matrix(rng, field, nrows, ncols):
@@ -166,14 +169,14 @@ def test_polynomial_ring_identities():
             return Polynomial(field, cs + [1])
 
         f, g = rand_poly(3), rand_poly(2)
-        q, r = f.divmod(g)
+        q, r = poly_divmod(f, g)
         assert q * g + r == f
         assert r.is_zero() or r.degree < g.degree
         h = rand_poly(1)
-        assert f.gcd(f * h).monic() == f.monic()
+        assert monic(poly_gcd(f, f * h)) == monic(f)
         assert (f * g).degree == f.degree + g.degree
-        lc = f.lcm(g)
-        assert (lc % f).is_zero() and (lc % g).is_zero()
+        lc = poly_lcm(f, g)
+        assert poly_mod(lc, f).is_zero() and poly_mod(lc, g).is_zero()
 
 
 def test_from_roots_keeps_multiplicity():
@@ -193,7 +196,7 @@ def test_eval_matrix_matches_naive_power_sum():
         naive = Matrix.zeros(field, 4, 4)
         for i, c in enumerate(f.coeffs):
             naive = naive + a.pow(i).scale(c)
-        assert f.eval_matrix(a) == naive
+        assert eval_matrix(f, a) == naive
 
 
 def _brute_min_poly(m: Matrix) -> Polynomial:
@@ -208,7 +211,7 @@ def _brute_min_poly(m: Matrix) -> Polynomial:
                 cs.append(t % p)
                 t //= p
             f = Polynomial(field, cs + [1])
-            if f.eval_matrix(m).is_zero():
+            if eval_matrix(f, m).is_zero():
                 if best is None or f.coeffs < best.coeffs:
                     best = f
         if best is not None:
@@ -236,6 +239,78 @@ def test_minimal_polynomial_oracles():
     assert f == Polynomial(GF(7), [-3, -2, 1])
     empty = Matrix.zeros(field, 0, 0)
     assert minimal_polynomial(empty) == Polynomial.one(field)
+
+
+def test_minimal_polynomial_of_a_nilpotent_jordan_block():
+    """A nilpotent Jordan block of size 12 has minimal polynomial x^12: every
+    power below the 12th is nonzero, far past the degrees the sweeps meet."""
+    for field in (QQ, GF(3)):
+        block = Matrix.zeros(field, 12, 12)
+        for i in range(11):
+            block.a[i, i + 1] = 1
+        assert minimal_polynomial(block) == Polynomial(field, [0] * 12 + [1])
+
+
+def test_minimal_polynomial_of_a_companion_matrix():
+    """The companion matrix of a monic f of degree 8 has minimal polynomial f."""
+    for field, tail in ((QQ, [3, 0, -1, Fraction(2, 5), 0, 7, -4, 1]),
+                        (GF(7), [3, 0, 6, 2, 0, 5, 4, 1])):
+        f = Polynomial(field, tail + [1])
+        companion = Matrix.zeros(field, 8, 8)
+        for i in range(7):
+            companion.a[i, i + 1] = 1
+        companion.a[7] = field.array([field.neg(c) for c in f.coeffs[:8]])
+        assert minimal_polynomial(companion) == f
+
+
+def test_minimal_polynomial_over_a_large_prime():
+    """Over GF(2^31 - 1) products leave int64 for Python ints (the object
+    fallback of the matrix product), and the result still matches the oracle."""
+    field = GF(2147483647)
+    rng = random.Random(71)
+    a = _random_matrix(rng, field, 6, 6)
+    assert minimal_polynomial(a) == _oracle_min_poly(a)
+    # two equal diagonal blocks, so the degree is at most 3
+    twice = Matrix.zeros(field, 6, 6)
+    twice.a[:3, :3] = twice.a[3:, 3:] = a.a[:3, :3]
+    f = minimal_polynomial(twice)
+    assert f == _oracle_min_poly(twice) and f.degree <= 3
+
+
+def test_minimal_polynomial_rejects_a_non_square_matrix():
+    for field in FIELDS:
+        with pytest.raises(ValueError):
+            minimal_polynomial(Matrix.zeros(field, 2, 3))
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_minimal_polynomial_inserts_one_row_per_power(field, monkeypatch):
+    """The transposition sum E on S^(2,2,1) induced (d = 30) has degree 3, so
+    minimal_polynomial makes exactly deg + 1 = 4 insertions, one per power
+    I, E, E^2, E^3, and no more."""
+    module = build_induction(Partition((2, 2, 1)), field)
+    e = module.element_matrix(transposition_sum(module.degree))
+    calls = []
+    insert = RowBasis._insert
+
+    def counted(self, v):
+        calls.append(v)
+        return insert(self, v)
+
+    monkeypatch.setattr(RowBasis, "_insert", counted)
+    f = minimal_polynomial(e)
+    assert e.nrows == 30 and f.degree == 3
+    assert len(calls) == f.degree + 1 == 4
+
+
+def test_from_rows_of_no_rows_is_the_empty_matrix():
+    for field in FIELDS:
+        empty = Matrix.from_rows(field, [])
+        assert (empty.nrows, empty.ncols) == (0, 0)
+        assert empty == Matrix.zeros(field, 0, 0)
+        assert minimal_polynomial(empty) == Polynomial.one(field)
+        with pytest.raises(ValueError):
+            Matrix.from_rows(field, [1, 2])
 
 
 def test_fitting_split_soundness():
@@ -340,7 +415,7 @@ def _oracle_min_poly(m):
         while True:
             idx, dep = chain.insert(v)
             if idx is None:
-                f = f.lcm(Polynomial(field, [field.neg(c) for c in dep] + [1]))
+                f = poly_lcm(f, Polynomial(field, [field.neg(c) for c in dep] + [1]))
                 break
             v = (Matrix(field, v.reshape(1, -1)) @ m).a[0]
     return f
