@@ -2,12 +2,16 @@
 
 hom_space computes intertwiners in one spin, the spin-and-solve of the
 MeatAxe (Parker 1984): the source module is generated from unit seed vectors
-by its generator matrices, and every vertex reached carries its images under
-all candidate homs that are still alive.  A new seed brings dim(target)
-candidates, a vertex reached by generator g takes its parent's images times
-the target's g, and every linear dependence met on the way keeps only the
-combinations of candidates whose images obey it too.  Each dependence costs
-(candidates x target dim) elimination, never (dim x dim) unknowns.
+by the matrices of two generators of S_n, (1 2) and (1 2 ... n), and every
+vertex reached carries its images under all candidate homs that are still
+alive.  Spin-and-solve needs only a generating set of the group, so each
+vertex costs two insertions and two image products, where the n - 1 Coxeter
+generators would cost n - 1 of each.  A new seed
+brings dim(target) candidates, a vertex reached by generator g takes its
+parent's images times the target's g, and every linear dependence met on
+the way keeps only the combinations of candidates whose images obey it
+too.  Each dependence costs (candidates x target dim) elimination, never
+(dim x dim) unknowns.
 
 Indecomposability is decided by one deterministic certificate on the
 commutant E = End(M), held as the d x d basis matrices that
@@ -43,18 +47,33 @@ from .exact import (
 )
 from .fields import FieldSpec
 from .modules import GroupActionModule
+from .perms import Perm, adjacent
+
+
+def _generators(n: int) -> list[Perm]:
+    """(1 2) and the n-cycle (1 2 ... n), which generate S_n: (1 2) alone
+    for n = 2, and nothing for n = 1."""
+    if n < 2:
+        return []
+    cycle = tuple(range(2, n + 1)) + (1,)
+    swap = adjacent(n, 1)
+    return [swap] if cycle == swap else [swap, cycle]
 
 
 def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
-    """Basis of {X : G1[g] X = X G2[g] for every generator g}.
+    """Basis of {X : G1[g] X = X G2[g] for every g in S_n}.
 
-    The source is spun from unit seed vectors, and the images of its spun
-    vertices under every surviving candidate hom are carried along.  A new
-    seed adds dim m2 candidates, sending it to each unit vector of m2 and
-    every earlier vertex to zero; a dependency met while spinning keeps the
-    combinations of candidates that respect it.  The basis is
-    echelon-canonical in flattened coordinates, and every element is
-    re-verified to intertwine all generator pairs.
+    A matrix commutes with the action of a group exactly when it commutes
+    with the action of a generating set, so the spin and the final check
+    use two generators, (1 2) and (1 2 ... n), n the acting degree, not the
+    n - 1 Coxeter generators.  The source is spun from unit seed vectors,
+    and the images of its spun vertices under every surviving candidate hom
+    are carried along.  A new seed adds dim m2 candidates, sending it to
+    each unit vector of m2 and every earlier vertex to zero; a dependency
+    met while spinning keeps the combinations of candidates that respect it.
+    The basis is echelon-canonical in flattened coordinates, so it does not
+    depend on the generators chosen, and every element is re-verified to
+    intertwine both generator pairs.
     """
     if m1.degree != m2.degree:
         raise ValueError(f"degrees differ: {m1.degree} != {m2.degree}")
@@ -64,8 +83,9 @@ def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
     d1, d2 = m1.dim, m2.dim
     if d1 == 0 or d2 == 0:
         return []
-    gens1 = [g.a for g in m1.gens()]
-    gens2 = [g.a for g in m2.gens()]
+    perms = _generators(m1.degree)
+    gens1 = [m1.perm_matrix(pi).a for pi in perms]
+    gens2 = [m2.perm_matrix(pi).a for pi in perms]
 
     span = RowBasis(field, d1)
     vertices: list[np.ndarray] = []
@@ -97,9 +117,11 @@ def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
                 violation = field.reduce_array(moved - spanned.reshape(moved.shape))
                 if np.any(violation):
                     keep = kernel(Matrix(field, violation)).basis.a
-                    kept = field.zeros((d1, len(keep), d2))
-                    kept[:spun] = _mul(field, keep, images[:spun])
-                    images = kept
+                    # the product before the new array, so at most three
+                    # image arrays are alive at once, not four
+                    kept = _mul(field, keep, images[:spun])
+                    images = field.zeros((d1, len(keep), d2))
+                    images[:spun] = kept
             expand += 1
 
     k = images.shape[1]

@@ -21,7 +21,12 @@ C-row by their common content is an exact integer division that keeps the
 equation.  A row v lies in the span exactly when its reduction L s v - d R
 is zero, since L s is not zero, and then v = (d C / L s) K: coordinates
 and dependencies come from one division at the end, an int whenever it is
-exact.
+exact.  R and C are stored side by side, so reducing a row is one product
+d [R | C], which gives the residual and d C together.
+
+``kernel`` takes no second elimination: it inserts the rows last to first,
+and the relations it meets, scaled to pivot 1, are already the reduced
+echelon basis of the kernel (see its docstring).
 
 ``minimal_polynomial`` inserts I, m, m^2, ... flattened into one such basis
 and stops at the first power in the span of the earlier ones.  The
@@ -187,7 +192,8 @@ class RowBasis:
     R-row as a combination of the kept (independent) input rows K, with
     R = C K exactly, so membership tests also produce coordinates over the
     original inputs.  R and C sit side by side in one array, row i being
-    [R_i | C_i].
+    [R_i | C_i], so one product d [R | C] reduces a row and gives its
+    coordinates with it.
 
     Rows are stored integrally: a stored row [R_i | C_i] is the canonical
     multiple that ``FieldSpec.normalize_rows`` picks, pivot 1 over GF(p),
@@ -204,7 +210,7 @@ class RowBasis:
         self.width = width
         self.track = track
         self._rc = field.zeros((8, width + 8 if track else width))
-        self.pivots: list[int] = []
+        self._pivots = np.zeros(8, dtype=np.intp)
         self.size = 0
         self._lcm = 1      # L, the lcm of the pivot entries
         self._mult = None  # L // pivot entry, row by row, when L != 1
@@ -217,6 +223,12 @@ class RowBasis:
         rc = self.field.zeros((2 * cap, width))
         rc[:cap, : self._rc.shape[1]] = self._rc
         self._rc = rc
+        self._pivots = np.concatenate([self._pivots, np.zeros(cap, dtype=np.intp)])
+
+    @property
+    def pivots(self) -> np.ndarray:
+        """The pivot column of each stored row, in insertion order."""
+        return self._pivots[: self.size]
 
     def _leads(self) -> np.ndarray:
         return self._rc[np.arange(self.size), self.pivots]
@@ -227,20 +239,21 @@ class RowBasis:
         return _divide(self._rc[: self.size, : self.width], self._leads().tolist())
 
     def _reduce(self, a: np.ndarray):
-        """(residual, d, s) for the rows of a: s[i] is the lcm of row i's
-        denominators, and residual = L s a - d R row by row."""
+        """(residual, dc, s) for the rows of a: s[i] is the lcm of row i's
+        denominators, residual = L s a - d R and dc = d C row by row.  Both
+        come from one product d [R | C]; dc is empty when tracking is off."""
         field = self.field
         a, s = _integral(a)
-        if self.size == 0:
+        k, w = self.size, self.width
+        if k == 0:
             return field.reduce_array(a), field.zeros((a.shape[0], 0)), s
         d = a[:, self.pivots]
         if self._lcm != 1:
             a = a * self._lcm
             d = d * self._mult
-        d = field.reduce_array(d)
-        residual = field.reduce_array(
-            a - _mul(field, d, self._rc[: self.size, : self.width]))
-        return residual, d, s
+        prod = _mul(field, field.reduce_array(d),
+                    self._rc[:k, : w + k if self.track else w])
+        return field.reduce_array(a - prod[:, :w]), prod[:, w:], s
 
     def _insert(self, v: np.ndarray):
         """Insert one row: (kept_index, None, None), or, for a row in the
@@ -248,9 +261,9 @@ class RowBasis:
         is off)."""
         field = self.field
         k, w = self.size, self.width
-        residual, d, s = self._reduce(v.reshape(1, -1))
+        residual, dc, s = self._reduce(v.reshape(1, -1))
         den = self._lcm * s[0]
-        dc = _mul(field, d, self._rc[:k, w: w + k])[0] if self.track else None
+        dc = dc[0] if self.track else None
         nz = residual[0].nonzero()[0]
         if len(nz) == 0:
             return None, dc, den
@@ -273,9 +286,9 @@ class RowBasis:
                 # (when every pivot was 1 and the new one is 1 too, the
                 # updated rows keep pivot 1 and are canonical already)
                 upd = field.normalize_rows(
-                    upd, upd[np.arange(len(hit)), np.array(self.pivots)[hit]])
+                    upd, upd[np.arange(len(hit)), self._pivots[hit]])
             self._rc[hit, :end] = upd
-        self.pivots.append(j)
+        self._pivots[k] = j
         self.size = k + 1
         if new[j] != 1 or self._lcm != 1:
             leads = self._leads()
@@ -301,11 +314,10 @@ class RowBasis:
     def _coords(self, vmat: np.ndarray):
         if not self.track:
             raise RuntimeError("coordinate tracking is off for this basis")
-        residual, d, s = self._reduce(vmat)
-        ok = ~np.any(residual, axis=1)
-        w = self.width
-        dc = _mul(self.field, d, self._rc[: self.size, w: w + self.size])
-        return _divide(dc, [self._lcm * x for x in s]), ok
+        residual, dc, s = self._reduce(vmat)
+        # a copy, so a kept result does not pin the product's residual part
+        return (_divide(dc.copy(), [self._lcm * x for x in s]),
+                ~np.any(residual, axis=1))
 
     # coords calls _coords itself, so a traced count of coords_many calls
     # counts batched solves only
@@ -324,19 +336,27 @@ def rref(m: Matrix):
     rb = RowBasis(m.field, m.ncols, track=False)
     for i in range(m.nrows):
         rb.insert(m.a[i])
-    order = np.argsort(rb.pivots) if rb.size else []
-    r = rb.rows[order] if rb.size else m.field.zeros((0, m.ncols))
-    pivots = [rb.pivots[i] for i in order]
-    return Matrix(m.field, r.copy()), rb.size, pivots
+    order = np.argsort(rb.pivots)
+    return Matrix(m.field, rb.rows[order].copy()), rb.size, rb.pivots[order].tolist()
 
 
 def kernel(m: Matrix) -> "Subspace":
-    """Left kernel {v : v m = 0} as a Subspace of F^nrows."""
+    """Left kernel {v : v m = 0} as a Subspace of F^nrows.
+
+    The rows go into one tracked RowBasis last to first, and each row i met
+    in the span of the rows kept before it gives one relation: den times
+    unit i minus its coordinates over those rows.  Every row kept before i
+    has a larger index, so the relation's first nonzero entry is den at
+    column i, and it is zero at every other dependent row, which is either
+    still to come (smaller index) or was not kept.  Scaled to pivot 1 and
+    sorted by i, the relations are the reduced echelon basis already; no
+    second elimination is needed.
+    """
     field = m.field
     rb = RowBasis(field, m.ncols)
     kept: list[int] = []
-    kernel_rows = []
-    for i in range(m.nrows):
+    relations, dens = [], []
+    for i in range(m.nrows - 1, -1, -1):
         idx, dc, den = rb._insert(m.a[i])
         if idx is not None:
             kept.append(i)
@@ -345,10 +365,12 @@ def kernel(m: Matrix) -> "Subspace":
             row = field.zeros(m.nrows)
             row[kept] = field.reduce_array(-dc)
             row[i] = den
-            kernel_rows.append(row)
-    if not kernel_rows:
+            relations.append(row)
+            dens.append(den)
+    if not relations:
         return Subspace(field, m.nrows, Matrix.zeros(field, 0, m.nrows))
-    return Subspace.from_rows(field, Matrix(field, np.stack(kernel_rows)))
+    basis = _divide(np.stack(relations[::-1]), dens[::-1])
+    return Subspace(field, m.nrows, Matrix(field, basis))
 
 
 class Subspace:
@@ -435,10 +457,6 @@ class Polynomial:
     @classmethod
     def one(cls, field):
         return cls(field, [1])
-
-    @classmethod
-    def x(cls, field):
-        return cls(field, [0, 1])
 
     @classmethod
     def from_roots(cls, field, roots) -> "Polynomial":

@@ -3,7 +3,7 @@
 The tabloid oracles walk the column stabilizer one permutation at a time
 and find each tabloid through a dict of sorted-row keys: slow, and
 independent of the row-word codes that ``spechtbranch.tabloids`` uses.
-The polynomial oracles (division, gcd, lcm, evaluation at a matrix) serve
+The polynomial oracles (x, division, gcd, lcm, evaluation at a matrix) serve
 the minimal-polynomial oracles, which take the lcm of per-vector Krylov
 polynomials or search annihilators exhaustively.
 """
@@ -60,6 +60,11 @@ def signed_column_sum(t, rows, field) -> ModuleVector:
         key = tuple(tuple(sorted(mapping.get(x, x) for x in r)) for r in rows)
         row[index[key]] += sign
     return ModuleVector(shape, field, field.reduce_array(row))
+
+
+def poly_x(field) -> Polynomial:
+    """The polynomial x."""
+    return Polynomial(field, [0, 1])
 
 
 def monic(f: Polynomial) -> Polynomial:

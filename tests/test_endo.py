@@ -4,7 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spechtbranch import endo
 from spechtbranch.central import (
@@ -29,6 +30,7 @@ from spechtbranch.endo import (
 from spechtbranch.exact import Matrix, RowBasis, fitting_split, kernel, rref
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import (
+    GroupActionModule,
     build_induction,
     build_restriction,
     build_specht,
@@ -67,6 +69,15 @@ def _hom_by_kronecker(m1, m2) -> Matrix:
     return kernel(system).basis
 
 
+def _assert_hom_matches_kronecker(m1, m2):
+    got = [x.a.reshape(-1) for x in hom_space(m1, m2)]
+    expected = _hom_by_kronecker(m1, m2)
+    where = (m1.label, m2.label, m1.field)
+    assert len(got) == expected.nrows, where
+    if got:
+        assert Matrix(m1.field, np.stack(got)) == expected, where
+
+
 def _modules_by_degree(field, n_max):
     """The Specht, restriction and induction modules built from every lam
     with |lam| <= n_max, grouped by degree."""
@@ -96,12 +107,76 @@ def test_hom_space_matches_kronecker_oracle():
             for m1, m2 in itertools.product(modules, repeat=2):
                 if m1.dim * m2.dim > 144:
                     continue
-                got = [x.a.reshape(-1) for x in hom_space(m1, m2)]
-                expected = _hom_by_kronecker(m1, m2)
-                assert len(got) == expected.nrows, (m1.label, m2.label, field)
-                if got:
-                    assert Matrix(field, np.stack(got)) == expected, (
-                        m1.label, m2.label, field)
+                _assert_hom_matches_kronecker(m1, m2)
+
+
+def _record_perm_requests(monkeypatch) -> list:
+    """Patch GroupActionModule.perm_matrix to log each permutation asked for."""
+    asked = []
+    perm_matrix = GroupActionModule.perm_matrix
+
+    def recorded(self, pi):
+        asked.append(pi)
+        return perm_matrix(self, pi)
+
+    monkeypatch.setattr(GroupActionModule, "perm_matrix", recorded)
+    return asked
+
+
+def test_hom_space_spins_on_two_generators(monkeypatch):
+    """In degree 5, hom_space asks its modules for the matrices of (1 2) and
+    (1 2 3 4 5) only, not for the Coxeter generators s_2, s_3, s_4."""
+    module = build_induction(Partition((2, 2)), GF(3))
+    asked = _record_perm_requests(monkeypatch)
+    homs = hom_space(module, module)
+    assert module.degree == 5 and homs
+    assert set(asked) == {(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)}
+
+
+@pytest.mark.parametrize("degree,generators", [
+    (1, set()),
+    (2, {(2, 1)}),
+    (3, {(2, 1, 3), (2, 3, 1)}),
+])
+def test_hom_space_in_low_degrees(degree, generators, monkeypatch):
+    """Degree 1 spins on no generator, degree 2 on (1 2) alone and degree 3
+    on (1 2) and (1 2 3); every pair of modules of the degree gets the
+    Kronecker oracle's basis, which is computed from the Coxeter
+    generators, an independent generating set."""
+    asked = _record_perm_requests(monkeypatch)
+    for field in (GF(2), GF(3), QQ):
+        modules = _modules_by_degree(field, 3)[degree]
+        for m1, m2 in itertools.product(modules, repeat=2):
+            asked.clear()
+            hom_space(m1, m2)
+            assert set(asked) == generators
+            _assert_hom_matches_kronecker(m1, m2)
+
+
+_BUILDERS = {"specht": (build_specht, 1, 5), "restriction": (build_restriction, 2, 5),
+             "induction": (build_induction, 1, 3)}
+
+
+@st.composite
+def _small_modules(draw):
+    """A field, a module built from a small partition, and a Specht module
+    of the module's degree."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    build, low, high = _BUILDERS[draw(st.sampled_from(sorted(_BUILDERS)))]
+    lam = draw(st.sampled_from(partitions_of(draw(st.integers(low, high)))))
+    module = build(lam, field)
+    mu = draw(st.sampled_from(partitions_of(module.degree)))
+    return module, build_specht(mu, field)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_small_modules())
+def test_hom_space_property_against_kronecker_oracle(modules):
+    """On drawn small modules over Q, GF(2), GF(3) and GF(5), Hom(M, M) and
+    Hom(M, S^mu) are the Kronecker oracle's echelon bases."""
+    module, specht = modules
+    _assert_hom_matches_kronecker(module, module)
+    _assert_hom_matches_kronecker(module, specht)
 
 
 def test_hom_degree_mismatch_rejected():

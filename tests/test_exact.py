@@ -7,7 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import eval_matrix, monic, poly_divmod, poly_gcd, poly_lcm, poly_mod
+from oracles import (
+    eval_matrix,
+    monic,
+    poly_divmod,
+    poly_gcd,
+    poly_lcm,
+    poly_mod,
+    poly_x,
+)
+from spechtbranch import exact
 from spechtbranch.exact import (
     Matrix,
     Polynomial,
@@ -182,7 +191,7 @@ def test_polynomial_ring_identities():
 def test_from_roots_keeps_multiplicity():
     field = GF(5)
     f = Polynomial.from_roots(field, [1, 1, 2])
-    x = Polynomial.x(field)
+    x = poly_x(field)
     one = Polynomial.one(field)
     assert f == (x - one) * (x - one) * (x - Polynomial(field, [2]))
     assert Polynomial.from_roots(field, []) == Polynomial.one(field)
@@ -232,7 +241,7 @@ def test_minimal_polynomial_oracles():
     diag = Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     assert minimal_polynomial(diag) == Polynomial.from_roots(field, [1, 2])
     jordan = Matrix.from_rows(field, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    x = Polynomial.x(field)
+    x = poly_x(field)
     assert minimal_polynomial(jordan) == x * x * x
     companion = Matrix.from_rows(GF(7), [[0, 1], [3, 2]])
     f = minimal_polynomial(companion)
@@ -501,3 +510,85 @@ def test_rational_inverse_is_an_int_when_integral():
     assert type(QQ.inv(1)) is int and type(QQ.inv(Fraction(-1, 1))) is int
     assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
     assert QQ.inv(2) == Fraction(1, 2)
+
+
+def _kernel_cases(rng, field):
+    """Square and oblong matrices: seeded random ones of low rank, with zero
+    and repeated rows mixed in, the zero matrix, and full-rank ones."""
+    cases = [Matrix.zeros(field, 4, 3), Matrix.zeros(field, 1, 1)]
+    for n in (1, 4, 7):
+        upper = _random_matrix(rng, field, n, n)
+        for i in range(n):
+            upper.a[i, :i] = 0
+            upper.a[i, i] = 1
+        cases.append(upper)
+    for _ in range(30):
+        cases.append(_awkward_matrix(rng, field, rng.randint(1, 10),
+                                     rng.randint(1, 10)))
+    return cases
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_kernel_is_the_unit_pivot_rref_of_its_relations(field):
+    """kernel reads the reduced echelon basis off its relations without a
+    second elimination; it equals the unit-pivot oracle's rref of the
+    stacked relations, entry for entry, and over Q every entry is an int
+    unless it is a proper fraction."""
+    rng = random.Random(4242)
+    for m in _kernel_cases(rng, field):
+        k = kernel(m)
+        assert np.array_equal(k.basis.a, _oracle_kernel(m))
+        assert k.basis.a.dtype == field.dtype
+        assert k.dim + rref(m)[1] == m.nrows
+        if field.characteristic == 0:
+            assert all(_is_int_or_proper_fraction(x) for x in k.basis.a.ravel())
+    assert kernel(Matrix.zeros(field, 3, 2)).basis == Matrix.identity(field, 3)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_kernel_inserts_each_row_once(field, monkeypatch):
+    """The kernel of a d x d matrix takes exactly d insertions, however
+    large its nullity: the relations are not eliminated a second time."""
+    rng = random.Random(97)
+    matrices = [_awkward_matrix(rng, field, 8, 8) for _ in range(6)]
+    matrices.append(Matrix.zeros(field, 5, 5))
+    calls = _count_calls(monkeypatch, RowBasis, "_insert")
+    nullities = []
+    for m in matrices:
+        calls.clear()
+        nullities.append(kernel(m).dim)
+        assert len(calls) == m.nrows
+    assert min(nullities) > 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_row_basis_makes_one_product_per_row(field, monkeypatch):
+    """Inserting a row into a non-empty tracked basis, kept or dependent,
+    makes one matrix product, which yields the residual and the combination
+    row together; a coords_many batch makes one as well."""
+    rng = random.Random(3)
+    basis = RowBasis(field, 6)
+    rows = _random_matrix(rng, field, 3, 6).a
+    for row in rows[:2]:
+        basis.insert(row)
+    assert basis.size == 2
+    calls = _count_calls(monkeypatch, exact, "_mul")
+    for row in (rows[2], rows[0] + rows[1]):
+        calls.clear()
+        basis.insert(field.reduce_array(row))
+        assert len(calls) == 1
+    calls.clear()
+    basis.coords_many(_random_matrix(rng, field, 4, 6).a)
+    assert len(calls) == 1
