@@ -13,7 +13,6 @@ from .central import (
     branching_factors,
     central_symmetric_action,
     predicted_min_poly,
-    split_branching,
 )
 from .endo import (
     DecompositionCertificate,
@@ -78,7 +77,7 @@ __all__ = [
     "induced_polytabloid", "is_isomorphic", "kernel", "minimal_polynomial",
     "murphy_element",
     "partitions_of", "polytabloid", "predicted_min_poly",
-    "rref", "run_char2_counterexamples", "specht_dimension", "split_branching",
+    "rref", "run_char2_counterexamples", "specht_dimension",
     "standard_tableaux", "sweep", "transposition_sum", "verify_branching",
     "verify_coefficient_induction", "verify_coefficient_restriction",
     "verify_en_scalar", "verify_min_poly", "verify_poly_transfer",

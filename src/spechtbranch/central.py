@@ -174,9 +174,3 @@ def block_split(module: GroupActionModule, p: int,
         raise ArithmeticError("block dimensions do not sum to the module dimension")
     return out
 
-
-def split_branching(module: GroupActionModule, lam: Partition,
-                    direction: str) -> list[BlockComponent]:
-    """block_split with the factors filled in from the branching rule."""
-    return block_split(module, module.field.characteristic,
-                       branching_factors(Partition(lam), direction))

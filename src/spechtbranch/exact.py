@@ -24,6 +24,10 @@ and dependencies come from one division at the end, an int whenever it is
 exact.  R and C are stored side by side, so reducing a row is one product
 d [R | C], which gives the residual and d C together.
 
+``unipotent_inverse`` needs no elimination at all: a unipotent D = I - N
+has the inverse (I + N)(I + N^2)(I + N^4)..., which ends at the first zero
+power of N.
+
 ``kernel`` takes no second elimination: it inserts the rows last to first,
 and the relations it meets, scaled to pivot 1, are already the reduced
 echelon basis of the kernel (see its docstring).
@@ -147,6 +151,39 @@ def _mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return field.reduce_array(a @ b)
 
 
+def _sparse_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b over only the inner indices where a has a nonzero column and b a
+    nonzero row: the same product, cheap when either factor is sparse."""
+    inner = np.flatnonzero((a != 0).any(axis=0) & (b != 0).any(axis=1))
+    return _mul(field, a[:, inner], b[inner])
+
+
+def unipotent_inverse(m: Matrix) -> Matrix:
+    """The inverse of a unipotent matrix D = I - N, N nilpotent.
+
+    D^-1 = I + N + N^2 + ... = (I + N)(I + N^2)(I + N^4)..., and the product
+    stops at the first power N^(2^j) that is zero.  It is exact, and
+    integral when D is.  A nilpotent d x d matrix has N^d = 0, so a power
+    N^(2^j) with 2^j >= d that is not zero shows that D is not unipotent,
+    and raises ArithmeticError.  Every product skips the inner indices where
+    a factor is zero, so a sparse N costs little.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("unipotent_inverse needs a square matrix")
+    field = m.field
+    eye = Matrix.identity(field, m.nrows).a
+    nil = field.reduce_array(eye - m.a)
+    inverse = field.reduce_array(eye + nil)
+    power, exponent = nil, 1
+    while np.any(power):
+        if exponent >= m.nrows:
+            raise ArithmeticError("matrix is not unipotent")
+        power = _sparse_mul(field, power, power)
+        exponent *= 2
+        inverse = field.reduce_array(inverse + _sparse_mul(field, inverse, power))
+    return Matrix(field, inverse)
+
+
 # int() keeps a numpy integer that strayed into an object array from
 # overflowing in later products
 _num_den = np.frompyfunc(lambda x: (int(x.numerator), x.denominator), 1, 2)
@@ -155,9 +192,11 @@ _num_den = np.frompyfunc(lambda x: (int(x.numerator), x.denominator), 1, 2)
 def _integral(a: np.ndarray):
     """(s a, s) for the rows of a: s[i] clears the denominators of row i.
 
-    GF(p) arrays hold integers already, and there s is 1.
+    GF(p) arrays hold integers already, and there s is 1; so does a Q array
+    whose entries are all Python ints, which is checked by type alone.  A
+    numpy integer or a Fraction takes the numerator/denominator pass.
     """
-    if a.dtype != object:
+    if a.dtype != object or set(map(type, a.flat)) <= {int}:
         return a, [1] * a.shape[0]
     num, den = _num_den(a)
     s = [math.lcm(*row) for row in den.tolist()]
@@ -374,7 +413,12 @@ def kernel(m: Matrix) -> "Subspace":
 
 
 class Subspace:
-    """A subspace of row vectors, held as a canonical reduced echelon basis."""
+    """A subspace of row vectors, held by a basis of independent rows.
+
+    ``from_rows`` and ``kernel`` give the canonical reduced echelon basis;
+    a Subspace made from other rows keeps them, and ``coords`` and
+    ``restrict`` work in the basis it holds.
+    """
 
     def __init__(self, field: FieldSpec, ambient: int, basis: Matrix):
         self.field = field
@@ -383,6 +427,7 @@ class Subspace:
         if basis.ncols != ambient:
             raise ValueError("basis width does not match ambient dimension")
         self._rb = None
+        self._units = False  # not looked for yet
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Matrix) -> "Subspace":
@@ -397,7 +442,8 @@ class Subspace:
         if self._rb is None:
             rb = RowBasis(self.field, self.ambient)
             for i in range(self.dim):
-                rb.insert(self.basis.a[i])
+                if rb.insert(self.basis.a[i])[0] is None:
+                    raise ValueError(f"basis row {i} depends on earlier rows")
             self._rb = rb
         return self._rb
 
@@ -407,25 +453,35 @@ class Subspace:
     def contains(self, v: np.ndarray) -> bool:
         return self._builder().coords(v) is not None
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimensions differ")
-        stacked = np.concatenate([self.basis.a, other.basis.a], axis=0)
-        ker = kernel(Matrix(self.field, stacked))
-        left = ker.basis.a[:, : self.dim]
-        rows = _mul(self.field, left, self.basis.a)
-        return Subspace.from_rows(self.field, Matrix(self.field, rows))
+    def _unit_columns(self):
+        """Columns where the basis is the identity matrix, or None.
 
-    def is_invariant(self, m: Matrix) -> bool:
-        moved = _mul(self.field, self.basis.a, m.a)
-        _, ok = self._builder().coords_many(moved)
-        return bool(np.all(ok))
+        A reduced echelon basis with unit pivots, as ``from_rows`` and
+        ``kernel`` give, is the identity at its pivot columns, which are the
+        first nonzero columns of its rows."""
+        if self._units is False:
+            a = self.basis.a
+            first = (a != 0).argmax(axis=1)
+            unit = np.array_equal(a[:, first], Matrix.identity(self.field, self.dim).a)
+            self._units = first if unit else None
+        return self._units
 
     def restrict(self, m: Matrix) -> Matrix:
-        """The matrix of v -> v m in the basis of this (invariant) subspace."""
+        """The matrix of v -> v m in the basis of this (invariant) subspace.
+
+        When the basis is the identity at some columns, the coordinates of
+        a row are its entries there, and one product re-checks them; any
+        other basis solves through a tracked RowBasis.
+        """
         moved = _mul(self.field, self.basis.a, m.a)
-        coeffs, ok = self._builder().coords_many(moved)
-        if not np.all(ok):
+        units = self._unit_columns()
+        if units is None:
+            coeffs, ok = self._builder().coords_many(moved)
+            ok = np.all(ok)
+        else:
+            coeffs = moved[:, units]
+            ok = np.array_equal(_mul(self.field, coeffs, self.basis.a), moved)
+        if not ok:
             raise ValueError("subspace is not invariant under the matrix")
         return Matrix(self.field, coeffs)
 

@@ -1,12 +1,18 @@
 """Specht modules, their restrictions and inductions, as explicit row spaces.
 
-A module here is a row space inside the tabloid module of an ambient shape,
-together with the symmetric group degree that acts.  A permutation acts
-through its tabloid index table (``tabloids.tabloid_permutation``): column i
-of a dense row moves to column dst[i], so a group algebra element is a sum
-of scattered copies of the rows.  One scatter serves a single tabloid
-vector and a module's basis rows alike, and a matrix in the module basis is
-one batched coordinate solve away from the ambient picture.
+A module built here is a row space inside the tabloid module of an ambient
+shape, together with the symmetric group degree that acts.  A permutation
+acts through its tabloid index table (``tabloids.tabloid_permutation``):
+column i of a dense row moves to column dst[i], so a group algebra element
+is a sum of scattered copies of the rows.  One scatter serves a single
+tabloid vector and a module's basis rows alike.  The moved rows go back to
+module coordinates through the standard minor, the columns of the basis
+tableaux's own tabloids: it is unitriangular (James's standard basis
+theorem), so its exact integral inverse turns d columns of a moved row into
+its coordinates, and a sparse product re-checks the whole row.  No solve
+runs at the width of the tabloid space.  A submodule, such as a block
+component, holds its parent and a subspace of the parent's coordinates,
+and restricts the parent's d x d matrices to it.
 Restriction reuses the Specht basis verbatim with the degree dropped by one.
 
 Induction to the next symmetric group sits in M^(lam + a bottom node) and
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import Matrix, RowBasis
+from .exact import Matrix, Subspace, _sparse_mul, unipotent_inverse
 from .fields import FieldSpec
 from .partitions import Partition
 from .perms import Perm, adjacent, embed, transposition
@@ -36,6 +42,7 @@ from .tabloids import (
     induced_polytabloid,
     polytabloid,
     standard_tableaux,
+    tabloid_indices,
     tabloid_permutation,
 )
 
@@ -97,26 +104,121 @@ def transposition_sum(k: int) -> AlgebraElement:
 
 
 class GroupActionModule:
-    """A symmetric group module realized as rows in a tabloid space."""
+    """A symmetric group module, known through the matrices of its action.
 
-    def __init__(self, degree: int, field: FieldSpec, shape: Partition,
-                 basis: Matrix, solver: RowBasis | None = None, label: str = ""):
+    Matrices are computed on demand, in the module's basis, and cached.  A
+    module built from tabloids is a ``TabloidModule``; a ``Submodule`` takes
+    its matrices from its parent's.
+    """
+
+    def __init__(self, degree: int, field: FieldSpec, shape: Partition, label: str):
         if shape.size < degree:
             raise ValueError(f"shape {shape} too small for degree {degree}")
         self.degree = degree
         self.field = field
         self.shape = shape
-        self.basis = basis
-        if solver is None:
-            solver = RowBasis(field, basis.ncols)
-            for i in range(basis.nrows):
-                idx, _ = solver.insert(basis.a[i])
-                if idx is None:
-                    raise ArithmeticError(f"basis row {i} depends on earlier rows")
-        self.solver = solver
         self.label = label or f"module of degree {degree} over {field}"
         self._perm_cache: dict = {}
         self._elt_cache: dict = {}
+
+    @property
+    def dim(self) -> int:
+        raise NotImplementedError
+
+    def __repr__(self) -> str:
+        return f"<{self.label}: dim {self.dim}>"
+
+    def _perm_action(self, pi: Perm) -> Matrix:
+        raise NotImplementedError
+
+    def _element_action(self, elt: AlgebraElement) -> Matrix:
+        raise NotImplementedError
+
+    def perm_matrix(self, pi: Perm) -> Matrix:
+        """Matrix of the right action of pi in the module basis."""
+        if len(pi) > self.shape.size:
+            raise ValueError(
+                f"permutation degree {len(pi)} exceeds ambient size {self.shape.size}")
+        if pi not in self._perm_cache:
+            self._perm_cache[pi] = self._perm_action(pi)
+        return self._perm_cache[pi]
+
+    def element_matrix(self, elt: AlgebraElement) -> Matrix:
+        """Matrix of a group algebra element in the module basis.
+
+        The element may exceed the acting degree up to the ambient size
+        (L_n or E_n on a restriction, say); the module must still be stable
+        under it, which the coordinate solve asserts.
+        """
+        if elt.degree > self.shape.size:
+            raise ValueError(
+                f"element degree {elt.degree} exceeds ambient size {self.shape.size}")
+        if elt not in self._elt_cache:
+            self._elt_cache[elt] = self._element_action(elt)
+        return self._elt_cache[elt]
+
+    def gens(self) -> tuple[Matrix, ...]:
+        """Matrices of the Coxeter generators s_1 .. s_{degree-1}."""
+        return tuple(self.perm_matrix(adjacent(self.degree, i))
+                     for i in range(1, self.degree))
+
+    def submodule(self, coeff_rows: Matrix, label: str = "") -> "Submodule":
+        """The span of the given (independent) combinations of basis rows,
+        with those combinations as its basis."""
+        return Submodule(self, Subspace(self.field, self.dim, coeff_rows),
+                         label or f"submodule of {self.label}")
+
+
+class _SparseRows:
+    """The nonzeros of a matrix b, column by column, for products c b in
+    rows(c) nnz(b) steps, where a dense product takes rows(c) rows(b)
+    cols(b).  A polytabloid row has |C_t| nonzeros among all the tabloids."""
+
+    # entries of c[:, rows] * vals held at once
+    CHUNK = 1 << 22
+
+    def __init__(self, field: FieldSpec, b: np.ndarray):
+        cols, self.rows = np.nonzero(b.T)
+        self.vals = b[self.rows, cols]
+        self.starts = np.flatnonzero(np.diff(cols, prepend=-1))
+        self.cols = cols[self.starts]
+        self.field = field
+        self.width = b.shape[1]
+
+    def left_mul(self, c: np.ndarray) -> np.ndarray:
+        out = self.field.zeros((c.shape[0], self.width))
+        if len(self.vals):
+            step = max(1, self.CHUNK // len(self.vals))
+            for lo in range(0, c.shape[0], step):
+                terms = c[lo: lo + step, self.rows] * self.vals
+                out[lo: lo + step, self.cols] = np.add.reduceat(terms, self.starts, axis=1)
+        return self.field.reduce_array(out)
+
+
+class TabloidModule(GroupActionModule):
+    """A module realized as independent rows in the tabloid module M^shape.
+
+    ``minor_cols[i]`` is the column of basis row i's leading tabloid: the
+    tabloid {t} of the tableau t whose (induced) polytabloid the row is.  By
+    James's standard basis theorem (LNM 682, section 8) {t} is the most
+    dominant tabloid of e_t, with coefficient 1, so the minor
+    D = basis[:, minor_cols] is unitriangular in any order that extends
+    dominance.  Its inverse is exact and integral (``unipotent_inverse``),
+    and an invertible D proves the rows independent.  A row v of the module
+    is c basis with c = v[:, minor_cols] D^-1; every solve re-checks
+    c basis = v exactly, which proves that the action kept the row space.
+    """
+
+    def __init__(self, degree: int, field: FieldSpec, shape: Partition,
+                 basis: Matrix, minor_cols, label: str = ""):
+        super().__init__(degree, field, shape, label)
+        self.basis = basis
+        self.minor_cols = np.asarray(minor_cols, dtype=np.intp)
+        inverse = unipotent_inverse(Matrix(field, basis.a[:, self.minor_cols]))
+        # D^-1 - I is sparse, so a solve multiplies over few inner indices
+        self._correction = field.reduce_array(
+            inverse.a - Matrix.identity(field, self.dim).a)
+        self._sparse_basis = _SparseRows(field, basis.a)
 
     @property
     def dim(self) -> int:
@@ -126,50 +228,50 @@ class GroupActionModule:
     def ambient_width(self) -> int:
         return self.basis.ncols
 
-    def __repr__(self) -> str:
-        return f"<{self.label}: dim {self.dim}>"
-
     def _to_module_coords(self, ambient_rows: np.ndarray) -> Matrix:
-        coeffs, ok = self.solver.coords_many(self.field.reduce_array(ambient_rows))
-        if not np.all(ok):
+        field = self.field
+        rows = field.reduce_array(ambient_rows)
+        lead = rows[:, self.minor_cols]
+        coeffs = field.reduce_array(lead + _sparse_mul(field, lead, self._correction))
+        if not np.array_equal(self._sparse_basis.left_mul(coeffs), rows):
             raise ArithmeticError("action left the module's row space")
-        return Matrix(self.field, coeffs)
+        return Matrix(field, coeffs)
 
-    def perm_matrix(self, pi: Perm) -> Matrix:
-        """Matrix of the right action of pi in the module basis."""
-        if len(pi) > self.shape.size:
-            raise ValueError(
-                f"permutation degree {len(pi)} exceeds ambient size {self.shape.size}")
-        if pi not in self._perm_cache:
-            acc = np.empty_like(self.basis.a)
-            acc[:, tabloid_permutation(self.shape, embed(pi, self.shape.size))] = self.basis.a
-            self._perm_cache[pi] = self._to_module_coords(acc)
-        return self._perm_cache[pi]
+    def _perm_action(self, pi: Perm) -> Matrix:
+        acc = np.empty_like(self.basis.a)
+        acc[:, tabloid_permutation(self.shape, embed(pi, self.shape.size))] = self.basis.a
+        return self._to_module_coords(acc)
 
-    def element_matrix(self, elt: AlgebraElement) -> Matrix:
-        """Matrix of a group algebra element in the module basis.
+    def _element_action(self, elt: AlgebraElement) -> Matrix:
+        return self._to_module_coords(_scatter(elt, self.shape, self.basis.a))
 
-        The element may exceed the acting degree up to the ambient size
-        (L_n or E_n on a restriction, say); the row space must still be
-        stable under it, which the coordinate solve asserts.
-        """
-        if elt.degree > self.shape.size:
-            raise ValueError(
-                f"element degree {elt.degree} exceeds ambient size {self.shape.size}")
-        if elt not in self._elt_cache:
-            self._elt_cache[elt] = self._to_module_coords(_scatter(elt, self.shape, self.basis.a))
-        return self._elt_cache[elt]
 
-    def gens(self) -> tuple[Matrix, ...]:
-        """Matrices of the Coxeter generators s_1 .. s_{degree-1}."""
-        return tuple(self.perm_matrix(adjacent(self.degree, i))
-                     for i in range(1, self.degree))
+class Submodule(GroupActionModule):
+    """A submodule held as its parent and a Subspace of the parent's
+    coordinates.  Each matrix is the parent's, restricted to the subspace
+    (``Subspace.restrict``), so no tabloid row is touched; a submodule of a
+    submodule restricts twice."""
 
-    def submodule(self, coeff_rows: Matrix, label: str = "") -> "GroupActionModule":
-        """The row space spanned by combinations of basis rows."""
-        sub_basis = coeff_rows @ self.basis
-        return GroupActionModule(self.degree, self.field, self.shape, sub_basis,
-                                 label=label or f"submodule of {self.label}")
+    def __init__(self, parent: GroupActionModule, space: Subspace, label: str):
+        super().__init__(parent.degree, parent.field, parent.shape, label)
+        self.parent = parent
+        self.space = space
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+    def _restricted(self, m: Matrix) -> Matrix:
+        try:
+            return self.space.restrict(m)
+        except ValueError as exc:
+            raise ArithmeticError(f"action left the submodule: {exc}") from exc
+
+    def _perm_action(self, pi: Perm) -> Matrix:
+        return self._restricted(self.parent.perm_matrix(pi))
+
+    def _element_action(self, elt: AlgebraElement) -> Matrix:
+        return self._restricted(self.parent.element_matrix(elt))
 
 
 _module_cache: OrderedDict = OrderedDict()
@@ -201,9 +303,10 @@ def build_specht(lam, field: FieldSpec) -> GroupActionModule:
         raise ValueError(f"degree guardrail: {n} > {DEGREE_GUARDRAIL}")
 
     def make():
-        basis = Matrix(field, np.stack([polytabloid(t, field).row
-                                        for t in standard_tableaux(lam)]))
-        return GroupActionModule(n, field, lam, basis, label=f"S^({lam}) over {field}")
+        tableaux = standard_tableaux(lam)
+        basis = Matrix(field, np.stack([polytabloid(t, field).row for t in tableaux]))
+        return TabloidModule(n, field, lam, basis, tabloid_indices(lam, tableaux),
+                             label=f"S^({lam}) over {field}")
 
     return _cached_module(("S", lam, field), make)
 
@@ -216,9 +319,8 @@ def build_restriction(lam, field: FieldSpec) -> GroupActionModule:
 
     def make():
         base = build_specht(lam, field)
-        return GroupActionModule(lam.size - 1, field, lam, base.basis,
-                                 solver=base.solver,
-                                 label=f"S^({lam}) restricted, over {field}")
+        return TabloidModule(lam.size - 1, field, lam, base.basis, base.minor_cols,
+                             label=f"S^({lam}) restricted, over {field}")
 
     return _cached_module(("R", lam, field), make)
 
@@ -249,7 +351,8 @@ def build_induction(lam, field: FieldSpec) -> GroupActionModule:
     {a} as its last row, so distinct blocks have disjoint supports, and one
     block is the standard basis of S^lam on its n symbols; the rows are
     independent over every field and number (n+1) * dim S^lam.  The module
-    constructor still checks that independence.
+    constructor still proves that independence, by inverting the minor at
+    the tabloids {T}.
     """
     lam = Partition(lam)
     n = lam.size
@@ -260,9 +363,10 @@ def build_induction(lam, field: FieldSpec) -> GroupActionModule:
 
     def make():
         shape = Partition(tuple(lam) + (1,))
+        tableaux = _induction_tableaux(lam)
         basis = Matrix(field, np.stack([induced_polytabloid(T, lam, field).row
-                                        for T in _induction_tableaux(lam)]))
-        return GroupActionModule(n + 1, field, shape, basis,
-                                 label=f"S^({lam}) induced, over {field}")
+                                        for T in tableaux]))
+        return TabloidModule(n + 1, field, shape, basis, tabloid_indices(shape, tableaux),
+                             label=f"S^({lam}) induced, over {field}")
 
     return _cached_module(("I", lam, field), make)

@@ -158,6 +158,15 @@ def _code(weights: np.ndarray, rows) -> int:
     return sum(r * weights[x - 1] for r, row in enumerate(rows) for x in row)
 
 
+def tabloid_indices(shape: Partition, tableaux) -> np.ndarray:
+    """The index of each tableau's tabloid {t} among the tabloids of shape:
+    the codes of the tableaux, found in the sorted codes by one
+    searchsorted."""
+    _, weights, sorted_codes, order = _row_words(shape)
+    codes = np.array([_code(weights, t) for t in tableaux], dtype=weights.dtype)
+    return order[np.searchsorted(sorted_codes, codes)]
+
+
 @lru_cache(maxsize=4096)
 def tabloid_permutation(shape: Partition, pi: Perm) -> np.ndarray:
     """Index table of pi on the tabloids of a shape: ``dst[i]`` is the index

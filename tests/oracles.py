@@ -6,13 +6,27 @@ independent of the row-word codes that ``spechtbranch.tabloids`` uses.
 The polynomial oracles (x, division, gcd, lcm, evaluation at a matrix) serve
 the minimal-polynomial oracles, which take the lcm of per-vector Krylov
 polynomials or search annihilators exhaustively.
+
+The module oracles solve every action in the ambient tabloid space, through
+a tracked RowBasis as wide as the tabloids, the way modules were solved
+before the standard minor; a submodule is rebuilt there from its rows.
+``split_branching``, ``intersect`` and ``is_invariant`` are conveniences
+that only the tests use.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
-from spechtbranch.exact import Matrix, Polynomial
-from spechtbranch.tabloids import ModuleVector, enumerate_tabloids
+import numpy as np
+
+from spechtbranch.central import block_split, branching_factors
+from spechtbranch.exact import Matrix, Polynomial, RowBasis, Subspace, kernel
+from spechtbranch.modules import _scatter
+from spechtbranch.partitions import Partition
+from spechtbranch.perms import embed
+from spechtbranch.tabloids import (ModuleVector, enumerate_tabloids,
+                                   tabloid_permutation)
 
 
 @lru_cache(maxsize=64)
@@ -119,3 +133,74 @@ def eval_matrix(f: Polynomial, m: Matrix) -> Matrix:
     for a in reversed(f.coeffs):
         acc = (acc @ m).shift(a)
     return acc
+
+
+# -- module coordinates in the ambient tabloid space -----------------------
+
+class AmbientSolver:
+    """Coordinates over independent tabloid rows: a tracked RowBasis as
+    wide as the ambient tabloid space, every action solved there."""
+
+    def __init__(self, field, rows: Matrix):
+        self.field = field
+        self.rows = rows
+        self.basis = RowBasis(field, rows.ncols)
+        for i in range(rows.nrows):
+            if self.basis.insert(rows.a[i])[0] is None:
+                raise ArithmeticError(f"basis row {i} depends on earlier rows")
+
+    def coords(self, ambient_rows: np.ndarray) -> Matrix:
+        coeffs, ok = self.basis.coords_many(self.field.reduce_array(ambient_rows))
+        if not np.all(ok):
+            raise ArithmeticError("action left the module's row space")
+        return Matrix(self.field, coeffs)
+
+    def perm_matrix(self, shape, pi) -> Matrix:
+        moved = np.empty_like(self.rows.a)
+        moved[:, tabloid_permutation(shape, embed(pi, shape.size))] = self.rows.a
+        return self.coords(moved)
+
+    def element_matrix(self, shape, elt) -> Matrix:
+        return self.coords(_scatter(elt, shape, self.rows.a))
+
+
+def ambient_solver(module, coeff_rows: Matrix = None) -> AmbientSolver:
+    """The ambient solver of a tabloid module, or of the submodule spanned
+    by coeff_rows times its basis, rebuilt at ambient width."""
+    rows = module.basis if coeff_rows is None else coeff_rows @ module.basis
+    return AmbientSolver(module.field, rows)
+
+
+def integral_by_entries(a: np.ndarray):
+    """(s a, s) for the rows of an object array, reading the numerator and
+    denominator of every entry."""
+    num = np.array([[int(x.numerator) for x in row] for row in a.tolist()],
+                   dtype=object).reshape(a.shape)
+    den = [[x.denominator for x in row] for row in a.tolist()]
+    s = [math.lcm(*row) for row in den]
+    scaled = np.array([[n * (si // d) for n, d in zip(nrow, drow)]
+                       for nrow, drow, si in zip(num.tolist(), den, s)],
+                      dtype=object).reshape(a.shape)
+    return scaled, s
+
+
+# -- convenience API that only the tests use ----------------------------------
+
+def split_branching(module, lam, direction):
+    """block_split with the factors filled in from the branching rule."""
+    return block_split(module, module.field.characteristic,
+                       branching_factors(Partition(lam), direction))
+
+
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """The intersection of two subspaces of one space."""
+    if a.ambient != b.ambient:
+        raise ValueError("ambient dimensions differ")
+    ker = kernel(Matrix(a.field, np.concatenate([a.basis.a, b.basis.a], axis=0)))
+    left = Matrix(a.field, ker.basis.a[:, : a.dim])
+    return Subspace.from_rows(a.field, left @ a.basis)
+
+
+def is_invariant(space: Subspace, m: Matrix) -> bool:
+    """Whether space m lies in space."""
+    return all(space.contains(row) for row in (space.basis @ m).a)

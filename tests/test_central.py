@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from oracles import split_branching
 from spechtbranch.central import (
     INDUCE,
     RESTRICT,
@@ -12,7 +13,6 @@ from spechtbranch.central import (
     branching_factors,
     central_symmetric_action,
     predicted_min_poly,
-    split_branching,
 )
 from spechtbranch.exact import Matrix, Polynomial, kernel, minimal_polynomial
 from spechtbranch.fields import GF, QQ

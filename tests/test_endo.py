@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import split_branching
 from spechtbranch import endo
 from spechtbranch.central import (
     INDUCE,
     RESTRICT,
     block_split,
     branching_factors,
-    split_branching,
 )
 from spechtbranch.endo import (
     LOCAL,

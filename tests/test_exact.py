@@ -6,14 +6,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     eval_matrix,
+    integral_by_entries,
     monic,
     poly_divmod,
     poly_gcd,
     poly_lcm,
     poly_mod,
+    intersect,
+    is_invariant,
     poly_x,
 )
 from spechtbranch import exact
@@ -26,6 +31,7 @@ from spechtbranch.exact import (
     kernel,
     minimal_polynomial,
     rref,
+    unipotent_inverse,
 )
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import build_induction, transposition_sum
@@ -127,7 +133,7 @@ def test_subspace_membership_and_intersection():
                                                            [0, 1, 0, 0]]))
     b = Subspace.from_rows(field, Matrix.from_rows(field, [[0, 1, 0, 0],
                                                            [0, 0, 1, 0]]))
-    meet = a.intersect(b)
+    meet = intersect(a, b)
     assert meet.dim == 1
     assert meet.contains(np.array([0, 3, 0, 0], dtype=np.int64))
     assert not meet.contains(np.array([1, 0, 0, 0], dtype=np.int64))
@@ -137,13 +143,42 @@ def test_subspace_invariance_and_restriction():
     field = GF(5)
     m = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
     inv = Subspace.from_rows(field, Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0]]))
-    assert inv.is_invariant(m)
+    assert is_invariant(inv, m)
     local = inv.restrict(m)
     assert local == Matrix.from_rows(field, [[1, 1], [0, 1]])
     tilted = Subspace.from_rows(field, Matrix.from_rows(field, [[1, 0, 1]]))
-    assert not tilted.is_invariant(m)
+    assert not is_invariant(tilted, m)
     with pytest.raises(ValueError):
         tilted.restrict(m)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_restrict_in_echelon_and_in_other_bases(field, monkeypatch):
+    """An invariant subspace in its reduced echelon basis is restricted by
+    reading the pivot columns, with no RowBasis; in another basis T R of
+    the same space, through a RowBasis, to the conjugate matrix.  A row
+    that leaves the subspace raises either way."""
+    rng = random.Random(17)
+    inserts = _count_calls(monkeypatch, RowBasis, "_insert")
+    checked = 0
+    while checked < 4:
+        m = _random_matrix(rng, field, 6, 6)
+        ker, img = fitting_split(m)
+        for space in (ker, img):
+            if space.dim < 2:
+                continue
+            inserts.clear()
+            local = space.restrict(m)
+            assert inserts == []
+            change = Matrix(field, np.triu(np.ones((space.dim, space.dim), dtype=np.int64)))
+            other = Subspace(field, 6, change @ space.basis)
+            assert change @ local == other.restrict(m) @ change
+            checked += 1
+    line = Subspace.from_rows(field, Matrix.from_rows(field, [[1, 0, 1]]))
+    shear = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    for space in (line, Subspace(field, 3, Matrix.from_rows(field, [[2, 0, 2]]))):
+        with pytest.raises(ValueError):
+            space.restrict(shear)
 
 
 def test_scalar_rejects_floats():
@@ -329,14 +364,14 @@ def test_fitting_split_soundness():
             a = _random_matrix(rng, field, 5, 5)
             ker, img = fitting_split(a)
             assert ker.dim + img.dim == 5
-            assert ker.is_invariant(a) and img.is_invariant(a)
+            assert is_invariant(ker, a) and is_invariant(img, a)
             if ker.dim:
                 assert ker.restrict(a).pow(ker.dim).is_zero()
             if img.dim:
                 local = img.restrict(a)
                 _, rank, _ = rref(local)
                 assert rank == img.dim
-            assert ker.intersect(img).dim == 0
+            assert intersect(ker, img).dim == 0
 
 
 class _UnitPivotBasis:
@@ -592,3 +627,69 @@ def test_row_basis_makes_one_product_per_row(field, monkeypatch):
     calls.clear()
     basis.coords_many(_random_matrix(rng, field, 4, 6).a)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entries,fast", [
+    ([[1, -2, 0], [3, 0, 5]], True),
+    ([[2**70, -(2**64), 1], [0, 2**63, -7]], True),
+    ([[1, Fraction(1, 3), 2], [Fraction(-5, 4), 0, 6]], False),
+    ([[1, np.int64(2**62), 3], [4, 5, np.int64(-7)]], False),
+    ([[Fraction(2**70, 3), np.int64(9), 2**65], [0, 1, Fraction(1, 2**64)]], False),
+], ids=["small ints", "ints above 2^63", "a Fraction", "stray int64", "mixed"])
+def test_integral_reads_entries_only_when_some_is_not_an_int(entries, fast, monkeypatch):
+    """A Q array of Python ints is integral as it is, and skips the
+    numerator/denominator pass; a Fraction or a numpy integer takes it.
+    Both paths agree with reading every entry, and give Python ints."""
+    a = np.empty((2, 3), dtype=object)
+    a[:] = entries
+    calls = _count_calls(monkeypatch, exact, "_num_den")
+    got, scale = exact._integral(a)
+    want, want_scale = integral_by_entries(a)
+    assert len(calls) == (0 if fast else 1)
+    assert scale == want_scale
+    assert got.tolist() == want.tolist()
+    assert all(type(x) is int for x in got.flat)
+
+
+@st.composite
+def _unipotent(draw):
+    """A field and D = P (I - L) P^T: L strictly lower triangular with drawn
+    entries, P a drawn permutation, so D is unitriangular up to order."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(7)]))
+    d = draw(st.integers(0, 8))
+    lower = np.tril(np.array(draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+        min_size=d, max_size=d)), dtype=np.int64).reshape(d, d), -1)
+    order = draw(st.permutations(range(d)))
+    unit = np.eye(d, dtype=np.int64) - lower
+    return field, Matrix(field, field.array(unit[np.ix_(order, order)].tolist()).reshape(d, d))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_unipotent())
+def test_unipotent_inverse_property(drawn):
+    """The inverse of a matrix unitriangular up to order, over Q and GF(p),
+    is exact on both sides, and integral over Q."""
+    field, m = drawn
+    inverse = unipotent_inverse(m)
+    eye = Matrix.identity(field, m.nrows)
+    assert inverse @ m == eye and m @ inverse == eye
+    assert all(type(x) is int for x in inverse.a.flat) or field.characteristic
+
+
+def test_unipotent_inverse_of_a_nilpotent_part_that_is_not_triangular():
+    """D = I - N with N = [[1, 1], [-1, -1]], nilpotent though no order makes
+    it triangular: the product still gives the inverse."""
+    for field in (QQ, GF(5)):
+        m = Matrix.from_rows(field, [[0, -1], [1, 2]])
+        assert unipotent_inverse(m) @ m == Matrix.identity(field, 2)
+
+
+def test_unipotent_inverse_rejects_other_matrices():
+    for field in (QQ, GF(3)):
+        with pytest.raises(ArithmeticError):
+            unipotent_inverse(Matrix.from_rows(field, [[1, 0], [1, 2]]))
+        with pytest.raises(ArithmeticError):
+            unipotent_inverse(Matrix.from_rows(field, [[0, 1], [1, 0]]))
+        with pytest.raises(ValueError):
+            unipotent_inverse(Matrix.from_rows(field, [[1, 0, 0]]))

@@ -1,18 +1,25 @@
 """Specht, restriction and induction modules: dimensions, relations,
-guardrails, the ambient-embedding action, and the induction basis against
-a rank scan over all column-increasing extended tableaux."""
+guardrails, the ambient-embedding action, the induction basis against
+a rank scan over all column-increasing extended tableaux, and the
+standard-minor solve and submodule restriction against the ambient solve."""
 
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ambient_solver, split_branching
 from spechtbranch import modules
+from spechtbranch.central import INDUCE, RESTRICT
+from spechtbranch.endo import decompose
 from spechtbranch.exact import Matrix, RowBasis, minimal_polynomial, rref
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import (
     DEGREE_GUARDRAIL,
+    AlgebraElement,
     _induction_tableaux,
     build_induction,
     build_restriction,
@@ -306,3 +313,175 @@ def test_induction_builds_one_polytabloid_per_basis_row(monkeypatch):
     finally:
         clear_module_cache()
     assert module.dim == len(calls) == 189
+
+
+# -- the standard minor and submodules, against the ambient solve ---------
+
+_BUILDS = ((build_specht, 1), (build_restriction, 2), (build_induction, 1))
+
+
+def _assert_matches_ambient_solve(sub, module, rows=None):
+    """sub, spanned by rows times module's basis (module itself when rows
+    is None), has the Coxeter generator matrices and transposition sum of
+    that span solved through a RowBasis as wide as the tabloids."""
+    oracle = ambient_solver(module, rows)
+    for i in range(1, module.degree):
+        pi = adjacent(module.degree, i)
+        assert sub.perm_matrix(pi) == oracle.perm_matrix(module.shape, pi)
+    elt = transposition_sum(module.degree)
+    assert sub.element_matrix(elt) == oracle.element_matrix(module.shape, elt)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_action_matrices_match_the_ambient_solve(field):
+    """The Specht, restricted and induced module of every lam |- n <= 6,
+    solved through the standard minor, against the ambient solve."""
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            for build, low in _BUILDS:
+                if n >= low:
+                    module = build(lam, field)
+                    _assert_matches_ambient_solve(module, module)
+
+
+def _count_vector(key) -> tuple:
+    """m[i][r], the number of symbols <= i in the first r rows of a tabloid;
+    {s} is dominated by {t} exactly when m(s) <= m(t) entry by entry."""
+    n = sum(len(row) for row in key)
+    return tuple(sum(1 for row in key[:r] for x in row if x <= i)
+                 for i in range(1, n + 1) for r in range(1, len(key) + 1))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_standard_minor_is_unitriangular_in_dominance_order(field):
+    """basis[:, minor_cols] has 1 on the diagonal, and e_t holds the leading
+    tabloid {s} of another basis row only when {s} is dominated by {t}
+    (James, LNM 682, 8.3).  So ordered by the count vectors, a linear
+    extension of dominance, the minor is lower unitriangular."""
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            for build in (build_specht, build_induction):
+                module = build(lam, field)
+                keys = enumerate_tabloids(module.shape)
+                counts = [_count_vector(keys[c]) for c in module.minor_cols]
+                minor = module.basis.a[:, module.minor_cols]
+                assert all(minor[i, i] == 1 for i in range(module.dim))
+                for i, j in zip(*np.nonzero(minor)):
+                    assert all(a <= b for a, b in zip(counts[j], counts[i]))
+                order = sorted(range(module.dim), key=counts.__getitem__)
+                ordered = minor[np.ix_(order, order)]
+                assert not np.any(np.triu(ordered, 1)), (lam, build.__name__)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_block_components_match_the_ambient_rebuild(field):
+    """Each block component of a restriction or induction through n = 5:
+    its generator matrices and transposition sum, restricted from the
+    module's, equal those of the component rebuilt at ambient width."""
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            for direction, build in ((RESTRICT, build_restriction),
+                                     (INDUCE, build_induction)):
+                if direction == RESTRICT and n < 2:
+                    continue
+                module = build(lam, field)
+                for comp in split_branching(module, lam, direction):
+                    _assert_matches_ambient_solve(
+                        comp.as_module(), module, comp.subspace.basis)
+
+
+@pytest.mark.parametrize("lam,field", [((3, 1), QQ), ((2, 1), GF(3)),
+                                       ((2, 2), GF(2))], ids=str)
+def test_decompose_works_on_a_nested_submodule(lam, field):
+    """A restriction rebased twice, as a submodule of a submodule, still
+    decomposes into certified summands, and each summand's matrices are
+    the ones rebuilt at ambient width from its rows."""
+    module = build_restriction(Partition(lam), field)
+    d = module.dim
+    outer = Matrix(field, np.triu(np.ones((d, d), dtype=np.int64)))
+    inner = Matrix(field, np.tril(np.ones((d, d), dtype=np.int64)))
+    nested = module.submodule(outer).submodule(inner)
+    assert nested.dim == d
+    parts = decompose(nested)
+    assert sum(space.dim for space, _ in parts) == d
+    assert len(parts) == len(decompose(module))
+    for space, cert in parts:
+        assert cert.verdict == "indecomposable"
+        _assert_matches_ambient_solve(nested.submodule(space.basis), module,
+                                      space.basis @ inner @ outer)
+
+
+def test_submodule_of_dependent_rows_raises():
+    """Dependent rows raise before any matrix of the span comes back."""
+    module = build_specht(Partition((2, 1)), GF(3))
+    with pytest.raises(ArithmeticError):
+        module.submodule(Matrix.from_rows(GF(3), [[1, 2], [2, 1]])).perm_matrix(
+            adjacent(3, 1))
+
+
+@st.composite
+def _module_and_action(draw):
+    """A module built from a small partition over a drawn field, a
+    permutation of its ambient degree and an integer combination of
+    permutations."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    build, low = draw(st.sampled_from(_BUILDS))
+    lam = draw(st.sampled_from(partitions_of(draw(st.integers(low, 5)))))
+    module = build(lam, field)
+    size = module.shape.size
+    perms = st.permutations(range(1, size + 1)).map(tuple)
+    pi = draw(perms)
+    terms = draw(st.lists(st.tuples(perms, st.integers(-3, 3)), max_size=4))
+    return module, pi, AlgebraElement.from_terms(size, terms)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_module_and_action(), st.data())
+def test_minor_solve_property_against_ambient_solve(drawn, data):
+    """Through the standard minor: a drawn permutation and a drawn group
+    algebra element act as the ambient solve says, a combination of basis
+    rows comes back as its coefficients, and a row off the module raises."""
+    module, pi, elt = drawn
+    field = module.field
+    oracle = ambient_solver(module)
+    assert module.perm_matrix(pi) == oracle.perm_matrix(module.shape, pi)
+    assert module.element_matrix(elt) == oracle.element_matrix(module.shape, elt)
+    coeffs = field.array(data.draw(st.lists(
+        st.lists(st.integers(-4, 4), min_size=module.dim, max_size=module.dim),
+        min_size=1, max_size=3)))
+    rows = (Matrix(field, coeffs) @ module.basis).a
+    assert module._to_module_coords(rows) == Matrix(field, coeffs)
+    col = data.draw(st.integers(0, module.ambient_width - 1))
+    off = rows.copy()
+    off[0, col] += 1
+    if oracle.basis.contains(field.reduce_array(off[0])):
+        return
+    with pytest.raises(ArithmeticError):
+        module._to_module_coords(off)
+
+
+def test_no_ambient_row_basis_in_build_split_or_components(monkeypatch):
+    """Building a restriction or an induction, splitting it into blocks and
+    making each component a module, with its generator matrices, creates
+    no RowBasis as wide as the tabloid space."""
+    widths = []
+    init = RowBasis.__init__
+
+    def recorded(self, field, width, track=True):
+        widths.append(width)
+        init(self, field, width, track)
+
+    monkeypatch.setattr(RowBasis, "__init__", recorded)
+    clear_module_cache()
+    try:
+        for lam, direction, build in (((3, 2), RESTRICT, build_restriction),
+                                      ((2, 1), INDUCE, build_induction)):
+            for field in (QQ, GF(3)):
+                widths.clear()
+                module = build(Partition(lam), field)
+                for comp in split_branching(module, lam, direction):
+                    comp.as_module().gens()
+                assert module.dim < module.ambient_width
+                assert widths and module.ambient_width not in widths
+    finally:
+        clear_module_cache()
