@@ -7,16 +7,22 @@ the p-core of mu (over Q, by mu itself).  The transposition sum E of the
 acting degree is central and acts on S^mu by content_sum(mu).  Every factor
 differs from lam by one node, so two factors share a block exactly when
 their E values agree in the field, and a block's component is one
-generalized eigenspace of E.
+generalized eigenspace of E, held as a submodule of the whole module: a
+``Subspace`` of its coordinates, built once by ``block_split``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import Matrix, Polynomial, Subspace, kernel
+from .exact import Matrix, Polynomial, kernel
 from .fields import FieldSpec
-from .modules import GroupActionModule, transposition_sum
+from .modules import (
+    GroupActionModule,
+    build_induction,
+    build_restriction,
+    transposition_sum,
+)
 from .partitions import (
     Partition,
     addable_nodes,
@@ -42,6 +48,15 @@ def branching_factors(lam: Partition, direction: str) -> tuple[Partition, ...]:
     if direction == INDUCE:
         return tuple(induce_at(lam, u)
                      for u in range(1, len(addable_nodes(lam)) + 1))
+    raise ValueError(f"direction must be {RESTRICT!r} or {INDUCE!r}")
+
+
+def branching_module(lam, field: FieldSpec, direction: str) -> GroupActionModule:
+    """S^lam restricted one degree down or induced one degree up."""
+    if direction == RESTRICT:
+        return build_restriction(lam, field)
+    if direction == INDUCE:
+        return build_induction(lam, field)
     raise ValueError(f"direction must be {RESTRICT!r} or {INDUCE!r}")
 
 
@@ -79,25 +94,20 @@ def block_label(mu: Partition, field: FieldSpec) -> BlockLabel:
 
 @dataclass
 class BlockComponent:
-    """One block's slice of a restricted or induced module."""
+    """One block's slice of a restricted or induced module, as a submodule
+    of it."""
 
     label: BlockLabel
     factors: tuple
-    subspace: Subspace
-    parent: GroupActionModule
+    module: GroupActionModule
 
     @property
     def dim(self) -> int:
-        return self.subspace.dim
+        return self.module.dim
 
     @property
     def expected_dim(self) -> int:
         return sum(specht_dimension(mu) for mu in self.factors)
-
-    def as_module(self) -> GroupActionModule:
-        return self.parent.submodule(
-            self.subspace.basis,
-            label=f"{self.label} component of {self.parent.label}")
 
     def __repr__(self) -> str:
         return f"<block {self.label}: dim {self.dim}>"
@@ -164,7 +174,8 @@ def block_split(module: GroupActionModule, p: int,
     for lab, mus in by_label.items():
         shifted = e.shift(field.neg(values[lab]))
         space = kernel(shifted if len(mus) == 1 else shifted.pow(len(mus)))
-        comp = BlockComponent(lab, tuple(mus), space, module)
+        comp = BlockComponent(lab, tuple(mus), module.submodule(
+            space, label=f"{lab} component of {module.label}"))
         if comp.dim != comp.expected_dim:
             raise ArithmeticError(f"component {lab} has dimension {comp.dim}, "
                                   f"expected {comp.expected_dim}")

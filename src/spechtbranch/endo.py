@@ -23,7 +23,9 @@ when every basis element is a scalar plus a nilpotent and the nilpotent
 parts span a subalgebra, Wedderburn's theorem makes that span the radical
 of codimension one, so E is local.  Anything else is reported undecided,
 never guessed.  Isomorphism of modules rests on the same certificate
-(see is_isomorphic).
+(see is_isomorphic).  A split is a pair of ``Subspace`` objects from
+fitting_split, and each becomes a submodule of the module it splits as
+it is, with no change of basis.
 """
 
 from __future__ import annotations
@@ -162,10 +164,6 @@ class DecompositionCertificate:
     trials: int = 0
 
 
-def _rank(m: Matrix) -> int:
-    return rref(m)[1]
-
-
 def _rational_roots(poly) -> list[Fraction]:
     """All rational roots of a polynomial over Q, by the rational root test."""
     coeffs = [Fraction(c) for c in poly.coeffs]
@@ -240,12 +238,12 @@ def locality_certificate(field: FieldSpec, basis: list[Matrix]):
     """
     d = len(basis)
     size = basis[0].nrows
-    span = RowBasis(field, size * size, track=False)
+    span = RowBasis(field, size * size)
     for b in basis:
         span.insert(b.a.reshape(-1))
     if not span.contains(Matrix.identity(field, size).a.reshape(-1)):
         raise ArithmeticError("the algebra does not contain the identity")
-    nilpotent = RowBasis(field, size * size, track=False)
+    nilpotent = RowBasis(field, size * size)
     parts = []
     rootless = False
     for i, b in enumerate(basis):
@@ -333,9 +331,9 @@ def decompose(module: GroupActionModule
         if cert.verdict == "decomposable":
             ker, image = fitting_split(cert.witness)
             for part in (ker, image):
-                rec(sub.submodule(part.basis), part.basis @ rows)
+                rec(sub.submodule(part), part.basis @ rows)
         else:
-            out.append((Subspace.from_rows(field, rows), cert))
+            out.append((Subspace.from_rows(rows), cert))
 
     rec(module, Matrix.identity(field, module.dim))
     if sum(space.dim for space, _ in out) != module.dim:
@@ -345,7 +343,7 @@ def decompose(module: GroupActionModule
 
 def _has_invertible_hom(m1: GroupActionModule, m2: GroupActionModule) -> bool:
     """Whether some echelon basis element of Hom(m1, m2) is invertible."""
-    return m1.dim == m2.dim and any(_rank(x) == m1.dim
+    return m1.dim == m2.dim and any(rref(x)[1] == m1.dim
                                     for x in hom_space(m1, m2))
 
 
@@ -357,7 +355,7 @@ def _summands(module: GroupActionModule) -> list[GroupActionModule]:
             raise ArithmeticError(
                 f"isomorphism undecided: a summand of {module.label} is "
                 f"{cert.verdict} ({cert.branch})")
-        out.append(module.submodule(space.basis))
+        out.append(module.submodule(space))
     return out
 
 

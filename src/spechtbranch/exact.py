@@ -5,7 +5,9 @@ Matrices wrap numpy arrays: ``int64`` residues for GF(p), Python ints in
 integer.  Every operation is exact; there is no floating point and no
 tolerance anywhere.  Vectors are rows and operators act on the right, so
 "kernel" always means the left kernel ``{v : v A = 0}`` and spans are row
-spaces.
+spaces.  A ``Subspace`` has one form, its reduced echelon basis with unit
+pivots, so the coordinates of its vectors are their entries at the pivot
+columns and no solve is needed to restrict a matrix to it.
 
 Elimination (``RowBasis``, and ``rref``, ``kernel`` and
 ``minimal_polynomial`` on top of it) is one fraction-free algorithm for
@@ -244,11 +246,10 @@ class RowBasis:
     the way out; no Fraction is formed inside the elimination.
     """
 
-    def __init__(self, field: FieldSpec, width: int, track: bool = True):
+    def __init__(self, field: FieldSpec, width: int):
         self.field = field
         self.width = width
-        self.track = track
-        self._rc = field.zeros((8, width + 8 if track else width))
+        self._rc = field.zeros((8, width + 8))
         self._pivots = np.zeros(8, dtype=np.intp)
         self.size = 0
         self._lcm = 1      # L, the lcm of the pivot entries
@@ -258,8 +259,7 @@ class RowBasis:
         cap = self._rc.shape[0]
         if self.size < cap:
             return
-        width = self.width + 2 * cap if self.track else self.width
-        rc = self.field.zeros((2 * cap, width))
+        rc = self.field.zeros((2 * cap, self.width + 2 * cap))
         rc[:cap, : self._rc.shape[1]] = self._rc
         self._rc = rc
         self._pivots = np.concatenate([self._pivots, np.zeros(cap, dtype=np.intp)])
@@ -280,7 +280,7 @@ class RowBasis:
     def _reduce(self, a: np.ndarray):
         """(residual, dc, s) for the rows of a: s[i] is the lcm of row i's
         denominators, residual = L s a - d R and dc = d C row by row.  Both
-        come from one product d [R | C]; dc is empty when tracking is off."""
+        come from one product d [R | C]."""
         field = self.field
         a, s = _integral(a)
         k, w = self.size, self.width
@@ -290,31 +290,27 @@ class RowBasis:
         if self._lcm != 1:
             a = a * self._lcm
             d = d * self._mult
-        prod = _mul(field, field.reduce_array(d),
-                    self._rc[:k, : w + k if self.track else w])
+        prod = _mul(field, field.reduce_array(d), self._rc[:k, : w + k])
         return field.reduce_array(a - prod[:, :w]), prod[:, w:], s
 
     def _insert(self, v: np.ndarray):
         """Insert one row: (kept_index, None, None), or, for a row in the
-        span, (None, dc, den) with den v = dc K (dc is None when tracking
-        is off)."""
+        span, (None, dc, den) with den v = dc K."""
         field = self.field
         k, w = self.size, self.width
         residual, dc, s = self._reduce(v.reshape(1, -1))
         den = self._lcm * s[0]
-        dc = dc[0] if self.track else None
         nz = residual[0].nonzero()[0]
         if len(nz) == 0:
-            return None, dc, den
+            return None, dc[0], den
         j = int(nz[0])
         self._grow()
-        end = w + k + 1 if self.track else w
+        end = w + k + 1
         new = self._rc[k, :end]
         new[:w] = residual[0]
-        if self.track:
-            # R_k = L s v - d R = L s v - d C K
-            new[w: w + k] = field.reduce_array(-dc)
-            new[w + k] = den
+        # R_k = L s v - d R = L s v - d C K
+        new[w: w + k] = field.reduce_array(-dc[0])
+        new[w + k] = den
         new[:] = field.normalize_rows(new.reshape(1, -1), [new[j]])[0]
         col = self._rc[:k, j].copy()
         hit = col.nonzero()[0]
@@ -338,11 +334,10 @@ class RowBasis:
     def insert(self, v: np.ndarray):
         """Insert a row; returns (kept_index, None) or (None, dependency).
 
-        The dependency expresses v as a combination of previously kept rows
-        (or None when coordinate tracking is off).
+        The dependency expresses v as a combination of previously kept rows.
         """
         idx, dc, den = self._insert(v)
-        if dc is None:
+        if idx is not None:
             return idx, None
         return None, _divide(dc.reshape(1, -1), [den])[0]
 
@@ -350,29 +345,19 @@ class RowBasis:
         residual, _, _ = self._reduce(v.reshape(1, -1))
         return not np.any(residual)
 
-    def _coords(self, vmat: np.ndarray):
-        if not self.track:
-            raise RuntimeError("coordinate tracking is off for this basis")
+    def coords_many(self, vmat: np.ndarray):
+        """Coordinates of the rows of vmat over the kept input rows: (coeff
+        matrix, boolean mask of the rows in the span).  A row outside the
+        span has no coordinates, and its row of the matrix means nothing."""
         residual, dc, s = self._reduce(vmat)
         # a copy, so a kept result does not pin the product's residual part
         return (_divide(dc.copy(), [self._lcm * x for x in s]),
                 ~np.any(residual, axis=1))
 
-    # coords calls _coords itself, so a traced count of coords_many calls
-    # counts batched solves only
-    def coords(self, v: np.ndarray):
-        """Coordinates of v over the kept input rows, or None."""
-        coeffs, ok = self._coords(v.reshape(1, -1))
-        return coeffs[0] if ok[0] else None
-
-    def coords_many(self, vmat: np.ndarray):
-        """Vectorized coords; returns (coeff matrix, boolean mask of rows in span)."""
-        return self._coords(vmat)
-
 
 def rref(m: Matrix):
     """Reduced row echelon form, unit pivots: returns (R, rank, pivots)."""
-    rb = RowBasis(m.field, m.ncols, track=False)
+    rb = RowBasis(m.field, m.ncols)
     for i in range(m.nrows):
         rb.insert(m.a[i])
     order = np.argsort(rb.pivots)
@@ -407,81 +392,61 @@ def kernel(m: Matrix) -> "Subspace":
             relations.append(row)
             dens.append(den)
     if not relations:
-        return Subspace(field, m.nrows, Matrix.zeros(field, 0, m.nrows))
+        return Subspace(Matrix.zeros(field, 0, m.nrows))
     basis = _divide(np.stack(relations[::-1]), dens[::-1])
-    return Subspace(field, m.nrows, Matrix(field, basis))
+    return Subspace(Matrix(field, basis))
 
 
 class Subspace:
-    """A subspace of row vectors, held by a basis of independent rows.
+    """A subspace of row vectors, held in one form: its reduced echelon
+    basis with unit pivots.
 
-    ``from_rows`` and ``kernel`` give the canonical reduced echelon basis;
-    a Subspace made from other rows keeps them, and ``coords`` and
-    ``restrict`` work in the basis it holds.
+    At its pivot columns, the first nonzero column of each row, ascending,
+    the basis is the identity matrix; the constructor checks that, so a
+    basis that is not in this form, or has dependent rows, raises
+    ValueError.  ``from_rows`` is the way in from any other rows, and
+    ``kernel`` returns this form directly.  The coordinates of a vector of
+    the subspace are its entries at the pivot columns.
     """
 
-    def __init__(self, field: FieldSpec, ambient: int, basis: Matrix):
-        self.field = field
-        self.ambient = ambient
+    def __init__(self, basis: Matrix):
+        a = basis.a
+        pivots = (a != 0).argmax(axis=1) if a.size else np.zeros(0, np.intp)
+        at_pivots = a[:, pivots]
+        # ascending pivots, 1 at each, and no other nonzero in their columns
+        if not ((pivots[1:] > pivots[:-1]).all()
+                and (at_pivots.diagonal() == 1).all()
+                and np.count_nonzero(at_pivots) == len(a)):
+            raise ValueError("basis is not reduced echelon with unit pivots")
         self.basis = basis
-        if basis.ncols != ambient:
-            raise ValueError("basis width does not match ambient dimension")
-        self._rb = None
-        self._units = False  # not looked for yet
+        self.pivots = pivots
 
     @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Matrix) -> "Subspace":
-        r, _, _ = rref(rows)
-        return cls(field, rows.ncols, r)
+    def from_rows(cls, rows: Matrix) -> "Subspace":
+        """The span of any rows."""
+        return cls(rref(rows)[0])
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.basis.field
+
+    @property
+    def ambient(self) -> int:
+        return self.basis.ncols
 
     @property
     def dim(self) -> int:
         return self.basis.nrows
 
-    def _builder(self) -> RowBasis:
-        if self._rb is None:
-            rb = RowBasis(self.field, self.ambient)
-            for i in range(self.dim):
-                if rb.insert(self.basis.a[i])[0] is None:
-                    raise ValueError(f"basis row {i} depends on earlier rows")
-            self._rb = rb
-        return self._rb
-
-    def coords(self, v: np.ndarray):
-        return self._builder().coords(v)
-
-    def contains(self, v: np.ndarray) -> bool:
-        return self._builder().coords(v) is not None
-
-    def _unit_columns(self):
-        """Columns where the basis is the identity matrix, or None.
-
-        A reduced echelon basis with unit pivots, as ``from_rows`` and
-        ``kernel`` give, is the identity at its pivot columns, which are the
-        first nonzero columns of its rows."""
-        if self._units is False:
-            a = self.basis.a
-            first = (a != 0).argmax(axis=1)
-            unit = np.array_equal(a[:, first], Matrix.identity(self.field, self.dim).a)
-            self._units = first if unit else None
-        return self._units
-
     def restrict(self, m: Matrix) -> Matrix:
         """The matrix of v -> v m in the basis of this (invariant) subspace.
 
-        When the basis is the identity at some columns, the coordinates of
-        a row are its entries there, and one product re-checks them; any
-        other basis solves through a tracked RowBasis.
+        The coordinates of each moved basis row are its entries at the pivot
+        columns, and one product re-checks that they give the row back.
         """
         moved = _mul(self.field, self.basis.a, m.a)
-        units = self._unit_columns()
-        if units is None:
-            coeffs, ok = self._builder().coords_many(moved)
-            ok = np.all(ok)
-        else:
-            coeffs = moved[:, units]
-            ok = np.array_equal(_mul(self.field, coeffs, self.basis.a), moved)
-        if not ok:
+        coeffs = moved[:, self.pivots]
+        if not np.array_equal(_mul(self.field, coeffs, self.basis.a), moved):
             raise ValueError("subspace is not invariant under the matrix")
         return Matrix(self.field, coeffs)
 
@@ -643,7 +608,7 @@ def fitting_split(m: Matrix):
     n = m.nrows
     power = m.pow(n)
     ker = kernel(power)
-    image = Subspace.from_rows(m.field, power)
+    image = Subspace.from_rows(power)
     if ker.dim + image.dim != n:
         raise ArithmeticError("fitting split dimensions do not add up")
     return ker, image

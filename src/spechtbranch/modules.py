@@ -11,8 +11,9 @@ tableaux's own tabloids: it is unitriangular (James's standard basis
 theorem), so its exact integral inverse turns d columns of a moved row into
 its coordinates, and a sparse product re-checks the whole row.  No solve
 runs at the width of the tabloid space.  A submodule, such as a block
-component, holds its parent and a subspace of the parent's coordinates,
-and restricts the parent's d x d matrices to it.
+component, holds its parent and a ``Subspace`` of the parent's
+coordinates, in reduced echelon form, and restricts the parent's d x d
+matrices to it.
 Restriction reuses the Specht basis verbatim with the degree dropped by one.
 
 Induction to the next symmetric group sits in M^(lam + a bottom node) and
@@ -162,11 +163,13 @@ class GroupActionModule:
         return tuple(self.perm_matrix(adjacent(self.degree, i))
                      for i in range(1, self.degree))
 
-    def submodule(self, coeff_rows: Matrix, label: str = "") -> "Submodule":
-        """The span of the given (independent) combinations of basis rows,
-        with those combinations as its basis."""
-        return Submodule(self, Subspace(self.field, self.dim, coeff_rows),
-                         label or f"submodule of {self.label}")
+    def submodule(self, space: Subspace, label: str = "") -> "Submodule":
+        """The submodule whose coordinates in this module span space, with
+        the reduced echelon basis of space as its basis."""
+        if space.ambient != self.dim:
+            raise ValueError(f"subspace of F^{space.ambient} in a module of "
+                             f"dimension {self.dim}")
+        return Submodule(self, space, label or f"submodule of {self.label}")
 
 
 class _SparseRows:
@@ -228,9 +231,9 @@ class TabloidModule(GroupActionModule):
     def ambient_width(self) -> int:
         return self.basis.ncols
 
-    def _to_module_coords(self, ambient_rows: np.ndarray) -> Matrix:
+    def _to_module_coords(self, rows: np.ndarray) -> Matrix:
+        """Coordinates of reduced rows of the module, re-checked."""
         field = self.field
-        rows = field.reduce_array(ambient_rows)
         lead = rows[:, self.minor_cols]
         coeffs = field.reduce_array(lead + _sparse_mul(field, lead, self._correction))
         if not np.array_equal(self._sparse_basis.left_mul(coeffs), rows):
@@ -238,12 +241,14 @@ class TabloidModule(GroupActionModule):
         return Matrix(field, coeffs)
 
     def _perm_action(self, pi: Perm) -> Matrix:
+        # a permutation of reduced rows is reduced already
         acc = np.empty_like(self.basis.a)
         acc[:, tabloid_permutation(self.shape, embed(pi, self.shape.size))] = self.basis.a
         return self._to_module_coords(acc)
 
     def _element_action(self, elt: AlgebraElement) -> Matrix:
-        return self._to_module_coords(_scatter(elt, self.shape, self.basis.a))
+        return self._to_module_coords(
+            self.field.reduce_array(_scatter(elt, self.shape, self.basis.a)))
 
 
 class Submodule(GroupActionModule):

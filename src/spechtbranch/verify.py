@@ -21,6 +21,7 @@ from .central import (
     RESTRICT,
     block_split,
     branching_factors,
+    branching_module,
     predicted_min_poly,
 )
 from .endo import certify_indecomposable, decompose, is_isomorphic
@@ -144,12 +145,7 @@ def verify_min_poly(lam, field: FieldSpec, direction: str) -> VerificationReport
     lam = Partition(lam)
     report = VerificationReport(f"min-poly ({lam})", str(field), direction)
     with _Timer() as t:
-        if direction == RESTRICT:
-            module = build_restriction(lam, field)
-        elif direction == INDUCE:
-            module = build_induction(lam, field)
-        else:
-            raise ValueError(f"direction must be {RESTRICT!r} or {INDUCE!r}")
+        module = branching_module(lam, field, direction)
         a = module.element_matrix(transposition_sum(module.degree))
         computed = minimal_polynomial(a)
         predicted = predicted_min_poly(lam, direction, field)
@@ -160,15 +156,6 @@ def verify_min_poly(lam, field: FieldSpec, direction: str) -> VerificationReport
         report.add("degree", degree, computed.degree, computed.degree == degree)
     report.millis = t.millis
     return report
-
-
-def _apply_element_poly(vec: ModuleVector, coeffs, elt: AlgebraElement) -> ModuleVector:
-    """vec * f(elt) for f with the given ascending coefficients."""
-    field = vec.field
-    acc = ModuleVector.zero(vec.shape, field)
-    for a in reversed(coeffs):
-        acc = elt.apply(acc) + vec.scale(a)
-    return acc
 
 
 def _apply_affine_poly(vec: ModuleVector, coeffs, shift, sign: int,
@@ -210,14 +197,14 @@ def verify_poly_transfer(lam, field: FieldSpec, seed: int = 0) -> VerificationRe
                 coeffs = [rng.randint(-5, 5) for _ in range(deg + 1)]
 
             et = polytabloid(tab, field)
-            lhs = _apply_element_poly(et, coeffs, transposition_sum(n - 1))
+            lhs = _apply_affine_poly(et, coeffs, 0, 1, transposition_sum(n - 1))
             rhs = _apply_affine_poly(et, coeffs, e_lam, -1, murphy_element(n))
             report.add(f"restrict-transfer[{r}]", "equal",
                        "equal" if lhs == rhs else "different", lhs == rhs)
 
             big = extension(tab)
             e_big = induced_polytabloid(big, lam, field)
-            lhs = _apply_element_poly(e_big, coeffs, transposition_sum(n + 1))
+            lhs = _apply_affine_poly(e_big, coeffs, 0, 1, transposition_sum(n + 1))
             rhs = _apply_affine_poly(e_big, coeffs, e_lam, 1, murphy_element(n + 1))
             report.add(f"induce-transfer[{r}]", "equal",
                        "equal" if lhs == rhs else "different", lhs == rhs)
@@ -319,12 +306,7 @@ def verify_branching(lam, p: int, direction: str,
     field = GF(p) if p else QQ
     report = VerificationReport(f"branching ({lam})", str(field), direction, seed=seed)
     with _Timer() as t:
-        if direction == RESTRICT:
-            module = build_restriction(lam, field)
-        elif direction == INDUCE:
-            module = build_induction(lam, field)
-        else:
-            raise ValueError(f"direction must be {RESTRICT!r} or {INDUCE!r}")
+        module = branching_module(lam, field, direction)
         factors = branching_factors(lam, direction)
         components = block_split(module, p, factors)
 
@@ -342,7 +324,7 @@ def verify_branching(lam, p: int, direction: str,
                        comp.dim == comp.expected_dim)
             if p == 0:
                 continue
-            cert = certify_indecomposable(comp.as_module())
+            cert = certify_indecomposable(comp.module)
             if comp.label.core in inverted:
                 report.add(f"verdict[{tag}]", "decomposable (known exception)",
                            cert.verdict, cert.verdict == "decomposable")
@@ -376,12 +358,12 @@ def run_char2_counterexamples(seed: int = 0) -> VerificationReport:
         by_dim = {space.dim: space for space, _ in parts}
         if dims == [8, 48]:
             hook = build_specht(Partition((8, 1)), two)
-            small = s_mod.submodule(by_dim[8].basis, label="dim-8 summand")
+            small = s_mod.submodule(by_dim[8], label="dim-8 summand")
             same = is_isomorphic(small, hook)
             report.add("summand-8-is-S^(8,1)", "isomorphic",
                        "isomorphic" if same else "not isomorphic", same)
             twor = build_specht(Partition((6, 3)), two)
-            large = s_mod.submodule(by_dim[48].basis, label="dim-48 summand")
+            large = s_mod.submodule(by_dim[48], label="dim-48 summand")
             same = is_isomorphic(large, twor)
             report.add("summand-48-is-S^(6,3)", "isomorphic",
                        "isomorphic" if same else "not isomorphic", same)
@@ -391,7 +373,7 @@ def run_char2_counterexamples(seed: int = 0) -> VerificationReport:
         report.add("restriction-block-count", 1, len(comps), len(comps) == 1)
         report.add("restriction-core", "()", f"({comps[0].label.core})",
                    comps[0].label.core == Partition(()))
-        cert = certify_indecomposable(comps[0].as_module())
+        cert = certify_indecomposable(comps[0].module)
         report.add("restriction-verdict", "decomposable", cert.verdict,
                    cert.verdict == "decomposable")
 
@@ -408,11 +390,10 @@ def run_char2_counterexamples(seed: int = 0) -> VerificationReport:
         if target:
             comp = target[0]
             report.add("induction-(2,1)-dim", 56, comp.dim, comp.dim == 56)
-            comp_mod = comp.as_module()
-            same = is_isomorphic(comp_mod, s_mod)
+            same = is_isomorphic(comp.module, s_mod)
             report.add("induction-(2,1)-is-S^(6,1,1,1)", "isomorphic",
                        "isomorphic" if same else "not isomorphic", same)
-            cert = certify_indecomposable(comp_mod)
+            cert = certify_indecomposable(comp.module)
             report.add("induction-(2,1)-verdict", "decomposable", cert.verdict,
                        cert.verdict == "decomposable")
     report.millis = t.millis

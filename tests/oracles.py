@@ -8,10 +8,13 @@ the minimal-polynomial oracles, which take the lcm of per-vector Krylov
 polynomials or search annihilators exhaustively.
 
 The module oracles solve every action in the ambient tabloid space, through
-a tracked RowBasis as wide as the tabloids, the way modules were solved
-before the standard minor; a submodule is rebuilt there from its rows.
-``split_branching``, ``intersect`` and ``is_invariant`` are conveniences
-that only the tests use.
+a RowBasis as wide as the tabloids, the way modules were solved before the
+standard minor; a submodule is rebuilt there from its rows.  ``Rebased``
+holds a module in any basis, which a ``Subspace`` (reduced echelon only)
+cannot, and ``conjugate_restriction`` restricts a matrix to a subspace by
+conjugating with a full change of basis, not by reading pivot columns.
+``split_branching``, ``coords``, ``contains``, ``intersect`` and
+``is_invariant`` are conveniences that only the tests use.
 """
 
 import itertools
@@ -22,7 +25,7 @@ import numpy as np
 
 from spechtbranch.central import block_split, branching_factors
 from spechtbranch.exact import Matrix, Polynomial, RowBasis, Subspace, kernel
-from spechtbranch.modules import _scatter
+from spechtbranch.modules import GroupActionModule, _scatter
 from spechtbranch.partitions import Partition
 from spechtbranch.perms import embed
 from spechtbranch.tabloids import (ModuleVector, enumerate_tabloids,
@@ -138,8 +141,8 @@ def eval_matrix(f: Polynomial, m: Matrix) -> Matrix:
 # -- module coordinates in the ambient tabloid space -----------------------
 
 class AmbientSolver:
-    """Coordinates over independent tabloid rows: a tracked RowBasis as
-    wide as the ambient tabloid space, every action solved there."""
+    """Coordinates over independent tabloid rows: a RowBasis as wide as the
+    ambient tabloid space, every action solved there."""
 
     def __init__(self, field, rows: Matrix):
         self.field = field
@@ -184,7 +187,71 @@ def integral_by_entries(a: np.ndarray):
     return scaled, s
 
 
+def inverse(m: Matrix) -> Matrix:
+    """The inverse of a square matrix: the coordinates of the unit vectors
+    over its rows, solved through a RowBasis."""
+    basis = RowBasis(m.field, m.ncols)
+    for i in range(m.nrows):
+        if basis.insert(m.a[i])[0] is None:
+            raise ArithmeticError("matrix is not invertible")
+    coeffs, ok = basis.coords_many(Matrix.identity(m.field, m.ncols).a)
+    if not np.all(ok):
+        raise ArithmeticError("matrix is not invertible")
+    return Matrix(m.field, coeffs)
+
+
+class Rebased(GroupActionModule):
+    """A module in the basis given by the rows of an invertible change of
+    basis T (in the module's coordinates): each matrix is T M T^-1."""
+
+    def __init__(self, module, change: Matrix):
+        super().__init__(module.degree, module.field, module.shape,
+                         f"{module.label} rebased")
+        self.module = module
+        self.change = change
+        self.inverse = inverse(change)
+
+    @property
+    def dim(self) -> int:
+        return self.change.nrows
+
+    def _perm_action(self, pi) -> Matrix:
+        return self.change @ self.module.perm_matrix(pi) @ self.inverse
+
+    def _element_action(self, elt) -> Matrix:
+        return self.change @ self.module.element_matrix(elt) @ self.inverse
+
+
+def conjugate_restriction(space: Subspace, m: Matrix) -> Matrix:
+    """The matrix of v -> v m on an invariant subspace, as the top left
+    block of P m P^-1, P the basis of the subspace followed by the unit
+    vectors off its pivot columns; the top right block must be zero."""
+    field, k = space.field, space.dim
+    rest = np.setdiff1d(np.arange(space.ambient), space.pivots)
+    units = Matrix.identity(field, space.ambient).a[rest]
+    change = Matrix(field, np.concatenate([space.basis.a, units], axis=0))
+    conj = change @ m @ inverse(change)
+    if np.any(conj.a[:k, k:]):
+        raise ValueError("subspace is not invariant under the matrix")
+    return Matrix(field, conj.a[:k, :k])
+
+
 # -- convenience API that only the tests use ----------------------------------
+
+def coords(basis: RowBasis, v: np.ndarray):
+    """The coordinates of one row over the kept rows of a RowBasis, or None
+    when the row is outside their span."""
+    coeffs, ok = basis.coords_many(v.reshape(1, -1))
+    return coeffs[0] if ok[0] else None
+
+
+def contains(space: Subspace, v: np.ndarray) -> bool:
+    """Whether a row lies in a subspace, solved through a RowBasis."""
+    basis = RowBasis(space.field, space.ambient)
+    for row in space.basis.a:
+        basis.insert(row)
+    return basis.contains(v)
+
 
 def split_branching(module, lam, direction):
     """block_split with the factors filled in from the branching rule."""
@@ -198,9 +265,9 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient dimensions differ")
     ker = kernel(Matrix(a.field, np.concatenate([a.basis.a, b.basis.a], axis=0)))
     left = Matrix(a.field, ker.basis.a[:, : a.dim])
-    return Subspace.from_rows(a.field, left @ a.basis)
+    return Subspace.from_rows(left @ a.basis)
 
 
 def is_invariant(space: Subspace, m: Matrix) -> bool:
     """Whether space m lies in space."""
-    return all(space.contains(row) for row in (space.basis @ m).a)
+    return all(contains(space, row) for row in (space.basis @ m).a)

@@ -140,7 +140,7 @@ def test_split_branching_convenience():
     comps = split_branching(build_restriction(Partition((3, 2)), GF(5)),
                             Partition((3, 2)), RESTRICT)
     assert sum(c.dim for c in comps) == specht_dimension(Partition((3, 2)))
-    sub = comps[0].as_module()
+    sub = comps[0].module
     e4 = sub.element_matrix(transposition_sum(4))
     f = minimal_polynomial(e4)
     assert f.degree == 1  # single factor per block at p = 5 here
@@ -151,7 +151,7 @@ def test_component_modules_carry_action():
     module = build_restriction(lam, GF(3))
     comps = block_split(module, 3, branching_factors(lam, RESTRICT))
     for comp in comps:
-        sub = comp.as_module()
+        sub = comp.module
         ident = Matrix.identity(GF(3), sub.dim)
         for g in sub.gens():
             assert g @ g == ident
@@ -180,7 +180,7 @@ def test_block_split_matches_generalized_eigenspace_oracle(field, n_max):
                 if direction == RESTRICT and n == 1:
                     continue
                 module = build(lam, field)
-                got = {c.label.core: c.subspace
+                got = {c.label.core: c.module.space
                        for c in split_branching(module, lam, direction)}
                 assert got == _eigenspace_oracle(module, lam, direction), \
                     (lam, field, direction)

@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    conjugate_restriction,
+    contains,
+    coords,
     eval_matrix,
     integral_by_entries,
     monic,
@@ -116,7 +119,7 @@ def test_row_basis_coordinates_round_trip():
         kept_mat = Matrix(field, np.stack(kept))
         assert basis.size == len(kept)
         for v in inserted:
-            coeffs = basis.coords(v)
+            coeffs = coords(basis, v)
             assert coeffs is not None
             recon = (Matrix(field, coeffs.reshape(1, -1)) @ kept_mat).a[0]
             assert np.array_equal(recon, field.reduce_array(np.asarray(v)))
@@ -124,29 +127,27 @@ def test_row_basis_coordinates_round_trip():
         outside[0] = 1
         probe = RowBasis(field, 6)
         probe.insert(field.reduce_array(np.roll(outside, 1)))
-        assert probe.coords(outside) is None
+        assert coords(probe, outside) is None
 
 
 def test_subspace_membership_and_intersection():
     field = GF(7)
-    a = Subspace.from_rows(field, Matrix.from_rows(field, [[1, 0, 0, 0],
-                                                           [0, 1, 0, 0]]))
-    b = Subspace.from_rows(field, Matrix.from_rows(field, [[0, 1, 0, 0],
-                                                           [0, 0, 1, 0]]))
+    a = Subspace.from_rows(Matrix.from_rows(field, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+    b = Subspace.from_rows(Matrix.from_rows(field, [[0, 1, 0, 0], [0, 0, 1, 0]]))
     meet = intersect(a, b)
     assert meet.dim == 1
-    assert meet.contains(np.array([0, 3, 0, 0], dtype=np.int64))
-    assert not meet.contains(np.array([1, 0, 0, 0], dtype=np.int64))
+    assert contains(meet, np.array([0, 3, 0, 0], dtype=np.int64))
+    assert not contains(meet, np.array([1, 0, 0, 0], dtype=np.int64))
 
 
 def test_subspace_invariance_and_restriction():
     field = GF(5)
     m = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
-    inv = Subspace.from_rows(field, Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0]]))
+    inv = Subspace.from_rows(Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0]]))
     assert is_invariant(inv, m)
     local = inv.restrict(m)
     assert local == Matrix.from_rows(field, [[1, 1], [0, 1]])
-    tilted = Subspace.from_rows(field, Matrix.from_rows(field, [[1, 0, 1]]))
+    tilted = Subspace.from_rows(Matrix.from_rows(field, [[1, 0, 1]]))
     assert not is_invariant(tilted, m)
     with pytest.raises(ValueError):
         tilted.restrict(m)
@@ -155,9 +156,9 @@ def test_subspace_invariance_and_restriction():
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_restrict_in_echelon_and_in_other_bases(field, monkeypatch):
     """An invariant subspace in its reduced echelon basis is restricted by
-    reading the pivot columns, with no RowBasis; in another basis T R of
-    the same space, through a RowBasis, to the conjugate matrix.  A row
-    that leaves the subspace raises either way."""
+    reading the pivot columns, with no RowBasis.  Another basis T R of the
+    same space is no Subspace; from_rows takes it back to R, with the same
+    restriction.  A row that leaves the subspace raises."""
     rng = random.Random(17)
     inserts = _count_calls(monkeypatch, RowBasis, "_insert")
     checked = 0
@@ -171,14 +172,36 @@ def test_restrict_in_echelon_and_in_other_bases(field, monkeypatch):
             local = space.restrict(m)
             assert inserts == []
             change = Matrix(field, np.triu(np.ones((space.dim, space.dim), dtype=np.int64)))
-            other = Subspace(field, 6, change @ space.basis)
-            assert change @ local == other.restrict(m) @ change
+            with pytest.raises(ValueError):
+                Subspace(change @ space.basis)
+            other = Subspace.from_rows(change @ space.basis)
+            assert other == space and other.restrict(m) == local
             checked += 1
-    line = Subspace.from_rows(field, Matrix.from_rows(field, [[1, 0, 1]]))
+    line = Subspace.from_rows(Matrix.from_rows(field, [[1, 0, 1]]))
     shear = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    for space in (line, Subspace(field, 3, Matrix.from_rows(field, [[2, 0, 2]]))):
+    for call in (lambda: line.restrict(shear),
+                 lambda: Subspace(Matrix.from_rows(field, [[2, 0, 2]]))):
         with pytest.raises(ValueError):
-            space.restrict(shear)
+            call()
+
+
+def test_subspace_refuses_other_bases():
+    """A Subspace holds only a reduced echelon basis with unit pivots:
+    rows out of pivot order, a pivot that is not 1, a pivot column that is
+    not zero in the other rows, a zero row and dependent rows all raise
+    ValueError.  The empty basis and an echelon basis pass."""
+    for field in FIELDS:
+        bad = [[[0, 1, 0], [1, 0, 0]], [[1, 1, 0], [0, 1, 0]],
+               [[1, 0, 0], [0, 0, 0]], [[1, 2, 0], [2, 4, 0]], [[0, 0, 0]]]
+        if field.characteristic != 2:
+            bad.append([[2, 0, 1]])
+        for rows in bad:
+            with pytest.raises(ValueError):
+                Subspace(Matrix.from_rows(field, rows))
+        assert Subspace(Matrix.zeros(field, 0, 3)).dim == 0
+        assert Subspace(Matrix.zeros(field, 0, 0)).dim == 0
+        echelon = Subspace(Matrix.from_rows(field, [[0, 1, 0, 2], [0, 0, 1, 1]]))
+        assert echelon.pivots.tolist() == [1, 2] and echelon.ambient == 4
 
 
 def test_scalar_rejects_floats():
@@ -489,8 +512,8 @@ def _is_int_or_proper_fraction(x):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_elimination_matches_unit_pivot_oracle(field):
-    """rref, kernel, insert dependencies, coords and coords_many (values and
-    the in-span mask) and minimal polynomials agree with the unit-pivot
+    """rref, kernel, insert dependencies, coords_many (values and the
+    in-span mask) and minimal polynomials agree with the unit-pivot
     elimination on random matrices; over Q every result entry is an int
     unless it is a proper fraction, and every stored row, with its
     combination row, is primitive with a positive pivot."""
@@ -518,21 +541,12 @@ def test_elimination_matches_unit_pivot_oracle(field):
             assert inside == (c0 is not None)
             if inside:
                 assert np.array_equal(c, c0)
-                assert np.array_equal(basis.coords(v), c0)
-            else:
-                assert basis.coords(v) is None
 
         if field.characteristic == 0:
             stored = basis._rc[: basis.size, : m.ncols + basis.size]
             for i, j in enumerate(basis.pivots):
                 assert all(type(x) is int for x in stored[i])
                 assert math.gcd(*stored[i]) == 1 and stored[i, j] > 0
-            untracked = RowBasis(field, m.ncols, track=False)
-            for row in m.a:
-                untracked.insert(row)
-            for i, j in enumerate(untracked.pivots):
-                row = untracked._rc[i]
-                assert math.gcd(*row) == 1 and row[j] > 0
             assert all(_is_int_or_proper_fraction(x)
                        for x in np.concatenate([r.a.ravel(), coeffs.ravel()]))
 
@@ -649,6 +663,48 @@ def test_integral_reads_entries_only_when_some_is_not_an_int(entries, fast, monk
     assert scale == want_scale
     assert got.tolist() == want.tolist()
     assert all(type(x) is int for x in got.flat)
+
+
+@st.composite
+def _low_rank_matrix(draw, square=False):
+    """A field and a matrix L R of drawn sizes up to 7, L and R with a drawn
+    inner dimension, so the rank is often below both sizes; over Q the
+    entries of L and R are small fractions."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    nrows = draw(st.integers(0, 7))
+    ncols = nrows if square else draw(st.integers(0, 7))
+    inner = draw(st.integers(0, 7))
+    entries = (st.fractions(-3, 3, max_denominator=3) if field.characteristic == 0
+               else st.integers(0, field.characteristic - 1))
+
+    def draw_matrix(r, c):
+        rows = draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+        return Matrix(field, field.array(rows).reshape(r, c))
+
+    return field, draw_matrix(nrows, inner) @ draw_matrix(inner, ncols)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_low_rank_matrix())
+def test_kernel_property(drawn):
+    """The kernel rows annihilate the matrix, there are nrows - rank of
+    them, and they are a basis that Subspace accepts as it is."""
+    field, m = drawn
+    k = kernel(m)
+    assert (k.basis.ncols, k.dim) == (m.nrows, m.nrows - rref(m)[1])
+    assert (k.basis @ m).is_zero()
+    assert Subspace(k.basis) == k
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_low_rank_matrix(square=True))
+def test_restrict_property_against_conjugation(drawn):
+    """On both spaces of a Fitting split, restrict, which reads the pivot
+    columns, equals the top left block of the conjugate P m P^-1."""
+    field, m = drawn
+    for space in fitting_split(m):
+        assert space.restrict(m) == conjugate_restriction(space, m)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Every name the package or its tests import is used in the file that
-imports it, and every private top-level function or class of the package
-is referenced somewhere in the package."""
+imports it, and every private top-level function or class of the package,
+and every private method of its classes, is referenced somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -51,8 +52,14 @@ def test_tests_have_no_unused_imports():
     assert _unused_by_file(TESTS_DIR) == {}
 
 
+def _private(node) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__"))
+
+
 def _unused_private_definitions(sources: dict) -> list[str]:
-    """Module-level _private functions and classes that no source names.
+    """Module-level _private functions and classes, and _private methods of
+    module-level classes, that no source names.
 
     sources maps file names to their text; a definition counts as used when
     its name appears in any of them as a name, an attribute or an import.
@@ -61,10 +68,12 @@ def _unused_private_definitions(sources: dict) -> list[str]:
     used = set()
     for name, source in sources.items():
         tree = ast.parse(source)
-        defined += [(name, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")]
+        for node in tree.body:
+            if _private(node):
+                defined.append((name, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(name, f"{node.name}.{meth.name}", meth.name)
+                            for meth in node.body if _private(meth)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -72,8 +81,8 @@ def _unused_private_definitions(sources: dict) -> list[str]:
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    return sorted(f"{name}: {definition}" for name, definition in defined
-                  if definition not in used)
+    return sorted(f"{name}: {definition}" for name, definition, key in defined
+                  if key not in used)
 
 
 def test_scanner_flags_an_unused_private_definition():
@@ -81,9 +90,13 @@ def test_scanner_flags_an_unused_private_definition():
         "a.py": "def _dead():\n    pass\n\nclass _Gone:\n    pass\n\n"
                 "def _called():\n    pass\n\ndef _imported():\n    pass\n\n"
                 "def public():\n    return _called()\n",
-        "b.py": "from .a import _imported\n",
+        "b.py": "from .a import _imported\n\n"
+                "class Basis:\n    def __init__(self):\n        self._grow()\n\n"
+                "    def _grow(self):\n        pass\n\n"
+                "    def _leftover(self):\n        pass\n",
     }
-    assert _unused_private_definitions(sources) == ["a.py: _Gone", "a.py: _dead"]
+    assert _unused_private_definitions(sources) == [
+        "a.py: _Gone", "a.py: _dead", "b.py: Basis._leftover"]
 
 
 def test_package_has_no_unused_private_definitions():

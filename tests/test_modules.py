@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ambient_solver, split_branching
+from oracles import Rebased, ambient_solver, split_branching
 from spechtbranch import modules
 from spechtbranch.central import INDUCE, RESTRICT
 from spechtbranch.endo import decompose
-from spechtbranch.exact import Matrix, RowBasis, minimal_polynomial, rref
+from spechtbranch.exact import Matrix, RowBasis, Subspace, minimal_polynomial, rref
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import (
     DEGREE_GUARDRAIL,
@@ -182,7 +182,7 @@ def test_induction_dimensions():
 def test_action_outside_submodule_raises():
     module = build_specht(Partition((2, 1)), QQ)
     line = module.submodule(
-        Matrix.from_rows(QQ, [[1, 0]]), label="non-invariant line")
+        Subspace(Matrix.from_rows(QQ, [[1, 0]])), label="non-invariant line")
     with pytest.raises(ArithmeticError):
         line.perm_matrix(adjacent(3, 2))
 
@@ -387,36 +387,48 @@ def test_block_components_match_the_ambient_rebuild(field):
                 module = build(lam, field)
                 for comp in split_branching(module, lam, direction):
                     _assert_matches_ambient_solve(
-                        comp.as_module(), module, comp.subspace.basis)
+                        comp.module, module, comp.module.space.basis)
 
 
 @pytest.mark.parametrize("lam,field", [((3, 1), QQ), ((2, 1), GF(3)),
                                        ((2, 2), GF(2))], ids=str)
 def test_decompose_works_on_a_nested_submodule(lam, field):
-    """A restriction rebased twice, as a submodule of a submodule, still
-    decomposes into certified summands, and each summand's matrices are
-    the ones rebuilt at ambient width from its rows."""
+    """A restriction rebased twice, then taken whole as a submodule of a
+    submodule, still decomposes into certified summands.  Each summand, a
+    submodule three levels deep, and each summand's own summand inside
+    the summand taken as a proper submodule, have the matrices rebuilt at
+    ambient width from their rows."""
     module = build_restriction(Partition(lam), field)
     d = module.dim
     outer = Matrix(field, np.triu(np.ones((d, d), dtype=np.int64)))
     inner = Matrix(field, np.tril(np.ones((d, d), dtype=np.int64)))
-    nested = module.submodule(outer).submodule(inner)
+    rebased = Rebased(Rebased(module, outer), inner)
+    whole = Subspace.from_rows(Matrix.identity(field, d))
+    nested = rebased.submodule(whole).submodule(whole)
+    assert isinstance(nested.parent, modules.Submodule)
     assert nested.dim == d
     parts = decompose(nested)
     assert sum(space.dim for space, _ in parts) == d
     assert len(parts) == len(decompose(module))
     for space, cert in parts:
         assert cert.verdict == "indecomposable"
-        _assert_matches_ambient_solve(nested.submodule(space.basis), module,
-                                      space.basis @ inner @ outer)
+        rows = space.basis @ inner @ outer
+        _assert_matches_ambient_solve(nested.submodule(space), module, rows)
+        middle = rebased.submodule(space)
+        (part, part_cert), = decompose(middle)
+        assert part_cert.verdict == "indecomposable"
+        assert part.dim == space.dim
+        _assert_matches_ambient_solve(middle.submodule(part), module,
+                                      part.basis @ rows)
 
 
 def test_submodule_of_dependent_rows_raises():
-    """Dependent rows raise before any matrix of the span comes back."""
+    """Dependent rows are no Subspace, so no submodule of them is made."""
     module = build_specht(Partition((2, 1)), GF(3))
-    with pytest.raises(ArithmeticError):
-        module.submodule(Matrix.from_rows(GF(3), [[1, 2], [2, 1]])).perm_matrix(
-            adjacent(3, 1))
+    with pytest.raises(ValueError):
+        module.submodule(Subspace(Matrix.from_rows(GF(3), [[1, 2], [2, 1]])))
+    with pytest.raises(ValueError):
+        module.submodule(Subspace(Matrix.identity(GF(3), 3)))
 
 
 @st.composite
@@ -467,9 +479,9 @@ def test_no_ambient_row_basis_in_build_split_or_components(monkeypatch):
     widths = []
     init = RowBasis.__init__
 
-    def recorded(self, field, width, track=True):
+    def recorded(self, field, width):
         widths.append(width)
-        init(self, field, width, track)
+        init(self, field, width)
 
     monkeypatch.setattr(RowBasis, "__init__", recorded)
     clear_module_cache()
@@ -480,8 +492,40 @@ def test_no_ambient_row_basis_in_build_split_or_components(monkeypatch):
                 widths.clear()
                 module = build(Partition(lam), field)
                 for comp in split_branching(module, lam, direction):
-                    comp.as_module().gens()
+                    comp.module.gens()
                 assert module.dim < module.ambient_width
                 assert widths and module.ambient_width not in widths
     finally:
         clear_module_cache()
+
+
+def test_block_component_owns_its_submodule():
+    """A block component's module is one object, built by block_split, so
+    the matrices it has computed stay cached on every later access."""
+    lam = Partition((3, 1))
+    module = build_restriction(lam, GF(3))
+    for comp in split_branching(module, lam, RESTRICT):
+        sub = comp.module
+        gens = sub.gens()
+        assert comp.module is sub
+        assert all(a is b for a, b in zip(comp.module.gens(), gens))
+        assert sub.parent is module and sub.dim == comp.dim
+
+
+def test_perm_matrix_reduces_at_ambient_width_once(monkeypatch):
+    """A permutation moves reduced rows to reduced rows, so one perm_matrix
+    over GF(3) reduces one array as wide as the tabloids, the re-check
+    product, and not the moved rows as well."""
+    field = GF(3)
+    clear_module_cache()  # so no earlier test has cached the matrix
+    module = build_induction(Partition((2, 1)), field)
+    widths = []
+    reduce_array = type(field).reduce_array
+
+    def recorded(self, a):
+        widths.append(a.shape[-1])
+        return reduce_array(self, a)
+
+    monkeypatch.setattr(type(field), "reduce_array", recorded)
+    module.perm_matrix(adjacent(module.degree, 2))
+    assert widths.count(module.ambient_width) == 1
