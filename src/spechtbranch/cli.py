@@ -101,9 +101,9 @@ def _cmd_decompose(args) -> tuple[list, dict | None]:
     report = VerificationReport(f"decompose {what} ({args.lam})", str(args.field),
                                 args.direction, seed=args.seed)
     report.add("summand-count", len(parts), len(parts), True)
-    for i, (space, cert) in enumerate(parts):
+    for i, (summand, cert) in enumerate(parts):
         report.add(f"summand[{i}]", "indecomposable, deterministic certificate",
-                   f"dim {space.dim}: {cert.verdict} via {cert.branch}",
+                   f"dim {summand.dim}: {cert.verdict} via {cert.branch}",
                    cert.verdict in ("indecomposable", "zero") and cert.deterministic)
     return [report], None
 

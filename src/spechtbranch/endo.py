@@ -23,9 +23,9 @@ when every basis element is a scalar plus a nilpotent and the nilpotent
 parts span a subalgebra, Wedderburn's theorem makes that span the radical
 of codimension one, so E is local.  Anything else is reported undecided,
 never guessed.  Isomorphism of modules rests on the same certificate
-(see is_isomorphic).  A split is a pair of ``Subspace`` objects from
-fitting_split, and each becomes a submodule of the module it splits as
-it is, with no change of basis.
+(see is_isomorphic).  A split is the pair of ``Subspace`` objects that
+the certificate verified, and decompose makes each a submodule of the
+module it splits as it is, with no change of basis and no second split.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .exact import (
 )
 from .fields import FieldSpec
 from .modules import GroupActionModule
-from .perms import Perm, adjacent
+from .perms import Perm, adjacent, cycle
 
 
 def _generators(n: int) -> list[Perm]:
@@ -57,9 +57,8 @@ def _generators(n: int) -> list[Perm]:
     for n = 2, and nothing for n = 1."""
     if n < 2:
         return []
-    cycle = tuple(range(2, n + 1)) + (1,)
-    swap = adjacent(n, 1)
-    return [swap] if cycle == swap else [swap, cycle]
+    swap, n_cycle = adjacent(n, 1), cycle(n, range(1, n + 1))
+    return [swap] if n_cycle == swap else [swap, n_cycle]
 
 
 def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
@@ -153,15 +152,19 @@ class DecompositionCertificate:
     deterministic means the verdict is proved: a zero module, a scalar
     commutant, a Wedderburn locality proof, or a verified Fitting witness.
     An "undecided" verdict is not deterministic and claims nothing.
-    trials counts the commutant basis elements examined.
+    trials counts the commutant basis elements examined; split is the
+    verified (kernel, image) pair of a decomposable verdict's witness.
     """
 
     verdict: str
     branch: str
     deterministic: bool
-    witness: Matrix | None = None
-    split_dims: tuple | None = None
+    split: tuple[Subspace, Subspace] | None = None
     trials: int = 0
+
+    @property
+    def split_dims(self) -> tuple | None:
+        return None if self.split is None else tuple(s.dim for s in self.split)
 
 
 def _rational_roots(poly) -> list[Fraction]:
@@ -311,32 +314,23 @@ def certify_indecomposable(module: GroupActionModule) -> DecompositionCertificat
     if ker.dim == 0 or image.dim == 0:
         raise ArithmeticError("witness produced a trivial split")
     return DecompositionCertificate(
-        "decomposable", branch, True, witness=witness,
-        split_dims=(ker.dim, image.dim), trials=examined)
+        "decomposable", branch, True, split=(ker, image), trials=examined)
 
 
 def decompose(module: GroupActionModule
-              ) -> list[tuple[Subspace, DecompositionCertificate]]:
+              ) -> list[tuple[GroupActionModule, DecompositionCertificate]]:
     """Split a module into certified summands by recursive Fitting splits.
 
-    Subspaces come back in the coordinates of the original module; they are
-    independent and exhaustive by construction.  A summand whose certificate
-    is undecided is returned as it is, with that certificate.
+    Returns (summand, certificate) pairs of the modules certified: the
+    input, or submodules of the parts of verified splits, independent and
+    exhaustive by construction.  A summand whose certificate is undecided
+    is returned as it is, with that certificate.
     """
-    field = module.field
-    out: list[tuple[Subspace, DecompositionCertificate]] = []
-
-    def rec(sub: GroupActionModule, rows: Matrix):
-        cert = certify_indecomposable(sub)
-        if cert.verdict == "decomposable":
-            ker, image = fitting_split(cert.witness)
-            for part in (ker, image):
-                rec(sub.submodule(part), part.basis @ rows)
-        else:
-            out.append((Subspace.from_rows(rows), cert))
-
-    rec(module, Matrix.identity(field, module.dim))
-    if sum(space.dim for space, _ in out) != module.dim:
+    cert = certify_indecomposable(module)
+    if cert.split is None:
+        return [(module, cert)]
+    out = [pair for part in cert.split for pair in decompose(module.submodule(part))]
+    if sum(summand.dim for summand, _ in out) != module.dim:
         raise ArithmeticError("summand dimensions do not sum to the module")
     return out
 
@@ -350,12 +344,12 @@ def _has_invertible_hom(m1: GroupActionModule, m2: GroupActionModule) -> bool:
 def _summands(module: GroupActionModule) -> list[GroupActionModule]:
     """The certified indecomposable summands of a module."""
     out = []
-    for space, cert in decompose(module):
+    for summand, cert in decompose(module):
         if cert.verdict != "indecomposable":
             raise ArithmeticError(
                 f"isomorphism undecided: a summand of {module.label} is "
                 f"{cert.verdict} ({cert.branch})")
-        out.append(module.submodule(space))
+        out.append(summand)
     return out
 
 

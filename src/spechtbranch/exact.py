@@ -26,13 +26,15 @@ and dependencies come from one division at the end, an int whenever it is
 exact.  R and C are stored side by side, so reducing a row is one product
 d [R | C], which gives the residual and d C together.
 
+Every matrix product over a field is made here, dense (``_mul``) or through
+the nonzeros of its right factor (``_SparseRows``), by one rule: over GF(p),
+on reduced residues, an entry that sums k products accumulates in int64
+while k (p - 1)^2 < 2^63 and in Python ints otherwise, and comes back as
+reduced int64.  ``FieldSpec`` bounds p so that one product always fits.
+
 ``unipotent_inverse`` needs no elimination at all: a unipotent D = I - N
 has the inverse (I + N)(I + N^2)(I + N^4)..., which ends at the first zero
 power of N.
-
-``kernel`` takes no second elimination: it inserts the rows last to first,
-and the relations it meets, scaled to pivot 1, are already the reduced
-echelon basis of the kernel (see its docstring).
 
 ``minimal_polynomial`` inserts I, m, m^2, ... flattened into one such basis
 and stops at the first power in the span of the earlier ones.  The
@@ -50,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import FieldSpec
+from .fields import INT64_LIMIT, FieldSpec
 
 
 class Matrix:
@@ -145,19 +147,47 @@ class Matrix:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
 
-def _mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _wide(field: FieldSpec, k: int) -> bool:
+    """Whether a sum of k residue products may leave int64: k (p - 1)^2 >= 2^63."""
     p = field.characteristic
-    if p and p * p * max(a.shape[1], 1) > 2**62:
-        # residues too large for int64 accumulation; fall back to objects
-        return (a.astype(object) @ b.astype(object)) % p
+    return p != 0 and k * (p - 1) ** 2 >= INT64_LIMIT
+
+
+def _mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b over the field, reduced."""
+    if _wide(field, a.shape[1]):
+        a, b = a.astype(object), b.astype(object)
     return field.reduce_array(a @ b)
 
 
-def _sparse_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b over only the inner indices where a has a nonzero column and b a
-    nonzero row: the same product, cheap when either factor is sparse."""
-    inner = np.flatnonzero((a != 0).any(axis=0) & (b != 0).any(axis=1))
-    return _mul(field, a[:, inner], b[inner])
+class _SparseRows:
+    """The nonzeros of a matrix b, column by column, for products c b in
+    rows(c) nnz(b) steps, where a dense product takes rows(c) rows(b)
+    cols(b).  Entry (i, j) of c b sums one product per nonzero of column j,
+    so the fullest column decides the accumulation (see ``_wide``)."""
+
+    # entries of the gathered block c[:, rows] held at once
+    CHUNK = 1 << 22
+
+    def __init__(self, field: FieldSpec, b: np.ndarray):
+        cols, self.rows = np.nonzero(b.T)
+        self.starts = np.flatnonzero(np.diff(cols, prepend=-1))
+        self.cols = cols[self.starts]
+        wide = _wide(field, int(np.bincount(cols).max(initial=0)))
+        self.vals = b[self.rows, cols].astype(object if wide else b.dtype, copy=False)
+        self.field = field
+        self.width = b.shape[1]
+
+    def left_mul(self, c: np.ndarray) -> np.ndarray:
+        c = c.astype(self.vals.dtype, copy=False)
+        out = np.zeros((c.shape[0], self.width), dtype=c.dtype)
+        if len(self.vals):
+            step = max(1, self.CHUNK // len(self.vals))
+            for lo in range(0, c.shape[0], step):
+                terms = c[lo: lo + step, self.rows]
+                terms *= self.vals
+                out[lo: lo + step, self.cols] = np.add.reduceat(terms, self.starts, axis=1)
+        return self.field.reduce_array(out)
 
 
 def unipotent_inverse(m: Matrix) -> Matrix:
@@ -167,22 +197,23 @@ def unipotent_inverse(m: Matrix) -> Matrix:
     stops at the first power N^(2^j) that is zero.  It is exact, and
     integral when D is.  A nilpotent d x d matrix has N^d = 0, so a power
     N^(2^j) with 2^j >= d that is not zero shows that D is not unipotent,
-    and raises ArithmeticError.  Every product skips the inner indices where
-    a factor is zero, so a sparse N costs little.
+    and raises ArithmeticError.  Every product has a power of N as its right
+    factor and goes through its nonzeros, so a sparse N costs little.
     """
     if m.nrows != m.ncols:
         raise ValueError("unipotent_inverse needs a square matrix")
     field = m.field
     eye = Matrix.identity(field, m.nrows).a
-    nil = field.reduce_array(eye - m.a)
-    inverse = field.reduce_array(eye + nil)
-    power, exponent = nil, 1
+    power = field.reduce_array(eye - m.a)
+    inverse = field.reduce_array(eye + power)
+    exponent = 1
     while np.any(power):
         if exponent >= m.nrows:
             raise ArithmeticError("matrix is not unipotent")
-        power = _sparse_mul(field, power, power)
+        power = _SparseRows(field, power).left_mul(power)
         exponent *= 2
-        inverse = field.reduce_array(inverse + _sparse_mul(field, inverse, power))
+        inverse = field.reduce_array(
+            inverse + _SparseRows(field, power).left_mul(inverse))
     return Matrix(field, inverse)
 
 

@@ -3,6 +3,8 @@
 Scalars are plain Python objects: ``int`` residues in ``0..p-1`` for GF(p);
 ``int`` or ``Fraction`` for the rationals, where ``scalar`` and ``inv``
 return an ``int`` whenever the value is one.  No floating point anywhere.
+GF(p) arrays are int64, and p must have (p - 1)^2 < 2^63, p <= 3,037,000,500,
+so a product of two residues is exact; ``exact`` decides how many may be summed.
 Over Q the linear algebra runs on integers: rows are held as integer
 vectors, a rational row is first scaled by the lcm of its denominators,
 and ``normalize_rows`` divides a row by its content, an exact division
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+INT64_LIMIT = 2**63
 
 
 def _is_prime(p: int) -> bool:
@@ -42,6 +46,8 @@ class FieldSpec:
         if not isinstance(c, int):
             raise TypeError(f"characteristic must be an int, got {c!r} "
                             f"({type(c).__name__})")
+        if c > 0 and (c - 1) ** 2 >= INT64_LIMIT:
+            raise ValueError(f"characteristic {c} is too large: (p - 1)^2 >= 2^63")
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
 
@@ -130,7 +136,7 @@ class FieldSpec:
 
     def reduce_array(self, a: np.ndarray) -> np.ndarray:
         if self.characteristic:
-            return a % self.characteristic
+            return (a % self.characteristic).astype(np.int64, copy=False)
         return a
 
     def array(self, data) -> np.ndarray:

@@ -9,7 +9,7 @@ tabloid vector and a module's basis rows alike.  The moved rows go back to
 module coordinates through the standard minor, the columns of the basis
 tableaux's own tabloids: it is unitriangular (James's standard basis
 theorem), so its exact integral inverse turns d columns of a moved row into
-its coordinates, and a sparse product re-checks the whole row.  No solve
+its coordinates, which ``exact``'s sparse product re-checks.  No solve
 runs at the width of the tabloid space.  A submodule, such as a block
 component, holds its parent and a ``Subspace`` of the parent's
 coordinates, in reduced echelon form, and restricts the parent's d x d
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import Matrix, Subspace, _sparse_mul, unipotent_inverse
+from .exact import Matrix, Subspace, _SparseRows, unipotent_inverse
 from .fields import FieldSpec
 from .partitions import Partition
 from .perms import Perm, adjacent, embed, transposition
@@ -172,32 +172,6 @@ class GroupActionModule:
         return Submodule(self, space, label or f"submodule of {self.label}")
 
 
-class _SparseRows:
-    """The nonzeros of a matrix b, column by column, for products c b in
-    rows(c) nnz(b) steps, where a dense product takes rows(c) rows(b)
-    cols(b).  A polytabloid row has |C_t| nonzeros among all the tabloids."""
-
-    # entries of c[:, rows] * vals held at once
-    CHUNK = 1 << 22
-
-    def __init__(self, field: FieldSpec, b: np.ndarray):
-        cols, self.rows = np.nonzero(b.T)
-        self.vals = b[self.rows, cols]
-        self.starts = np.flatnonzero(np.diff(cols, prepend=-1))
-        self.cols = cols[self.starts]
-        self.field = field
-        self.width = b.shape[1]
-
-    def left_mul(self, c: np.ndarray) -> np.ndarray:
-        out = self.field.zeros((c.shape[0], self.width))
-        if len(self.vals):
-            step = max(1, self.CHUNK // len(self.vals))
-            for lo in range(0, c.shape[0], step):
-                terms = c[lo: lo + step, self.rows] * self.vals
-                out[lo: lo + step, self.cols] = np.add.reduceat(terms, self.starts, axis=1)
-        return self.field.reduce_array(out)
-
-
 class TabloidModule(GroupActionModule):
     """A module realized as independent rows in the tabloid module M^shape.
 
@@ -218,9 +192,8 @@ class TabloidModule(GroupActionModule):
         self.basis = basis
         self.minor_cols = np.asarray(minor_cols, dtype=np.intp)
         inverse = unipotent_inverse(Matrix(field, basis.a[:, self.minor_cols]))
-        # D^-1 - I is sparse, so a solve multiplies over few inner indices
-        self._correction = field.reduce_array(
-            inverse.a - Matrix.identity(field, self.dim).a)
+        # D^-1 - I is sparse, so a solve costs d nnz(D^-1 - I)
+        self._correction = _SparseRows(field, inverse.shift(-1).a)
         self._sparse_basis = _SparseRows(field, basis.a)
 
     @property
@@ -235,7 +208,7 @@ class TabloidModule(GroupActionModule):
         """Coordinates of reduced rows of the module, re-checked."""
         field = self.field
         lead = rows[:, self.minor_cols]
-        coeffs = field.reduce_array(lead + _sparse_mul(field, lead, self._correction))
+        coeffs = field.reduce_array(lead + self._correction.left_mul(lead))
         if not np.array_equal(self._sparse_basis.left_mul(coeffs), rows):
             raise ArithmeticError("action left the module's row space")
         return Matrix(field, coeffs)

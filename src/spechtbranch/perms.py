@@ -11,10 +11,6 @@ from __future__ import annotations
 Perm = tuple[int, ...]
 
 
-def identity_perm(k: int) -> Perm:
-    return tuple(range(1, k + 1))
-
-
 def transposition(k: int, i: int, j: int) -> Perm:
     if not (1 <= i <= k and 1 <= j <= k and i != j):
         raise ValueError(f"bad transposition ({i},{j}) in degree {k}")
@@ -26,6 +22,15 @@ def transposition(k: int, i: int, j: int) -> Perm:
 def adjacent(k: int, i: int) -> Perm:
     """The Coxeter generator s_i = (i, i+1) in degree k."""
     return transposition(k, i, i + 1)
+
+
+def cycle(k: int, symbols) -> Perm:
+    """The cycle s_1 -> s_2 -> ... -> s_r -> s_1 in degree k."""
+    img = list(range(1, k + 1))
+    symbols = list(symbols)
+    for a, b in zip(symbols, symbols[1:] + symbols[:1]):
+        img[a - 1] = b
+    return tuple(img)
 
 
 def compose(p: Perm, q: Perm) -> Perm:

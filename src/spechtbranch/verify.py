@@ -42,7 +42,7 @@ from .partitions import (
     partitions_of,
     removable_nodes,
 )
-from .perms import identity_perm
+from .perms import cycle
 from .tabloids import (
     ModuleVector,
     canonical_tableau,
@@ -212,15 +212,6 @@ def verify_poly_transfer(lam, field: FieldSpec, seed: int = 0) -> VerificationRe
     return report
 
 
-def _cycle_perm(degree: int, symbols) -> tuple:
-    img = list(identity_perm(degree))
-    symbols = list(symbols)
-    for a, b in zip(symbols, symbols[1:]):
-        img[a - 1] = b
-    img[symbols[-1] - 1] = symbols[0]
-    return tuple(img)
-
-
 def _lemma_choices(lam: Partition):
     """The canonical tableau plus the smallest x_u in V_u minus H_{u-1}."""
     t = canonical_tableau(lam)
@@ -234,6 +225,21 @@ def _lemma_choices(lam: Partition):
     return t, xs
 
 
+def _coefficient_pattern(report: VerificationReport, name: str,
+                         vec: ModuleVector, target, elt: AlgebraElement,
+                         top: int):
+    """Record the coefficient of the tabloid target in vec elt^i for
+    i = 0..top, expected 0 below top and 1 at top."""
+    field = vec.field
+    for i in range(top + 1):
+        expected = field.scalar(1 if i == top else 0)
+        got = vec.coefficient(target)
+        report.add(f"{name}[i={i}]", field.render(expected),
+                   field.render(got), got == expected)
+        if i < top:
+            vec = elt.apply(vec)
+
+
 def verify_coefficient_restriction(lam, field: FieldSpec) -> VerificationReport:
     """In e_t L_n^i, the tabloid moved down the removable-node regions by an
     m-cycle appears with coefficient 0 for i < m-1 and 1 at i = m-1."""
@@ -242,18 +248,9 @@ def verify_coefficient_restriction(lam, field: FieldSpec) -> VerificationReport:
     report = VerificationReport(f"coeff-restriction ({lam})", str(field), None)
     with _Timer() as t:
         tab, xs = _lemma_choices(lam)
-        m = len(xs)
-        cycle = _cycle_perm(n, [n] + xs[:-1][::-1])
-        target = tabloid(tab.act(cycle))
-        vec = polytabloid(tab, field)
-        ln = murphy_element(n)
-        for i in range(m):
-            expected = field.scalar(1 if i == m - 1 else 0)
-            got = vec.coefficient(target)
-            report.add(f"coefficient[i={i}]", field.render(expected),
-                       field.render(got), got == expected)
-            if i < m - 1:
-                vec = ln.apply(vec)
+        target = tabloid(tab.act(cycle(n, [n] + xs[:-1][::-1])))
+        _coefficient_pattern(report, "coefficient", polytabloid(tab, field),
+                             target, murphy_element(n), len(xs) - 1)
     report.millis = t.millis
     return report
 
@@ -266,19 +263,11 @@ def verify_coefficient_induction(lam, field: FieldSpec) -> VerificationReport:
     report = VerificationReport(f"coeff-induction ({lam})", str(field), None)
     with _Timer() as t:
         tab, xs = _lemma_choices(lam)
-        m = len(xs)
         big = extension(tab)
-        cycle = _cycle_perm(n + 1, [n + 1] + xs[::-1])
-        target = tabloid(big.act(cycle))
-        vec = induced_polytabloid(big, lam, field)
-        ln1 = murphy_element(n + 1)
-        for i in range(m + 1):
-            expected = field.scalar(1 if i == m else 0)
-            got = vec.coefficient(target)
-            report.add(f"multiplicity[i={i}]", field.render(expected),
-                       field.render(got), got == expected)
-            if i < m:
-                vec = ln1.apply(vec)
+        target = tabloid(big.act(cycle(n + 1, [n + 1] + xs[::-1])))
+        _coefficient_pattern(report, "multiplicity",
+                             induced_polytabloid(big, lam, field), target,
+                             murphy_element(n + 1), len(xs))
     report.millis = t.millis
     return report
 
@@ -353,18 +342,16 @@ def run_char2_counterexamples(seed: int = 0) -> VerificationReport:
 
         s_mod = build_specht(lam, two)
         parts = decompose(s_mod)
-        dims = sorted(space.dim for space, _ in parts)
+        dims = sorted(summand.dim for summand, _ in parts)
         report.add("specht-summand-dims", [8, 48], dims, dims == [8, 48])
-        by_dim = {space.dim: space for space, _ in parts}
+        by_dim = {summand.dim: summand for summand, _ in parts}
         if dims == [8, 48]:
             hook = build_specht(Partition((8, 1)), two)
-            small = s_mod.submodule(by_dim[8], label="dim-8 summand")
-            same = is_isomorphic(small, hook)
+            same = is_isomorphic(by_dim[8], hook)
             report.add("summand-8-is-S^(8,1)", "isomorphic",
                        "isomorphic" if same else "not isomorphic", same)
             twor = build_specht(Partition((6, 3)), two)
-            large = s_mod.submodule(by_dim[48], label="dim-48 summand")
-            same = is_isomorphic(large, twor)
+            same = is_isomorphic(by_dim[48], twor)
             report.add("summand-48-is-S^(6,3)", "isomorphic",
                        "isomorphic" if same else "not isomorphic", same)
 

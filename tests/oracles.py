@@ -13,8 +13,9 @@ standard minor; a submodule is rebuilt there from its rows.  ``Rebased``
 holds a module in any basis, which a ``Subspace`` (reduced echelon only)
 cannot, and ``conjugate_restriction`` restricts a matrix to a subspace by
 conjugating with a full change of basis, not by reading pivot columns.
-``split_branching``, ``coords``, ``contains``, ``intersect`` and
-``is_invariant`` are conveniences that only the tests use.
+``split_branching``, ``coords``, ``contains``, ``intersect``,
+``is_invariant``, ``rows_in`` and ``identity_perm`` are conveniences that
+only the tests use.
 """
 
 import itertools
@@ -271,3 +272,19 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 def is_invariant(space: Subspace, m: Matrix) -> bool:
     """Whether space m lies in space."""
     return all(contains(space, row) for row in (space.basis @ m).a)
+
+
+def identity_perm(k: int) -> tuple:
+    """The identity permutation of degree k."""
+    return tuple(range(1, k + 1))
+
+
+def rows_in(module, summand) -> Matrix:
+    """The basis of summand, a module of decompose(module), in the
+    coordinates of module: the bases of the chain of submodules down to
+    module, multiplied together."""
+    rows = Matrix.identity(summand.field, summand.dim)
+    while summand is not module:
+        rows = rows @ summand.space.basis
+        summand = summand.parent
+    return rows

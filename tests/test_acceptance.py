@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 from oracles import column_signed_maps, intersect
+from spechtbranch import endo
 from spechtbranch.central import INDUCE, RESTRICT
 from spechtbranch.exact import Matrix, RowBasis, fitting_split, kernel, rref
 from spechtbranch.fields import GF, QQ
@@ -157,18 +158,29 @@ def test_classical_restriction_splitting_over_q_through_n7():
     print(f"[PASS] classical splitting: {cases} cases in {elapsed:.1f}s")
 
 
-def test_characteristic_two_counterexamples():
+def test_characteristic_two_counterexamples(monkeypatch):
     """The three GF(2) failures of the odd-characteristic statement.
 
     S^(6,1,1,1) splits as 8 + 48 (copies of S^(8,1) and S^(6,3)); its
     restriction sits in the single empty-core block yet decomposes; the
     2-core-(2,1) component of the induced S^(6,1,1) has dimension 56,
-    is a copy of S^(6,1,1,1), and decomposes as well.
+    is a copy of S^(6,1,1,1), and decomposes as well.  Each of the three
+    decomposable modules is split once, by its certificate; decompose
+    reuses the split the certificate verified.
     """
+    splits = []
+    fitting_split = endo.fitting_split
+
+    def counted(m):
+        splits.append(m.nrows)
+        return fitting_split(m)
+
+    monkeypatch.setattr(endo, "fitting_split", counted)
     t0 = time.perf_counter()
     report = run_char2_counterexamples()
     elapsed = time.perf_counter() - t0
     assert report.passed, report.summary()
+    assert len(splits) == 3
     assert elapsed < 1200.0, f"counterexamples took {elapsed:.1f}s (budget 1200s)"
     print(f"[PASS] char-2 counterexamples in {elapsed:.1f}s")
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Rebased, split_branching
+from oracles import Rebased, rows_in, split_branching
 from spechtbranch import endo
 from spechtbranch.central import (
     INDUCE,
@@ -255,12 +255,13 @@ def test_decompose_restriction_char_zero():
     module = build_restriction(Partition((2, 1)), QQ)
     parts = decompose(module)
     assert len(parts) == 2
-    assert sorted(space.dim for space, _ in parts) == [1, 1]
-    for space, cert in parts:
+    assert sorted(summand.dim for summand, _ in parts) == [1, 1]
+    for summand, cert in parts:
         assert cert.verdict == "indecomposable"
         assert cert.deterministic
-        total = space.basis @ module.basis  # summand rows live in the ambient
-        assert total.nrows == space.dim
+        # summand rows live in the ambient
+        total = rows_in(module, summand) @ module.basis
+        assert total.nrows == summand.dim
 
 
 def test_decompose_indecomposable_is_identity():

@@ -24,7 +24,7 @@ from oracles import (
     is_invariant,
     poly_x,
 )
-from spechtbranch import exact
+from spechtbranch import exact, fields
 from spechtbranch.exact import (
     Matrix,
     Polynomial,
@@ -36,7 +36,7 @@ from spechtbranch.exact import (
     rref,
     unipotent_inverse,
 )
-from spechtbranch.fields import GF, QQ
+from spechtbranch.fields import GF, QQ, FieldSpec
 from spechtbranch.modules import build_induction, transposition_sum
 from spechtbranch.partitions import Partition
 
@@ -212,6 +212,75 @@ def test_scalar_rejects_floats():
     assert GF(5).scalar(7) == 2 and GF(5).scalar(np.int64(-1)) == 4
     assert GF(5).scalar(Fraction(1, 2)) == 3
     assert QQ.scalar(Fraction(4, 2)) == 2 and QQ.scalar(-3) == -3
+
+
+def test_field_needs_residue_products_inside_int64(monkeypatch):
+    """A prime is accepted when (p - 1)^2 < 2^63: 3,037,000,493, the largest
+    such prime, is; 3,037,000,507 (the next prime) and 4294967291 are
+    refused, and a prime near 2^64 is refused before any trial division."""
+    assert GF(3037000493).characteristic == 3037000493
+    for p in (3037000507, 4294967291):
+        with pytest.raises(ValueError, match="too large"):
+            FieldSpec(p)
+
+    def no_primality_test(p):
+        raise AssertionError(f"primality test ran on {p}")
+
+    monkeypatch.setattr(fields, "_is_prime", no_primality_test)
+    with pytest.raises(ValueError, match="too large"):
+        FieldSpec(18446744073709551557)
+
+
+LARGE_PRIMES = [GF(2147483647), GF(3037000493)]
+
+
+def _entry(rng, field):
+    """A residue, often one of the largest; over Q a big int or a Fraction."""
+    p = field.characteristic
+    if p:
+        return rng.choice([rng.randrange(p), p - 1 - rng.randrange(3)])
+    return rng.choice([rng.randint(-2**70, 2**70),
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+
+
+@pytest.mark.parametrize("field", [GF(3), *LARGE_PRIMES, QQ], ids=str)
+def test_products_match_the_object_product(field):
+    """The dense and the sparse product against products of Python objects,
+    on seeded matrices whose columns hold several nonzeros, one, or none:
+    over GF(3037000493) one residue product fits int64 and two do not.
+    Over GF(p) both come back as reduced int64 arrays."""
+    rng = random.Random(field.characteristic + 17)
+    for trial in range(30):
+        rows, cols = rng.randint(1, 6), 6
+        inner = 1 if trial < 3 else rng.randint(2, 9)
+        c = field.array([[_entry(rng, field) for _ in range(inner)]
+                         for _ in range(rows)])
+        b = field.array([[_entry(rng, field) if j > 1 and rng.random() < 0.6 else 0
+                          for j in range(cols)] for _ in range(inner)])
+        b[rng.randrange(inner), 1] = 1 + rng.randrange(max(field.characteristic - 1, 9))
+        expected = c.astype(object) @ b.astype(object)
+        if field.characteristic:
+            expected %= field.characteristic
+        for got in (exact._mul(field, c, b), exact._SparseRows(field, b).left_mul(c)):
+            assert np.array_equal(got, expected)
+            assert got.dtype == (np.int64 if field.characteristic else object)
+
+
+@pytest.mark.parametrize("field", LARGE_PRIMES, ids=str)
+def test_exact_results_are_int64_at_large_primes(field):
+    """Products, elimination, kernels, restriction and the unipotent inverse
+    over the largest primes give reduced int64 matrices, and exact ones."""
+    rng = random.Random(field.characteristic)
+    a = _random_matrix(rng, field, 6, 6)
+    singular = Matrix(field, np.concatenate([a.a[:5], a.a[:1] + a.a[1:2]]))
+    unit = Matrix(field, np.triu(a.a, 1)).shift(1)
+    ker, image = fitting_split(singular)
+    results = [a @ a, a.pow(5), rref(a)[0], ker.basis, image.basis,
+               ker.restrict(singular), unipotent_inverse(unit)]
+    assert all(m.a.dtype == np.int64 for m in results)
+    assert rref(a)[1] == 6 and (ker.basis @ singular.pow(6)).is_zero()
+    assert unipotent_inverse(unit) @ unit == Matrix.identity(field, 6)
+    assert minimal_polynomial(a) == _oracle_min_poly(a)
 
 
 def test_matrix_entries_are_reduced_by_scalar():

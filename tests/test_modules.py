@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Rebased, ambient_solver, split_branching
+from oracles import Rebased, ambient_solver, rows_in, split_branching
 from spechtbranch import modules
 from spechtbranch.central import INDUCE, RESTRICT
 from spechtbranch.endo import decompose
@@ -352,6 +352,17 @@ def _count_vector(key) -> tuple:
                  for i in range(1, n + 1) for r in range(1, len(key) + 1))
 
 
+def test_action_matrices_at_a_large_prime_match_the_ambient_solve():
+    """Over GF(2^31 - 1), where a sum of three residue products leaves int64,
+    S^(3,2,1) and its induction give every Coxeter generator and the
+    transposition sum, as reduced int64 matrices equal to the ambient solve."""
+    field = GF(2147483647)
+    for module in (build_specht(Partition((3, 2, 1)), field),
+                   build_induction(Partition((3, 2, 1)), field)):
+        _assert_matches_ambient_solve(module, module)
+        assert all(g.a.dtype == np.int64 for g in module.gens())
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
 def test_standard_minor_is_unitriangular_in_dominance_order(field):
     """basis[:, minor_cols] has 1 on the diagonal, and e_t holds the leading
@@ -395,9 +406,9 @@ def test_block_components_match_the_ambient_rebuild(field):
 def test_decompose_works_on_a_nested_submodule(lam, field):
     """A restriction rebased twice, then taken whole as a submodule of a
     submodule, still decomposes into certified summands.  Each summand, a
-    submodule three levels deep, and each summand's own summand inside
-    the summand taken as a proper submodule, have the matrices rebuilt at
-    ambient width from their rows."""
+    submodule of the nested one (or the nested one itself), and each
+    summand's own summand inside the summand taken as a proper submodule,
+    have the matrices rebuilt at ambient width from their rows."""
     module = build_restriction(Partition(lam), field)
     d = module.dim
     outer = Matrix(field, np.triu(np.ones((d, d), dtype=np.int64)))
@@ -408,18 +419,19 @@ def test_decompose_works_on_a_nested_submodule(lam, field):
     assert isinstance(nested.parent, modules.Submodule)
     assert nested.dim == d
     parts = decompose(nested)
-    assert sum(space.dim for space, _ in parts) == d
+    assert sum(summand.dim for summand, _ in parts) == d
     assert len(parts) == len(decompose(module))
-    for space, cert in parts:
+    for summand, cert in parts:
         assert cert.verdict == "indecomposable"
-        rows = space.basis @ inner @ outer
-        _assert_matches_ambient_solve(nested.submodule(space), module, rows)
+        coords = rows_in(nested, summand)
+        _assert_matches_ambient_solve(summand, module, coords @ inner @ outer)
+        space = Subspace.from_rows(coords)
         middle = rebased.submodule(space)
         (part, part_cert), = decompose(middle)
         assert part_cert.verdict == "indecomposable"
         assert part.dim == space.dim
-        _assert_matches_ambient_solve(middle.submodule(part), module,
-                                      part.basis @ rows)
+        _assert_matches_ambient_solve(part, module, rows_in(middle, part)
+                                      @ space.basis @ inner @ outer)
 
 
 def test_submodule_of_dependent_rows_raises():

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import column_signed_maps, signed_column_sum, tabloid_index
+from oracles import (column_signed_maps, identity_perm, signed_column_sum,
+                     tabloid_index)
 from spechtbranch.exact import RowBasis
 from spechtbranch.fields import GF, QQ
 from spechtbranch.partitions import (
@@ -16,7 +17,7 @@ from spechtbranch.partitions import (
     partitions_of,
     specht_dimension,
 )
-from spechtbranch.perms import adjacent, compose, embed, identity_perm, transposition
+from spechtbranch.perms import adjacent, compose, embed, transposition
 from spechtbranch.modules import (
     AlgebraElement,
     _induction_tableaux,

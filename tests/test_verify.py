@@ -219,6 +219,16 @@ def test_cli_rejects_bad_partition(capsys):
         main(["en-scalar", "--lambda", "1,2", "--field", "3"])
 
 
+def test_cli_rejects_a_prime_too_large_for_int64(capsys):
+    """4294967291 is prime, but (p - 1)^2 >= 2^63: a usage error (exit 2),
+    not an internal failure in the first product."""
+    with pytest.raises(SystemExit) as exc:
+        main(["minpoly", "--lambda", "3,1", "--field", "4294967291",
+              "--direction", "induce"])
+    assert exc.value.code == 2
+    assert "too large" in capsys.readouterr().err
+
+
 def test_cli_seed_only_on_verbs_that_use_it(capsys):
     """sweep passes --seed to its checks and branching, counterexamples and
     decompose record it in their reports; the other verbs would ignore it,
