@@ -45,6 +45,8 @@ from .exact import (
     fitting_split,
     kernel,
     minimal_polynomial,
+    poly_divmod,
+    poly_gcd,
     rref,
 )
 from .fields import FieldSpec
@@ -93,6 +95,8 @@ def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
     # images[v, r] is the image of vertex v under candidate r
     images = field.zeros((d1, 0, d2))
     for i in range(d1):
+        if span.size == d1:
+            break  # the spin has reached every vertex; no seed is new
         seed = field.zeros(d1)
         seed[i] = 1
         if span.insert(seed)[0] is None:
@@ -201,13 +205,54 @@ def _rational_roots(poly) -> list[Fraction]:
     return sorted(roots)
 
 
+def _pow_mod(f: Polynomial, e: int, mod: Polynomial) -> Polynomial:
+    """f^e mod a polynomial of positive degree, e >= 1, by repeated
+    squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = f if out is None else poly_divmod(out * f, mod)[1]
+        e >>= 1
+        if not e:
+            return poly_divmod(out, mod)[1]
+        f = poly_divmod(f * f, mod)[1]
+
+
+def _split_roots(g: Polynomial) -> list:
+    """The roots of a monic g over GF(p) that is a product of distinct
+    factors x - r, by equal-degree splitting (Cantor and Zassenhaus 1981):
+    gcd(g, (x + a)^((p-1)/2) - 1) keeps the roots r with r + a a nonzero
+    square.  For two roots r != s, (p - 1)/2 shifts a in 0..p-1 make
+    exactly one of r + a, s + a a nonzero square, so a = 0, 1, ... splits
+    g within p tries, in practice within a few."""
+    field = g.field
+    p = field.characteristic
+    if g.degree < 2:
+        return [field.neg(c) for c in g.coeffs[:g.degree]]
+    if g.degree == p:
+        return list(range(p))
+    one = Polynomial.one(field)
+    for a in range(p):
+        h = poly_gcd(g, _pow_mod(Polynomial(field, [a, 1]), (p - 1) // 2, g) - one)
+        if 0 < h.degree < g.degree:
+            return _split_roots(h) + _split_roots(poly_divmod(g, h)[0])
+    raise ArithmeticError(f"{g} does not split into distinct linear factors")
+
+
 def _roots(poly: Polynomial) -> list:
-    """The roots of a polynomial in its field, ascending.  Over GF(p) every
-    residue is evaluated, so the cost grows linearly with p."""
-    p = poly.field.characteristic
-    if p:
-        return [c for c in range(p) if poly.eval_scalar(c) == 0]
-    return _rational_roots(poly)
+    """The roots of a nonzero polynomial in its field, ascending, each once.
+
+    Over GF(p) they are the roots of gcd(poly, x^p - x), the product of the
+    factors x - r of poly, with x^p reduced mod poly by repeated squaring;
+    the cost grows with log p, not with p."""
+    field = poly.field
+    p = field.characteristic
+    if not p:
+        return _rational_roots(poly)
+    if poly.degree == 0:
+        return []
+    x = Polynomial(field, [0, 1])
+    return sorted(_split_roots(poly_gcd(poly, _pow_mod(x, p, poly) - x)))
 
 
 LOCAL = "wedderburn-locality"
@@ -242,11 +287,9 @@ def locality_certificate(field: FieldSpec, basis: list[Matrix]):
     d = len(basis)
     size = basis[0].nrows
     span = RowBasis(field, size * size)
-    for b in basis:
-        span.insert(b.a.reshape(-1))
+    span.insert_rows(np.stack([b.a.reshape(-1) for b in basis]))
     if not span.contains(Matrix.identity(field, size).a.reshape(-1)):
         raise ArithmeticError("the algebra does not contain the identity")
-    nilpotent = RowBasis(field, size * size)
     parts = []
     rootless = False
     for i, b in enumerate(basis):
@@ -260,9 +303,10 @@ def locality_certificate(field: FieldSpec, basis: list[Matrix]):
         if mu != Polynomial.from_roots(field, [lam] * mu.degree):
             return SPLIT, shifted, i + 1
         parts.append(shifted)
-        nilpotent.insert(shifted.a.reshape(-1))
     if rootless:
         return ROOTLESS, None, d
+    nilpotent = RowBasis(field, size * size)
+    nilpotent.insert_rows(np.stack([u.a.reshape(-1) for u in parts]))
     for u in parts:
         for v in parts:
             if not nilpotent.contains((u @ v).a.reshape(-1)):

@@ -11,26 +11,36 @@ columns and no solve is needed to restrict a matrix to it.
 
 Elimination (``RowBasis``, and ``rref``, ``kernel`` and
 ``minimal_polynomial`` on top of it) is one fraction-free algorithm for
-both fields, in the manner of Bareiss (1968).  Stored rows are integral,
-and the one field-specific step is ``FieldSpec.normalize_rows``: over GF(p)
-it scales a row to pivot 1, over Q it divides the row by its content.  The
+both fields, in the manner of Bareiss (1968), and it works on blocks of
+rows; a single row is a block of one.  Stored rows are integral, and the
+one field-specific step is ``FieldSpec.normalize_rows``: over GF(p) it
+scales a row to pivot 1, over Q it divides the row by its content.  The
 result is exact over Q because every step keeps an integer invariant: the
 stored rows R and their combination rows C satisfy R = C K exactly, K the
-kept input rows.  A new row L s v - d R is L s v - d C K, an integer
-combination; eliminating a pivot replaces a row by an integer combination
-of two rows, and its C-row by the same combination; dividing a row and its
-C-row by their common content is an exact integer division that keeps the
-equation.  A row v lies in the span exactly when its reduction L s v - d R
-is zero, since L s is not zero, and then v = (d C / L s) K: coordinates
-and dependencies come from one division at the end, an int whenever it is
-exact.  R and C are stored side by side, so reducing a row is one product
-d [R | C], which gives the residual and d C together.
+kept input rows.  A block of rows v is first reduced against R by one
+product d [R | C], which gives d R - L s v = d C K - L s v, an integer
+combination, and d C with it.  The block is then swept in order, one pivot
+step per row that is not zero: the row is scaled to its canonical
+multiple, and its pivot column is cleared from the later block rows and
+from the stored rows, each replaced by an integer combination of itself
+and the pivot row, its C-row by the same combination; dividing a row and
+its C-row by their common content is an exact integer division that keeps
+the equation.  A row that is zero when its turn comes lies in the span of
+the rows kept before it, and its C-row, over those rows and its own
+coefficient, is its dependency: v = (dc / den) K, one division at the end,
+an int whenever it is exact.  ``kernel`` and ``rref`` insert a whole
+matrix as one block; a caller that needs each answer before it picks the
+next row (the spin of ``endo.hom_space``, ``minimal_polynomial``) inserts
+one row at a time.
 
 Every matrix product over a field is made here, dense (``_mul``) or through
 the nonzeros of its right factor (``_SparseRows``), by one rule: over GF(p),
 on reduced residues, an entry that sums k products accumulates in int64
-while k (p - 1)^2 < 2^63 and in Python ints otherwise, and comes back as
-reduced int64.  ``FieldSpec`` bounds p so that one product always fits.
+while k (p - 1)^2 < 2^63.  Past that bound the dense product accumulates in
+Python ints; the sparse one forms each product before the sums, so it
+reduces each mod p first and stays in int64 while k (p - 1) < 2^63.  Every
+result comes back as reduced int64.  ``FieldSpec`` bounds p so that one
+product always fits.
 
 ``unipotent_inverse`` needs no elimination at all: a unipotent D = I - N
 has the inverse (I + N)(I + N^2)(I + N^4)..., which ends at the first zero
@@ -153,18 +163,29 @@ def _wide(field: FieldSpec, k: int) -> bool:
     return p != 0 and k * (p - 1) ** 2 >= INT64_LIMIT
 
 
-def _mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b over the field, reduced."""
+def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b, not reduced, accumulated by the rule of ``_wide``; a stack of
+    right factors gives the stack of products."""
     if _wide(field, a.shape[1]):
         a, b = a.astype(object), b.astype(object)
-    return field.reduce_array(a @ b)
+    # np.dot skips the broadcasting machinery of @, which costs more than
+    # the arithmetic of a small product
+    return np.dot(a, b) if b.ndim == 2 else a @ b
+
+
+def _mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b over the field, reduced."""
+    return field.reduce_array(_product(field, a, b))
 
 
 class _SparseRows:
     """The nonzeros of a matrix b, column by column, for products c b in
     rows(c) nnz(b) steps, where a dense product takes rows(c) rows(b)
     cols(b).  Entry (i, j) of c b sums one product per nonzero of column j,
-    so the fullest column decides the accumulation (see ``_wide``)."""
+    so the fullest column, of k nonzeros, decides the accumulation.  Each
+    product is gathered before the sums, so where k (p - 1)^2 >= 2^63 (see
+    ``_wide``) each is reduced mod p first, and the sums stay in int64 while
+    k (p - 1) < 2^63; Python ints are left for larger k."""
 
     # entries of the gathered block c[:, rows] held at once
     CHUNK = 1 << 22
@@ -173,7 +194,9 @@ class _SparseRows:
         cols, self.rows = np.nonzero(b.T)
         self.starts = np.flatnonzero(np.diff(cols, prepend=-1))
         self.cols = cols[self.starts]
-        wide = _wide(field, int(np.bincount(cols).max(initial=0)))
+        k = int(np.bincount(cols).max(initial=0))
+        self.premod = _wide(field, k) and k * (field.characteristic - 1) < INT64_LIMIT
+        wide = _wide(field, k) and not self.premod
         self.vals = b[self.rows, cols].astype(object if wide else b.dtype, copy=False)
         self.field = field
         self.width = b.shape[1]
@@ -186,6 +209,8 @@ class _SparseRows:
             for lo in range(0, c.shape[0], step):
                 terms = c[lo: lo + step, self.rows]
                 terms *= self.vals
+                if self.premod:
+                    terms %= self.field.characteristic
                 out[lo: lo + step, self.cols] = np.add.reduceat(terms, self.starts, axis=1)
         return self.field.reduce_array(out)
 
@@ -251,7 +276,7 @@ def _divide(a: np.ndarray, den: list) -> np.ndarray:
 
     Over GF(p) every den[i] is 1, and a comes back as it is.
     """
-    if all(x == 1 for x in den):
+    if den.count(1) == len(den):
         return a
     return _ratio_entries(a, np.array(den, dtype=object)[:, None])
 
@@ -259,22 +284,33 @@ def _divide(a: np.ndarray, den: list) -> np.ndarray:
 class RowBasis:
     """Incrementally built reduced echelon basis with coordinate tracking.
 
-    Rows are inserted one at a time.  The stored matrix R stays fully
-    reduced: each pivot column is zero outside its own row.  C records each
-    R-row as a combination of the kept (independent) input rows K, with
-    R = C K exactly, so membership tests also produce coordinates over the
-    original inputs.  R and C sit side by side in one array, row i being
-    [R_i | C_i], so one product d [R | C] reduces a row and gives its
-    coordinates with it.
+    Rows are inserted in blocks; one row is a block of one.  The stored
+    matrix R stays fully reduced: each pivot column is zero outside its own
+    row.  C records each R-row as a combination of the kept (independent)
+    input rows K, with R = C K exactly, so membership tests also produce
+    coordinates over the original inputs.  R and C sit side by side in one
+    array, row i being [R_i | C_i], so one product d [R | C] reduces a whole
+    block and gives its coordinates with it.
 
     Rows are stored integrally: a stored row [R_i | C_i] is the canonical
     multiple that ``FieldSpec.normalize_rows`` picks, pivot 1 over GF(p),
     content 1 and a positive pivot over Q.  Let L be the lcm of the pivot
     entries (always 1 over GF(p)).  A row v, scaled by the lcm s of its
-    denominators, reduces to L s v - d R with d integral: L s times the true
-    residual, zero exactly when v lies in the span, and then
+    denominators, reduces to d R - L s v with d integral: -L s times the
+    true residual, zero exactly when v lies in the span, and then
     v = (d C / L s) K.  The division by L s is the only one, made once on
     the way out; no Fraction is formed inside the elimination.
+
+    A block is swept in order after that one product.  Each of its rows is
+    [d R - L s v | d C | -L s at its own column], which satisfies R = C K
+    with v appended to K, and so does any integer combination of such rows.
+    A row that is not zero takes one pivot step: it is scaled to its
+    canonical multiple, its first nonzero column is cleared, fraction-free,
+    from the later block rows and from the stored rows, and it is stored.
+    A row that is zero lies in the span of the rows kept before it, and its
+    C part is its dependency.  Rows, pivots, kept indices and dependencies
+    are those of inserting the rows one at a time: each is determined by
+    the span of the rows before it.
     """
 
     def __init__(self, field: FieldSpec, width: int):
@@ -286,14 +322,16 @@ class RowBasis:
         self._lcm = 1      # L, the lcm of the pivot entries
         self._mult = None  # L // pivot entry, row by row, when L != 1
 
-    def _grow(self):
+    def _grow(self, n: int):
+        """Room for n more rows, and their C columns; rows past size are 0."""
         cap = self._rc.shape[0]
-        if self.size < cap:
+        if self.size + n <= cap:
             return
-        rc = self.field.zeros((2 * cap, self.width + 2 * cap))
+        new = max(2 * cap, self.size + n)
+        rc = self.field.zeros((new, self.width + new))
         rc[:cap, : self._rc.shape[1]] = self._rc
         self._rc = rc
-        self._pivots = np.concatenate([self._pivots, np.zeros(cap, dtype=np.intp)])
+        self._pivots = np.concatenate([self._pivots, np.zeros(new - cap, dtype=np.intp)])
 
     @property
     def pivots(self) -> np.ndarray:
@@ -309,88 +347,152 @@ class RowBasis:
         return _divide(self._rc[: self.size, : self.width], self._leads().tolist())
 
     def _reduce(self, a: np.ndarray):
-        """(residual, dc, s) for the rows of a: s[i] is the lcm of row i's
-        denominators, residual = L s a - d R and dc = d C row by row.  Both
-        come from one product d [R | C]."""
+        """(prod, s) for the rows of a, reduced residues over GF(p): s[i] is
+        the lcm of row i's denominators, and prod = [d R - L s a | d C] row
+        by row, from one product d [R | C].  Its R part is zero exactly on
+        the rows in the span."""
         field = self.field
         a, s = _integral(a)
         k, w = self.size, self.width
         if k == 0:
-            return field.reduce_array(a), field.zeros((a.shape[0], 0)), s
-        d = a[:, self.pivots]
+            return field.reduce_array(-a), s
+        d = a.take(self._pivots[:k], axis=1)
         if self._lcm != 1:
             a = a * self._lcm
             d = d * self._mult
-        prod = _mul(field, field.reduce_array(d), self._rc[:k, : w + k])
-        return field.reduce_array(a - prod[:, :w]), prod[:, w:], s
+        prod = _product(field, d, self._rc[:k, : w + k])
+        prod[:, :w] -= a
+        return field.reduce_array(prod), s
 
-    def _insert(self, v: np.ndarray):
-        """Insert one row: (kept_index, None, None), or, for a row in the
-        span, (None, dc, den) with den v = dc K."""
+    def _insert(self, a: np.ndarray):
+        """Insert the rows of a, in order, as one block: (kept, dc, den).
+
+        kept[i] is the kept index of row i, or -1 when row i lies in the
+        span of the rows kept before it; then den[i] a[i] = dc[i] K, and
+        dc[i] is zero past those rows.  The rows of dc for kept rows mean
+        nothing.
+        """
         field = self.field
         k, w = self.size, self.width
-        residual, dc, s = self._reduce(v.reshape(1, -1))
-        den = self._lcm * s[0]
-        nz = residual[0].nonzero()[0]
-        if len(nz) == 0:
-            return None, dc[0], den
-        j = int(nz[0])
-        self._grow()
-        end = w + k + 1
-        new = self._rc[k, :end]
-        new[:w] = residual[0]
-        # R_k = L s v - d R = L s v - d C K
-        new[w: w + k] = field.reduce_array(-dc[0])
-        new[w + k] = den
-        new[:] = field.normalize_rows(new.reshape(1, -1), [new[j]])[0]
-        col = self._rc[:k, j].copy()
-        hit = col.nonzero()[0]
-        if len(hit):
-            upd = field.reduce_array(
-                self._rc[hit, :end] * new[j] - np.outer(col[hit], new))
-            if new[j] != 1 or self._lcm != 1:
-                # (when every pivot was 1 and the new one is 1 too, the
-                # updated rows keep pivot 1 and are canonical already)
-                upd = field.normalize_rows(
-                    upd, upd[np.arange(len(hit)), self._pivots[hit]])
-            self._rc[hit, :end] = upd
-        self._pivots[k] = j
-        self.size = k + 1
-        if new[j] != 1 or self._lcm != 1:
+        prod, s = self._reduce(a)
+        den = s if self._lcm == 1 else [self._lcm * x for x in s]
+        m = len(s)
+        kept = [-1] * m
+        if not np.count_nonzero(prod[:, :w]):
+            return kept, prod[:, w:], den
+        self._grow(m)
+        rc = self._rc
+        end = w + k + m
+        rc[k: k + m, : w + k] = prod
+        for i, x in enumerate(den):
+            rc[k + i, w + k + i] = field.neg(x)
+        unit = self._lcm == 1  # every pivot so far is 1
+        size, dead = k, []
+        for r in range(k, k + m):
+            nz = rc[r, :w].nonzero()[0]
+            if not len(nz):
+                dead.append(r)
+                continue
+            j = nz[0]
+            # row r is zero before column j and past its own C column
+            row = rc[r: r + 1, j: w + r + 1]
+            lead = row[0, 0]
+            if lead != 1:
+                row[:] = field.normalize_rows(row, [lead])
+                lead = row[0, 0]
+                unit = unit and lead == 1
+            col = rc[: k + m, j]
+            col[r] = 0
+            hit = col.nonzero()[0]
+            col[r] = lead
+            if len(hit):
+                # with every pivot 1 only the columns of row r change;
+                # otherwise the updated rows are scaled by the lead and
+                # stored ones go back to their canonical multiple
+                cols = slice(j, w + r + 1) if unit else slice(0, end)
+                upd = rc[hit, cols]
+                if lead != 1:
+                    upd *= lead
+                upd -= col[hit][:, None] * rc[r, cols]
+                upd = field.reduce_array(upd)
+                if not unit:
+                    # every updated pivot stays positive: the row that
+                    # clears is zero at the other pivot columns
+                    stored = np.searchsorted(hit, r)
+                    upd[:stored] = field.normalize_rows(upd[:stored], [1] * stored)
+                rc[hit, cols] = upd
+            # kept rows take the next indices, in order
+            kept[r - k] = size
+            self._pivots[size] = j
+            size += 1
+        if dead:
+            for r in dead:
+                den[r - k] = field.neg(rc[r, w + r])
+            dc = self._settle(dead, kept)
+            rc[size: k + m, :end] = 0
+        else:
+            dc = prod[:, w:]
+        self.size = size
+        if not unit:
             leads = self._leads()
             self._lcm = math.lcm(*leads.tolist())
             self._mult = self._lcm // leads
-        return k, None, None
+        return kept, dc, den
+
+    def _settle(self, dead, kept):
+        """For a swept block with rows made dependent: the dependencies of
+        those rows over the kept rows, and the kept rows moved up, with
+        their C columns, to their kept indices."""
+        rc = self._rc
+        k, w, m = self.size, self.width, len(kept)
+        rows = [k + i for i, t in enumerate(kept) if t >= 0]
+        nk = len(rows)
+        dc = self.field.zeros((m, k + nk))
+        dc[[r - k for r in dead]] = rc.take(dead, axis=0).take(
+            list(range(w, w + k)) + [w + r for r in rows], axis=1)
+        if nk and rows[-1] != k + nk - 1:
+            # a dependent row came before a kept one
+            end = w + k + m
+            rc[k: k + nk, :end] = rc[rows, :end]
+            rc[: k + nk, w + k: w + k + nk] = rc[: k + nk, [w + r for r in rows]]
+            rc[: k + nk, w + k + nk: end] = 0
+        return dc
 
     def insert(self, v: np.ndarray):
         """Insert a row; returns (kept_index, None) or (None, dependency).
 
         The dependency expresses v as a combination of previously kept rows.
         """
-        idx, dc, den = self._insert(v)
-        if idx is not None:
-            return idx, None
-        return None, _divide(dc.reshape(1, -1), [den])[0]
+        kept, dc, den = self._insert(v.reshape(1, -1))
+        if kept[0] >= 0:
+            return kept[0], None
+        return None, _divide(dc, den)[0]
+
+    def insert_rows(self, a: np.ndarray) -> list:
+        """Insert the rows of a as one block, the same as inserting them one
+        at a time in order; returns each row's kept index, or -1 for a row
+        in the span of the rows kept before it."""
+        return self._insert(a)[0]
 
     def contains(self, v: np.ndarray) -> bool:
-        residual, _, _ = self._reduce(v.reshape(1, -1))
-        return not np.any(residual)
+        return not np.count_nonzero(self._reduce(v.reshape(1, -1))[0][:, : self.width])
 
     def coords_many(self, vmat: np.ndarray):
         """Coordinates of the rows of vmat over the kept input rows: (coeff
         matrix, boolean mask of the rows in the span).  A row outside the
         span has no coordinates, and its row of the matrix means nothing."""
-        residual, dc, s = self._reduce(vmat)
+        prod, s = self._reduce(vmat)
+        w = self.width
         # a copy, so a kept result does not pin the product's residual part
-        return (_divide(dc.copy(), [self._lcm * x for x in s]),
-                ~np.any(residual, axis=1))
+        return (_divide(prod[:, w:].copy(), [self._lcm * x for x in s]),
+                ~np.any(prod[:, :w], axis=1))
 
 
 def rref(m: Matrix):
-    """Reduced row echelon form, unit pivots: returns (R, rank, pivots)."""
+    """Reduced row echelon form, unit pivots: returns (R, rank, pivots).
+    The rows go into one RowBasis as one block."""
     rb = RowBasis(m.field, m.ncols)
-    for i in range(m.nrows):
-        rb.insert(m.a[i])
+    rb.insert_rows(m.a)
     order = np.argsort(rb.pivots)
     return Matrix(m.field, rb.rows[order].copy()), rb.size, rb.pivots[order].tolist()
 
@@ -398,34 +500,25 @@ def rref(m: Matrix):
 def kernel(m: Matrix) -> "Subspace":
     """Left kernel {v : v m = 0} as a Subspace of F^nrows.
 
-    The rows go into one tracked RowBasis last to first, and each row i met
-    in the span of the rows kept before it gives one relation: den times
-    unit i minus its coordinates over those rows.  Every row kept before i
-    has a larger index, so the relation's first nonzero entry is den at
-    column i, and it is zero at every other dependent row, which is either
-    still to come (smaller index) or was not kept.  Scaled to pivot 1 and
-    sorted by i, the relations are the reduced echelon basis already; no
-    second elimination is needed.
+    The rows go into one tracked RowBasis as one block, last to first, and
+    each row i met in the span of the rows kept before it gives one
+    relation: den times unit i minus its coordinates over those rows.  Every
+    row kept before i has a larger index, so the relation's first nonzero
+    entry is den at column i, and it is zero at every other dependent row,
+    which is either still to come (smaller index) or was not kept.  Scaled
+    to pivot 1 and sorted by i, the relations are the reduced echelon basis
+    already; no second elimination is needed.
     """
-    field = m.field
-    rb = RowBasis(field, m.ncols)
-    kept: list[int] = []
-    relations, dens = [], []
-    for i in range(m.nrows - 1, -1, -1):
-        idx, dc, den = rb._insert(m.a[i])
-        if idx is not None:
-            kept.append(i)
-        else:
-            # den row_i - dc . (kept rows) = 0, an integral relation
-            row = field.zeros(m.nrows)
-            row[kept] = field.reduce_array(-dc)
-            row[i] = den
-            relations.append(row)
-            dens.append(den)
-    if not relations:
-        return Subspace(Matrix.zeros(field, 0, m.nrows))
-    basis = _divide(np.stack(relations[::-1]), dens[::-1])
-    return Subspace(Matrix(field, basis))
+    field, n = m.field, m.nrows
+    kept, dc, den = RowBasis(field, m.ncols)._insert(m.a[::-1])
+    # block row l is row n - 1 - l; den row_i - dc . (kept rows) = 0
+    dep = [l for l, t in enumerate(kept) if t < 0][::-1]
+    if not dep:
+        return Subspace(Matrix.zeros(field, 0, n))
+    relations = field.zeros((len(dep), n))
+    relations[:, [n - 1 - l for l, t in enumerate(kept) if t >= 0]] = -dc[dep]
+    relations[range(len(dep)), [n - 1 - l for l in dep]] = [den[l] for l in dep]
+    return Subspace(Matrix(field, _divide(relations, [den[l] for l in dep])))
 
 
 class Subspace:
@@ -590,6 +683,34 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.field}, {self})"
+
+
+def poly_divmod(f: Polynomial, g: Polynomial):
+    """(quotient, remainder) of f by g, by long division."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    field = f.field
+    rem = list(f.coeffs)
+    dn = g.degree
+    lead_inv = field.inv(g.coeffs[-1])
+    quot = [0] * max(len(rem) - dn, 0)
+    for i in range(len(rem) - dn - 1, -1, -1):
+        c = field.scalar(rem[i + dn] * lead_inv)
+        quot[i] = c
+        if c != 0:
+            for j, b in enumerate(g.coeffs):
+                rem[i + j] = field.scalar(rem[i + j] - c * b)
+    return Polynomial(field, quot), Polynomial(field, rem[:dn])
+
+
+def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The monic gcd, by Euclid's algorithm (zero when both are zero)."""
+    while not g.is_zero():
+        f, g = g, poly_divmod(f, g)[1]
+    if f.is_zero():
+        return f
+    inv = f.field.inv(f.coeffs[-1])
+    return Polynomial(f.field, [c * inv for c in f.coeffs])
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:

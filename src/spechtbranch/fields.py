@@ -121,9 +121,10 @@ class FieldSpec:
         p = self.characteristic
         if p:
             inv = [self.inv(x) for x in leads]
-            if all(x == 1 for x in inv):
+            if inv.count(1) == len(inv):
                 return rows
-            return rows * np.array(inv, dtype=rows.dtype)[:, None] % p
+            inv = inv[0] if len(inv) == 1 else np.array(inv, dtype=rows.dtype)[:, None]
+            return rows * inv % p
         content = [math.gcd(*row) if lead > 0 else -math.gcd(*row)
                    for row, lead in zip(rows.tolist(), leads)]
         if all(x == 1 for x in content):

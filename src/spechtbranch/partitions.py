@@ -13,6 +13,7 @@ Conventions, used consistently everywhere downstream:
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 
@@ -116,12 +117,10 @@ def p_core(lam: Partition, p: int) -> Partition:
     beads = max(len(lam), 1)
     beta = [lam[i] + (beads - 1 - i) if i < len(lam) else beads - 1 - i
             for i in range(beads)]
-    occupied = set(beta)
-    slid = []
-    for r in range(p):
-        runway = sorted(b for b in occupied if b % p == r)
-        slid.extend(r + p * i for i in range(len(runway)))
-    slid.sort(reverse=True)
+    # the beads on runway r (positions = r mod p) slide down to r, r + p, ...
+    runways = Counter(b % p for b in beta)
+    slid = sorted((r + p * i for r, count in runways.items() for i in range(count)),
+                  reverse=True)
     parts = [b - (beads - 1 - i) for i, b in enumerate(slid)]
     return Partition(x for x in parts if x > 0)
 

@@ -25,7 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from spechtbranch.central import block_split, branching_factors
-from spechtbranch.exact import Matrix, Polynomial, RowBasis, Subspace, kernel
+from spechtbranch.exact import (Matrix, Polynomial, RowBasis, Subspace, kernel,
+                               poly_divmod, poly_gcd)
 from spechtbranch.modules import GroupActionModule, _scatter
 from spechtbranch.partitions import Partition
 from spechtbranch.perms import embed
@@ -93,33 +94,8 @@ def monic(f: Polynomial) -> Polynomial:
     return Polynomial(f.field, [c * inv for c in f.coeffs])
 
 
-def poly_divmod(f: Polynomial, g: Polynomial):
-    """(quotient, remainder) of f by g, by long division."""
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    field = f.field
-    rem = list(f.coeffs)
-    dn = g.degree
-    lead_inv = field.inv(g.coeffs[-1])
-    quot = [0] * max(len(rem) - dn, 0)
-    for i in range(len(rem) - dn - 1, -1, -1):
-        c = field.scalar(rem[i + dn] * lead_inv)
-        quot[i] = c
-        if c != 0:
-            for j, b in enumerate(g.coeffs):
-                rem[i + j] = field.scalar(rem[i + j] - c * b)
-    return Polynomial(field, quot), Polynomial(field, rem[:dn])
-
-
 def poly_mod(f: Polynomial, g: Polynomial) -> Polynomial:
     return poly_divmod(f, g)[1]
-
-
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The monic gcd, by Euclid's algorithm (zero when both are zero)."""
-    while not g.is_zero():
-        f, g = g, poly_mod(f, g)
-    return monic(f)
 
 
 def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -27,7 +27,8 @@ from spechtbranch.endo import (
     is_isomorphic,
     locality_certificate,
 )
-from spechtbranch.exact import Matrix, RowBasis, Subspace, fitting_split, kernel, rref
+from spechtbranch.exact import (Matrix, Polynomial, RowBasis, Subspace, fitting_split,
+                                kernel, rref)
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import (
     GroupActionModule,
@@ -36,6 +37,7 @@ from spechtbranch.modules import (
     build_specht,
 )
 from spechtbranch.partitions import Partition, partitions_of
+from spechtbranch.verify import verify_branching
 
 
 def test_schur_endomorphisms_of_specht():
@@ -421,6 +423,34 @@ def test_fitting_witness_uses_the_smallest_root():
     # the first basis element has roots 1 and 3; its witness is b - 1
     assert (branch, examined) == (SPLIT, 1)
     assert witness == Matrix.from_rows(field, [[2, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_roots_match_the_residue_scan(p):
+    """The roots found through gcd(f, x^p - x) and equal-degree splitting
+    are, for every monic f of degree at most 3 over GF(p), the residues
+    where f vanishes, ascending and each once."""
+    field = GF(p)
+    for degree in range(4):
+        for low in itertools.product(range(p), repeat=degree):
+            f = Polynomial(field, list(low) + [1])
+            assert endo._roots(f) == [c for c in range(p) if f.eval_scalar(c) == 0]
+
+
+def test_roots_at_a_large_prime():
+    """Over GF(2^31 - 1) the roots of (x - 5)(x - 7)^2 (x + 1) (x^2 - 3),
+    3 being a non-residue, come back without a scan of the field."""
+    field = GF(2147483647)
+    f = Polynomial.from_roots(field, [5, 7, 7, -1]) * Polynomial(field, [-3, 0, 1])
+    assert endo._roots(f) == [5, 7, 2147483646]
+    assert endo._roots(Polynomial(field, [-3, 0, 1])) == []
+
+
+def test_branching_at_a_large_prime_finishes():
+    """Restriction of S^(3,2) over GF(2^31 - 1): block labels (p-cores) and
+    certificates take time that grows with log p at most, not with p."""
+    report = verify_branching((3, 2), 2147483647, RESTRICT)
+    assert report.passed and len(report.checks) == 8
 
 
 def test_locality_certificate_needs_the_identity():

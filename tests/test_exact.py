@@ -16,8 +16,6 @@ from oracles import (
     eval_matrix,
     integral_by_entries,
     monic,
-    poly_divmod,
-    poly_gcd,
     poly_lcm,
     poly_mod,
     intersect,
@@ -33,6 +31,8 @@ from spechtbranch.exact import (
     fitting_split,
     kernel,
     minimal_polynomial,
+    poly_divmod,
+    poly_gcd,
     rref,
     unipotent_inverse,
 )
@@ -281,6 +281,26 @@ def test_exact_results_are_int64_at_large_primes(field):
     assert rref(a)[1] == 6 and (ker.basis @ singular.pow(6)).is_zero()
     assert unipotent_inverse(unit) @ unit == Matrix.identity(field, 6)
     assert minimal_polynomial(a) == _oracle_min_poly(a)
+
+
+@pytest.mark.parametrize("field", LARGE_PRIMES, ids=str)
+def test_sparse_product_stays_int64_at_large_primes(field):
+    """A column of k nonzeros sums k residue products, which can leave
+    int64 at these primes from k = 2 or 3 on; the sparse product then
+    reduces each product mod p before the sums, never holds Python ints,
+    and equals the object product."""
+    rng = random.Random(field.characteristic % 1000)
+    p = field.characteristic
+    for k in (1, 2, 3, 9, 40):
+        c = field.array([[_entry(rng, field) for _ in range(k)] for _ in range(4)])
+        b = field.array([[_entry(rng, field) if j == 0 or rng.random() < 0.5 else 0
+                          for j in range(5)] for _ in range(k)])
+        sparse = exact._SparseRows(field, b)
+        got = sparse.left_mul(c)
+        assert sparse.vals.dtype == got.dtype == np.int64
+        fullest = int(np.count_nonzero(b, axis=0).max())
+        assert sparse.premod == (fullest * (p - 1) ** 2 >= 2**63)
+        assert np.array_equal(got, c.astype(object) @ b.astype(object) % p)
 
 
 def test_matrix_entries_are_reduced_by_scalar():
@@ -677,36 +697,43 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_kernel_inserts_each_row_once(field, monkeypatch):
-    """The kernel of a d x d matrix takes exactly d insertions, however
-    large its nullity: the relations are not eliminated a second time."""
+    """The kernel of a d x d matrix inserts its d rows once, as one block
+    against an empty basis, so with no product at all, however large its
+    nullity: the relations are not eliminated a second time."""
     rng = random.Random(97)
     matrices = [_awkward_matrix(rng, field, 8, 8) for _ in range(6)]
     matrices.append(Matrix.zeros(field, 5, 5))
     calls = _count_calls(monkeypatch, RowBasis, "_insert")
+    products = _count_calls(monkeypatch, exact, "_product")
     nullities = []
     for m in matrices:
         calls.clear()
+        products.clear()
         nullities.append(kernel(m).dim)
-        assert len(calls) == m.nrows
+        assert [len(block) for _, block in calls] == [m.nrows]
+        assert products == []
     assert min(nullities) > 0
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_row_basis_makes_one_product_per_row(field, monkeypatch):
-    """Inserting a row into a non-empty tracked basis, kept or dependent,
-    makes one matrix product, which yields the residual and the combination
-    row together; a coords_many batch makes one as well."""
+    """A block inserted into a non-empty tracked basis makes one product
+    against the stored basis, which yields the residuals and the
+    combination rows together, whatever the block holds: a row alone (a
+    block of one), kept or dependent, or several rows, kept, dependent and
+    zero.  A coords_many batch makes one product as well."""
     rng = random.Random(3)
     basis = RowBasis(field, 6)
-    rows = _random_matrix(rng, field, 3, 6).a
-    for row in rows[:2]:
-        basis.insert(row)
+    rows = _random_matrix(rng, field, 5, 6).a
+    basis.insert_rows(rows[:2])
     assert basis.size == 2
-    calls = _count_calls(monkeypatch, exact, "_mul")
-    for row in (rows[2], rows[0] + rows[1]):
+    calls = _count_calls(monkeypatch, exact, "_product")
+    for block in (rows[2:3], field.reduce_array(rows[:1] + rows[1:2]),
+                  np.vstack([rows[3:], field.zeros((1, 6)), rows[:1], rows[3:4]])):
         calls.clear()
-        basis.insert(field.reduce_array(row))
+        basis.insert_rows(block)
         assert len(calls) == 1
+    assert basis.size == 5
     calls.clear()
     basis.coords_many(_random_matrix(rng, field, 4, 6).a)
     assert len(calls) == 1
@@ -774,6 +801,72 @@ def test_restrict_property_against_conjugation(drawn):
     field, m = drawn
     for space in fitting_split(m):
         assert space.restrict(m) == conjugate_restriction(space, m)
+
+
+@st.composite
+def _block_insert_case(draw):
+    """A field, a width, a prefix and a block of rows.  The rows combine a
+    few drawn generators, with zero rows and repeated rows mixed in, and the
+    block often has more rows than the width.  Over Q the generators hold
+    small fractions or ints near 2^70."""
+    kind = draw(st.sampled_from(["Q fractions", "Q big ints", 2, 3, 2147483647]))
+    field = QQ if kind in ("Q fractions", "Q big ints") else GF(kind)
+    entries = {"Q fractions": st.fractions(-3, 3, max_denominator=3),
+               "Q big ints": st.integers(-2**70, 2**70)}.get(
+                   kind, st.integers(0, max(field.characteristic - 1, 0)))
+    width = draw(st.integers(0, 5))
+    gens = [field.array(draw(st.lists(entries, min_size=width, max_size=width)))
+            .reshape(width) for _ in range(draw(st.integers(0, 3)))]
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        choice = draw(st.integers(0, 3))
+        if choice == 0 or not gens:
+            rows.append(field.zeros(width))
+        elif choice == 1 and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))].copy())
+        else:
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(gens),
+                                   max_size=len(gens)))
+            row = field.zeros(width)
+            for c, g in zip(coeffs, gens):
+                row = row + field.scalar(c) * g
+            rows.append(field.reduce_array(row))
+    a = np.stack(rows) if rows else field.zeros((0, width))
+    split = draw(st.integers(0, len(rows)))
+    return field, width, a[:split], a[split:]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_block_insert_case())
+def test_block_insert_matches_one_row_inserts_and_the_fraction_oracle(case):
+    """Inserting a block after a prefix gives what inserting its rows one at
+    a time gives, and what the unit-pivot Fraction elimination gives: the
+    same kept indices, dependencies, pivots and rows; the stored [R | C] of
+    the block and the one-row bases agree entry for entry."""
+    field, width, prefix, block = case
+    blocked, single = RowBasis(field, width), RowBasis(field, width)
+    oracle = _UnitPivotBasis(field, width)
+    kept = blocked.insert_rows(prefix)
+    for i, row in enumerate(prefix):
+        idx = single.insert(row)[0]
+        assert idx == oracle.insert(row)[0] == (None if kept[i] < 0 else kept[i])
+    kept, dc, den = blocked._insert(block)
+    deps = exact._divide(dc, den)
+    for i, row in enumerate(block):
+        idx, dep = single.insert(row)
+        idx0, dep0 = oracle.insert(row)
+        assert idx == idx0 == (None if kept[i] < 0 else kept[i])
+        if idx is None:
+            assert np.array_equal(dep, dep0)
+            assert np.array_equal(deps[i][: len(dep)], dep)
+            assert not np.any(deps[i][len(dep):])
+    size = single.size
+    assert blocked.size == size == len(oracle.pivots)
+    assert blocked.pivots.tolist() == single.pivots.tolist() == oracle.pivots
+    assert np.array_equal(blocked._rc[:size, : width + size],
+                          single._rc[:size, : width + size])
+    assert np.array_equal(blocked.rows, oracle.rows)
+    assert blocked.rows.dtype == field.dtype
 
 
 @st.composite
