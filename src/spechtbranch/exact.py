@@ -11,8 +11,9 @@ columns and no solve is needed to restrict a matrix to it.
 
 Elimination (``RowBasis``, and ``rref``, ``kernel`` and
 ``minimal_polynomial`` on top of it) is one fraction-free algorithm for
-both fields, in the manner of Bareiss (1968), and it works on blocks of
-rows; a single row is a block of one.  Stored rows are integral, and the
+both fields, as in Bareiss (1968), except that an updated row is kept
+small by dividing it by its content, not by the previous pivot; it works
+on blocks of rows, and a single row is a block of one.  Stored rows are integral, and the
 one field-specific step is ``FieldSpec.normalize_rows``: over GF(p) it
 scales a row to pivot 1, over Q it divides the row by its content.  The
 result is exact over Q because every step keeps an integer invariant: the
@@ -29,7 +30,9 @@ the equation.  A row that is zero when its turn comes lies in the span of
 the rows kept before it, and its C-row, over those rows and its own
 coefficient, is its dependency: v = (dc / den) K, one division at the end,
 an int whenever it is exact.  ``kernel`` and ``rref`` insert a whole
-matrix as one block; a caller that needs each answer before it picks the
+matrix as one block, which is swept in panels of ``RowBasis.PANEL`` rows,
+one product each, so that over Q a pivot step does not rescale a long
+tail of later rows; a caller that needs each answer before it picks the
 next row (the spin of ``endo.hom_space``, ``minimal_polynomial``) inserts
 one row at a time.
 
@@ -38,9 +41,9 @@ the nonzeros of its right factor (``_SparseRows``), by one rule: over GF(p),
 on reduced residues, an entry that sums k products accumulates in int64
 while k (p - 1)^2 < 2^63.  Past that bound the dense product accumulates in
 Python ints; the sparse one forms each product before the sums, so it
-reduces each mod p first and stays in int64 while k (p - 1) < 2^63.  Every
-result comes back as reduced int64.  ``FieldSpec`` bounds p so that one
-product always fits.
+reduces each mod p first and stays in int64, as k (p - 1) < 2^63 for any k
+below 3 * 10^9.  Every result comes back as reduced int64.  ``FieldSpec``
+bounds p so that one product always fits.
 
 ``unipotent_inverse`` needs no elimination at all: a unipotent D = I - N
 has the inverse (I + N)(I + N^2)(I + N^4)..., which ends at the first zero
@@ -185,7 +188,8 @@ class _SparseRows:
     so the fullest column, of k nonzeros, decides the accumulation.  Each
     product is gathered before the sums, so where k (p - 1)^2 >= 2^63 (see
     ``_wide``) each is reduced mod p first, and the sums stay in int64 while
-    k (p - 1) < 2^63; Python ints are left for larger k."""
+    k (p - 1) < 2^63: for every k below 3 * 10^9, since ``FieldSpec``
+    bounds p by 2^31.5."""
 
     # entries of the gathered block c[:, rows] held at once
     CHUNK = 1 << 22
@@ -195,9 +199,8 @@ class _SparseRows:
         self.starts = np.flatnonzero(np.diff(cols, prepend=-1))
         self.cols = cols[self.starts]
         k = int(np.bincount(cols).max(initial=0))
-        self.premod = _wide(field, k) and k * (field.characteristic - 1) < INT64_LIMIT
-        wide = _wide(field, k) and not self.premod
-        self.vals = b[self.rows, cols].astype(object if wide else b.dtype, copy=False)
+        self.premod = _wide(field, k)
+        self.vals = b[self.rows, cols]
         self.field = field
         self.width = b.shape[1]
 
@@ -311,7 +314,16 @@ class RowBasis:
     C part is its dependency.  Rows, pivots, kept indices and dependencies
     are those of inserting the rows one at a time: each is determined by
     the span of the rows before it.
+
+    A block of more than ``PANEL`` rows is swept in panels of that many,
+    each reduced against everything stored before it by one product.  A
+    pivot step costs its hit rows times the block's width, and over Q,
+    where most leads are not 1, it rescales every hit row, so a long block
+    would pay for its later rows at each step what one product pays once.
     """
+
+    # rows swept per product; see the class docstring
+    PANEL = 16
 
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
@@ -372,6 +384,17 @@ class RowBasis:
         dc[i] is zero past those rows.  The rows of dc for kept rows mean
         nothing.
         """
+        if len(a) <= self.PANEL:
+            return self._sweep(a)
+        starts = range(0, len(a), self.PANEL)
+        parts = [self._sweep(a[lo: lo + self.PANEL]) for lo in starts]
+        dc = self.field.zeros((len(a), self.size))
+        for lo, (_, part, _) in zip(starts, parts):
+            dc[lo: lo + len(part), : part.shape[1]] = part
+        return [t for p in parts for t in p[0]], dc, [x for p in parts for x in p[2]]
+
+    def _sweep(self, a: np.ndarray):
+        """``_insert`` for one panel: one product, then the sweep."""
         field = self.field
         k, w = self.size, self.width
         prod, s = self._reduce(a)
@@ -408,7 +431,8 @@ class RowBasis:
             if len(hit):
                 # with every pivot 1 only the columns of row r change;
                 # otherwise the updated rows are scaled by the lead and
-                # stored ones go back to their canonical multiple
+                # divided by their content, which keeps their entries from
+                # growing with each pivot step
                 cols = slice(j, w + r + 1) if unit else slice(0, end)
                 upd = rc[hit, cols]
                 if lead != 1:
@@ -416,10 +440,10 @@ class RowBasis:
                 upd -= col[hit][:, None] * rc[r, cols]
                 upd = field.reduce_array(upd)
                 if not unit:
-                    # every updated pivot stays positive: the row that
-                    # clears is zero at the other pivot columns
-                    stored = np.searchsorted(hit, r)
-                    upd[:stored] = field.normalize_rows(upd[:stored], [1] * stored)
+                    # no updated row is zero, and a stored one keeps its
+                    # pivot positive: row r is zero at the other pivot
+                    # columns and at the C columns of the later block rows
+                    upd = field.normalize_rows(upd, [1] * len(hit))
                 rc[hit, cols] = upd
             # kept rows take the next indices, in order
             kept[r - k] = size

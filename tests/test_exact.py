@@ -721,7 +721,8 @@ def test_row_basis_makes_one_product_per_row(field, monkeypatch):
     against the stored basis, which yields the residuals and the
     combination rows together, whatever the block holds: a row alone (a
     block of one), kept or dependent, or several rows, kept, dependent and
-    zero.  A coords_many batch makes one product as well."""
+    zero.  A coords_many batch makes one product as well, and a block of
+    more than ``RowBasis.PANEL`` rows one per panel."""
     rng = random.Random(3)
     basis = RowBasis(field, 6)
     rows = _random_matrix(rng, field, 5, 6).a
@@ -737,6 +738,12 @@ def test_row_basis_makes_one_product_per_row(field, monkeypatch):
     calls.clear()
     basis.coords_many(_random_matrix(rng, field, 4, 6).a)
     assert len(calls) == 1
+    paneled = RowBasis(field, 6)
+    paneled.PANEL = 2
+    paneled.insert_rows(rows[:1])
+    calls.clear()
+    paneled.insert_rows(rows[1:])
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("entries,fast", [
@@ -842,29 +849,38 @@ def test_block_insert_matches_one_row_inserts_and_the_fraction_oracle(case):
     """Inserting a block after a prefix gives what inserting its rows one at
     a time gives, and what the unit-pivot Fraction elimination gives: the
     same kept indices, dependencies, pivots and rows; the stored [R | C] of
-    the block and the one-row bases agree entry for entry."""
+    the block and the one-row bases agree entry for entry.  A basis that
+    sweeps its blocks in panels of two rows gives the same again."""
     field, width, prefix, block = case
     blocked, single = RowBasis(field, width), RowBasis(field, width)
+    paneled = RowBasis(field, width)
+    paneled.PANEL = 2
     oracle = _UnitPivotBasis(field, width)
     kept = blocked.insert_rows(prefix)
+    assert paneled.insert_rows(prefix) == kept
     for i, row in enumerate(prefix):
         idx = single.insert(row)[0]
         assert idx == oracle.insert(row)[0] == (None if kept[i] < 0 else kept[i])
     kept, dc, den = blocked._insert(block)
-    deps = exact._divide(dc, den)
+    pkept, pdc, pden = paneled._insert(block)
+    assert pkept == kept
+    deps, pdeps = exact._divide(dc, den), exact._divide(pdc, pden)
     for i, row in enumerate(block):
         idx, dep = single.insert(row)
         idx0, dep0 = oracle.insert(row)
         assert idx == idx0 == (None if kept[i] < 0 else kept[i])
         if idx is None:
             assert np.array_equal(dep, dep0)
-            assert np.array_equal(deps[i][: len(dep)], dep)
-            assert not np.any(deps[i][len(dep):])
+            for got in (deps[i], pdeps[i]):
+                assert np.array_equal(got[: len(dep)], dep)
+                assert not np.any(got[len(dep):])
     size = single.size
-    assert blocked.size == size == len(oracle.pivots)
-    assert blocked.pivots.tolist() == single.pivots.tolist() == oracle.pivots
-    assert np.array_equal(blocked._rc[:size, : width + size],
-                          single._rc[:size, : width + size])
+    assert blocked.size == paneled.size == size == len(oracle.pivots)
+    assert (blocked.pivots.tolist() == paneled.pivots.tolist()
+            == single.pivots.tolist() == oracle.pivots)
+    for basis in (blocked, paneled):
+        assert np.array_equal(basis._rc[:size, : width + size],
+                              single._rc[:size, : width + size])
     assert np.array_equal(blocked.rows, oracle.rows)
     assert blocked.rows.dtype == field.dtype
 
