@@ -35,19 +35,18 @@ import numpy as np
 
 from .exact import Matrix, Subspace, _SparseRows, unipotent_inverse
 from .fields import FieldSpec
-from .partitions import Partition
+from .partitions import Partition, specht_dimension
 from .perms import Perm, adjacent, embed, transposition
 from .tabloids import (
     ModuleVector,
     Tableau,
+    _check_cost,
     induced_polytabloid,
     polytabloid,
     standard_tableaux,
     tabloid_indices,
     tabloid_permutation,
 )
-
-DEGREE_GUARDRAIL = 11
 
 
 @dataclass(frozen=True)
@@ -277,10 +276,9 @@ def build_specht(lam, field: FieldSpec) -> GroupActionModule:
     n = lam.size
     if n == 0:
         raise ValueError("empty partition")
-    if n > DEGREE_GUARDRAIL:
-        raise ValueError(f"degree guardrail: {n} > {DEGREE_GUARDRAIL}")
 
     def make():
+        _check_cost(lam, specht_dimension(lam))
         tableaux = standard_tableaux(lam)
         basis = Matrix(field, np.stack([polytabloid(t, field).row for t in tableaux]))
         return TabloidModule(n, field, lam, basis, tabloid_indices(lam, tableaux),
@@ -336,11 +334,10 @@ def build_induction(lam, field: FieldSpec) -> GroupActionModule:
     n = lam.size
     if n == 0:
         raise ValueError("empty partition")
-    if n + 1 > DEGREE_GUARDRAIL:
-        raise ValueError(f"degree guardrail: {n + 1} > {DEGREE_GUARDRAIL}")
 
     def make():
         shape = Partition(tuple(lam) + (1,))
+        _check_cost(shape, (n + 1) * specht_dimension(lam))
         tableaux = _induction_tableaux(lam)
         basis = Matrix(field, np.stack([induced_polytabloid(T, lam, field).row
                                         for T in tableaux]))

@@ -150,7 +150,7 @@ def specht_dimension(lam: Partition) -> int:
     return dim
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in descending lexicographic order."""
     if n < 0:

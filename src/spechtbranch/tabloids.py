@@ -1,21 +1,21 @@
 """Young tableaux, tabloids and polytabloids.
 
-A tableau stores its rows directly; a tabloid is the canonical key obtained
-by sorting each row.  Tabloids of a fixed shape are enumerated once, in
-lexicographic order on their sorted rows, and a module vector is one dense
-row over its field indexed by that enumeration.  Polytabloids are
+A tableau stores its rows directly; a tabloid's key is its rows, sorted.
+No key is stored: each shape keeps the row-label word of every tabloid,
+``words[i, x-1]`` = the row holding x in tabloid i, built one row of the
+shape at a time in lexicographic order on the sorted rows, and a module
+vector is one dense row over its field in that order.  Polytabloids are
 alternating sums over the column stabilizer; the induced variant applies
 the column stabilizer of a smaller tableau sitting inside one extra node.
 
-Tabloids are found through codes.  Each shape keeps the row-label word of
-every tabloid, ``words[i, x-1]`` = the row holding x in tabloid i, and the
-words read as base-l numbers (l the number of rows), which tell tabloids
-apart, in sorted order.  Acting by pi moves column x-1 of every word to
-column pi(x)-1; the codes of the moved words, looked up in the sorted
-codes, give ``tabloid_permutation(shape, pi)``: the index of {t_i} pi for
-every i at once, with no row sorted.  A code is a sum over the columns of
-a tableau, so a column stabilizer moves it by per-column offsets, and a
-key's coefficient is read at its code's position.
+Tabloids are found through codes: the words read as base-l numbers (l the
+number of rows) tell tabloids apart, and one search in the sorted codes
+gives their indices.  Acting by pi moves column x-1 of every word to
+column pi(x)-1; the codes of the moved words give
+``tabloid_permutation(shape, pi)``: the index of {t_i} pi for every i at
+once, with no row sorted.  A code is a sum over the columns of a tableau,
+so a column stabilizer moves it by per-column offsets, and a key's
+coefficient is read at its code's position.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 
 import numpy as np
 
@@ -31,6 +32,9 @@ from .partitions import Partition, removable_nodes
 from .perms import Perm
 
 TabloidKey = tuple[tuple[int, ...], ...]
+
+# W tabloids x max(dim, degree): S^(3,2,1,1,1) induced, 30,240 x 576, passes
+COST_GUARDRAIL = 2 ** 25
 
 
 class Tableau(tuple):
@@ -79,7 +83,7 @@ def canonical_tableau(lam: Partition) -> Tableau:
     return Tableau(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
     """All standard tableaux of the given shape, in a fixed growth order."""
     n = lam.size
@@ -109,22 +113,12 @@ def tabloid(t: Tableau) -> TabloidKey:
     return tuple(tuple(sorted(row)) for row in t)
 
 
-@lru_cache(maxsize=None)
-def enumerate_tabloids(shape: Partition) -> tuple[TabloidKey, ...]:
-    """All tabloids of a shape, lexicographic on their sorted rows."""
-    symbols = tuple(range(1, shape.size + 1))
-
-    def fill(avail: tuple[int, ...], parts: tuple[int, ...]):
-        if not parts:
-            yield ()
-            return
-        for head in itertools.combinations(avail, parts[0]):
-            chosen = set(head)
-            rest = tuple(x for x in avail if x not in chosen)
-            for tail in fill(rest, parts[1:]):
-                yield (head,) + tail
-
-    return tuple(fill(symbols, tuple(shape)))
+def _check_cost(shape: Partition, dim: int) -> None:
+    """Refuse, before it is built, a module of dimension dim in M^shape (dim 0: the table)."""
+    width = factorial(shape.size) // prod(map(factorial, shape))
+    if width * max(dim, shape.size) > COST_GUARDRAIL:
+        raise ValueError(f"cost guardrail: {width} tabloids x max(dim {dim}, "
+                         f"degree {shape.size}) > {COST_GUARDRAIL}")
 
 
 @lru_cache(maxsize=64)
@@ -134,14 +128,18 @@ def _row_words(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     ``words[i, x-1]`` is the row of symbol x in tabloid i, ``words @ weights``
     reads each word in base l (l the number of rows), and ``order`` sorts
     those codes.  The codes are int64 unless l**n would not fit, as for a
-    long first row like (62, 1); then they are Python ints.
+    long first row like (62, 1); then they are Python ints.  Row r splits each
+    partial word by the lam_r-subsets of its free symbols, in lexicographic
+    order; the last row keeps the rest.
     """
-    keys = enumerate_tabloids(shape)
+    _check_cost(shape, 0)
     n, ell = shape.size, len(shape)
-    symbols = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(keys)),
-                          dtype=np.intp, count=len(keys) * n).reshape(len(keys), n)
-    words = np.empty_like(symbols)
-    words[np.arange(len(keys))[:, None], symbols - 1] = np.repeat(np.arange(ell), shape)
+    words = np.full((1, n), ell - 1, dtype=np.intp)
+    for r, part in enumerate(shape[:-1]):
+        free = np.nonzero(words == ell - 1)[1].reshape(len(words), -1)
+        pick = list(itertools.combinations(range(free.shape[1]), part))
+        words = np.repeat(words, len(pick), axis=0)
+        words[np.arange(len(words))[:, None], free[:, pick].reshape(len(words), part)] = r
     dtype = np.int64 if ell ** n <= np.iinfo(np.int64).max else object
     weights = np.array([ell ** k for k in range(n)], dtype=dtype)
     codes = words @ weights
@@ -152,19 +150,21 @@ def _row_words(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return out
 
 
+def _index(shape: Partition, codes) -> np.ndarray:
+    """The index of each tabloid code of the shape, by one searchsorted."""
+    _, _, sorted_codes, order = _row_words(shape)
+    return order[np.searchsorted(sorted_codes, codes)]
+
+
 def _code(weights: np.ndarray, rows) -> int:
-    """The code of the tabloid whose rows are given: the sum of
-    r * weights[x-1] over the symbols x of row r."""
+    """The code of the tabloid with these rows: r * weights[x-1] summed over x in row r."""
     return sum(r * weights[x - 1] for r, row in enumerate(rows) for x in row)
 
 
 def tabloid_indices(shape: Partition, tableaux) -> np.ndarray:
-    """The index of each tableau's tabloid {t} among the tabloids of shape:
-    the codes of the tableaux, found in the sorted codes by one
-    searchsorted."""
-    _, weights, sorted_codes, order = _row_words(shape)
-    codes = np.array([_code(weights, t) for t in tableaux], dtype=weights.dtype)
-    return order[np.searchsorted(sorted_codes, codes)]
+    """The index of each tableau's tabloid {t} among the tabloids of shape."""
+    weights = _row_words(shape)[1]
+    return _index(shape, np.array([_code(weights, t) for t in tableaux], dtype=weights.dtype))
 
 
 @lru_cache(maxsize=4096)
@@ -172,12 +172,15 @@ def tabloid_permutation(shape: Partition, pi: Perm) -> np.ndarray:
     """Index table of pi on the tabloids of a shape: ``dst[i]`` is the index
     of {t_i} pi, where {t_i} is the i-th tabloid and pi has degree |shape|.
 
-    The table is read-only: every caller shares the cached array.
+    The table is read-only: every caller shares the cached array.  A pi that
+    is not a permutation of 1..|shape| raises ValueError.
     """
-    words, weights, sorted_codes, order = _row_words(shape)
+    if sorted(pi) != list(range(1, shape.size + 1)):
+        raise ValueError(f"{pi} is not a permutation of 1..{shape.size}")
+    words, weights, _, _ = _row_words(shape)
     moved = np.empty_like(words)
     moved[:, np.asarray(pi, dtype=np.intp) - 1] = words
-    dst = order[np.searchsorted(sorted_codes, moved @ weights)]
+    dst = _index(shape, moved @ weights)
     dst.flags.writeable = False
     return dst
 
@@ -193,17 +196,16 @@ class ModuleVector:
 
     @classmethod
     def zero(cls, shape: Partition, field: FieldSpec) -> "ModuleVector":
-        return cls(shape, field, field.zeros(len(enumerate_tabloids(shape))))
+        return cls(shape, field, field.zeros(len(_row_words(shape)[0])))
 
     def coefficient(self, key: TabloidKey):
-        """Coefficient of the tabloid with this key; KeyError for a key
-        that is not a tabloid of the shape."""
-        _, weights, sorted_codes, order = _row_words(self.shape)
-        if all(1 <= x <= self.shape.size for row in key for x in row):
-            pos = int(np.searchsorted(sorted_codes, _code(weights, key)))
-            if pos < len(order) and enumerate_tabloids(self.shape)[order[pos]] == key:
-                return self.field.scalar(self.row[order[pos]])
-        raise KeyError(f"{key} is not a tabloid of shape {self.shape}")
+        """Coefficient of the tabloid with this key; KeyError unless its rows
+        ascend, have the shape's lengths and hold the symbols 1..n once."""
+        shape = self.shape
+        if (tuple(map(len, key)) != shape or any(list(row) != sorted(row) for row in key)
+                or sorted(itertools.chain(*key)) != list(range(1, shape.size + 1))):
+            raise KeyError(f"{key} is not a tabloid of shape {shape}")
+        return self.field.scalar(self.row[tabloid_indices(shape, [key])[0]])
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         if (self.shape, self.field) != (other.shape, other.field):
@@ -237,7 +239,7 @@ def _signed_column_sum(t: Tableau, rows: Tableau, field: FieldSpec) -> ModuleVec
     outer sums of those offsets, found in the sorted codes at once.
     """
     shape = rows.shape
-    _, weights, sorted_codes, order = _row_words(shape)
+    weights = _row_words(shape)[1]
     codes = np.array([_code(weights, rows)], dtype=weights.dtype)
     signs = np.ones(1, dtype=field.dtype)
     for col in t.columns():
@@ -252,8 +254,8 @@ def _signed_column_sum(t: Tableau, rows: Tableau, field: FieldSpec) -> ModuleVec
         offsets = weights[symbols[perms]] @ np.arange(k) - weights[symbols] @ np.arange(k)
         codes = (codes[:, None] + offsets[None, :]).reshape(-1)
         signs = (signs[:, None] * (1 - 2 * parity)[None, :]).reshape(-1)
-    row = field.zeros(len(order))
-    np.add.at(row, order[np.searchsorted(sorted_codes, codes)], signs)
+    row = ModuleVector.zero(shape, field).row
+    np.add.at(row, _index(shape, codes), signs)
     return ModuleVector(shape, field, field.reduce_array(row))
 
 

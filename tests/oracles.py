@@ -1,8 +1,10 @@
 """Reference implementations kept for the tests.
 
-The tabloid oracles walk the column stabilizer one permutation at a time
-and find each tabloid through a dict of sorted-row keys: slow, and
-independent of the row-word codes that ``spechtbranch.tabloids`` uses.
+The tabloid oracles enumerate the tabloids of a shape as sorted-row keys,
+by recursion on the rows, walk the column stabilizer one permutation at a
+time and find each tabloid through a dict of those keys: slow, and
+independent of the row-word table and codes that ``spechtbranch.tabloids``
+builds.
 The polynomial oracles (x, division, gcd, lcm, evaluation at a matrix) serve
 the minimal-polynomial oracles, which take the lcm of per-vector Krylov
 polynomials or search annihilators exhaustively.
@@ -30,8 +32,25 @@ from spechtbranch.exact import (Matrix, Polynomial, RowBasis, Subspace, kernel,
 from spechtbranch.modules import GroupActionModule, _scatter
 from spechtbranch.partitions import Partition
 from spechtbranch.perms import embed
-from spechtbranch.tabloids import (ModuleVector, enumerate_tabloids,
-                                   tabloid_permutation)
+from spechtbranch.tabloids import ModuleVector, tabloid_permutation
+
+
+@lru_cache(maxsize=64)
+def enumerate_tabloids(shape) -> tuple:
+    """All tabloids of a shape as sorted-row keys, lexicographic on their
+    rows: row one takes each subset of its size in turn, and the later rows
+    recurse on the symbols left."""
+
+    def fill(avail, parts):
+        if not parts:
+            yield ()
+            return
+        for head in itertools.combinations(avail, parts[0]):
+            rest = tuple(x for x in avail if x not in head)
+            for tail in fill(rest, parts[1:]):
+                yield (head,) + tail
+
+    return tuple(fill(tuple(range(1, shape.size + 1)), tuple(shape)))
 
 
 @lru_cache(maxsize=64)

@@ -11,7 +11,7 @@ import time
 
 from fractions import Fraction
 
-from oracles import column_signed_maps, intersect
+from oracles import column_signed_maps, enumerate_tabloids, intersect
 from spechtbranch import endo
 from spechtbranch.central import INDUCE, RESTRICT
 from spechtbranch.exact import Matrix, RowBasis, fitting_split, kernel, rref
@@ -20,8 +20,7 @@ from spechtbranch.modules import AlgebraElement, build_specht, murphy_element
 from spechtbranch.partitions import (Partition, partitions_of, removable_nodes,
                                      restrict_at, specht_dimension)
 from spechtbranch.perms import compose
-from spechtbranch.tabloids import (canonical_tableau, enumerate_tabloids,
-                                   polytabloid, standard_tableaux)
+from spechtbranch.tabloids import canonical_tableau, polytabloid, standard_tableaux
 from spechtbranch.verify import (run_char2_counterexamples, verify_branching,
                                  verify_coefficient_induction,
                                  verify_coefficient_restriction,

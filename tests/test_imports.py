@@ -1,7 +1,7 @@
 """Every name the package or its tests import is used in the file that
-imports it, and every private top-level function or class of the package,
+imports it, every private top-level function or class of the package,
 and every private method of its classes, is referenced somewhere in the
-package."""
+package, and no cache of the package is unbounded."""
 
 import ast
 from pathlib import Path
@@ -103,3 +103,37 @@ def test_package_has_no_unused_private_definitions():
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert _unused_private_definitions(sources) == []
+
+
+def _unbounded_caches(source: str) -> list[str]:
+    """Each ``functools.cache`` and each ``lru_cache`` whose maxsize is None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) == "lru_cache":
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_scanner_flags_an_unbounded_cache():
+    source = ("import functools\nfrom functools import cache, lru_cache\n\n"
+              "@lru_cache(maxsize=None)\ndef a(): pass\n\n"
+              "@functools.lru_cache(None)\ndef b(): pass\n\n"
+              "@functools.cache\ndef c(): pass\n\n"
+              "@lru_cache(maxsize=64)\ndef d(): pass\n\n"
+              "@lru_cache\ndef e(): pass\n\n"
+              "@functools.lru_cache(8)\ndef f(): pass\n")
+    assert _unbounded_caches(source) == ["line 2", "line 4", "line 7", "line 10"]
+
+
+def test_package_has_no_unbounded_cache():
+    found = {path.name: _unbounded_caches(path.read_text())
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Rebased, ambient_solver, rows_in, split_branching
-from spechtbranch import modules
+from oracles import (Rebased, ambient_solver, enumerate_tabloids, rows_in,
+                     split_branching)
+from spechtbranch import modules, tabloids
 from spechtbranch.central import INDUCE, RESTRICT
+from spechtbranch.cli import main
 from spechtbranch.endo import decompose
 from spechtbranch.exact import Matrix, RowBasis, Subspace, minimal_polynomial, rref
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import (
-    DEGREE_GUARDRAIL,
     AlgebraElement,
     _induction_tableaux,
     build_induction,
@@ -36,11 +37,8 @@ from spechtbranch.partitions import (
     specht_dimension,
 )
 from spechtbranch.perms import adjacent, compose, transposition
-from spechtbranch.tabloids import (
-    Tableau,
-    enumerate_tabloids,
-    induced_polytabloid,
-)
+from spechtbranch.tabloids import (ModuleVector, Tableau, canonical_tableau,
+                                   induced_polytabloid, polytabloid)
 
 
 def _random_perm(rng, n):
@@ -69,13 +67,34 @@ def test_specht_dimensions_match_hook_formula():
                 assert module.degree == n
 
 
-def test_build_guardrails():
-    with pytest.raises(ValueError):
-        build_specht(Partition((DEGREE_GUARDRAIL + 1,)), QQ)
+def test_build_guardrails(monkeypatch):
+    """The cost guardrail bounds W * max(dim, degree), W the tabloids of the
+    shape tabled.  S^(3,2,1,1,1,1,1) induced (dim 1,760 in 3,326,400
+    tabloids) is refused before a table or a basis is made, in the library
+    and on the command line (exit 2), and so is the table of (1^10), which a
+    polytabloid alone would build.  Every lam of size <= 8 passes in both
+    directions, and S^(1^9) (362,880 tabloids of one row each) builds."""
+    def no_table(*args):
+        raise AssertionError("a table was built for a refused module")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tabloids, "_row_words", no_table)
+        patch.setattr(modules, "standard_tableaux", no_table)
+        with pytest.raises(ValueError, match="cost guardrail"):
+            build_induction(Partition((3, 2, 1, 1, 1, 1, 1)), GF(3))
+        assert main(["blocks", "--lambda", "3,2,1,1,1,1,1", "--field", "3",
+                     "--direction", "induce"]) == 2
+    with pytest.raises(ValueError, match="cost guardrail"):
+        polytabloid(canonical_tableau(Partition((1,) * 10)), GF(3))
     with pytest.raises(ValueError):
         build_restriction(Partition((1,)), QQ)
-    with pytest.raises(ValueError):
-        build_induction(Partition((DEGREE_GUARDRAIL,)), QQ)
+    for lam in (lam for n in range(1, 9) for lam in partitions_of(n)):
+        tabloids._check_cost(lam, specht_dimension(lam))
+        tabloids._check_cost(Partition(tuple(lam) + (1,)),
+                             (lam.size + 1) * specht_dimension(lam))
+    column = build_specht(Partition((1,) * 9), GF(3))
+    assert (column.dim, column.ambient_width) == (1, 362880)
+    clear_module_cache()
 
 
 def test_generator_involution_and_braid_relations():
@@ -93,6 +112,26 @@ def test_generator_involution_and_braid_relations():
             for i in range(len(gens)):
                 for j in range(i + 2, len(gens)):
                     assert gens[i] @ gens[j] == gens[j] @ gens[i]
+
+
+def test_actions_refuse_a_non_permutation():
+    """A tuple with a repeated symbol, a symbol past n or a 0 is not a
+    permutation: perm_matrix and element_matrix, on a module and on a
+    submodule, and AlgebraElement.apply on a tabloid vector raise
+    ValueError."""
+    lam = Partition((2, 1))
+    module = build_specht(lam, QQ)
+    sub = module.submodule(Subspace.from_rows(Matrix.identity(QQ, module.dim)))
+    vec = ModuleVector(lam, QQ, module.basis.a[0])
+    for pi in ((1, 1, 3), (1, 2, 4), (0, 2, 3)):
+        elt = AlgebraElement.from_terms(3, [((1, 2, 3), 1), (pi, 2)])
+        for m in (module, sub):
+            with pytest.raises(ValueError):
+                m.perm_matrix(pi)
+            with pytest.raises(ValueError):
+                m.element_matrix(elt)
+        with pytest.raises(ValueError):
+            elt.apply(vec)
 
 
 def test_perm_matrix_is_a_homomorphism():

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import (column_signed_maps, identity_perm, signed_column_sum,
-                     tabloid_index)
+from oracles import (column_signed_maps, enumerate_tabloids, identity_perm,
+                     signed_column_sum, tabloid_index)
 from spechtbranch.exact import RowBasis
 from spechtbranch.fields import GF, QQ
 from spechtbranch.partitions import (
@@ -27,8 +27,8 @@ from spechtbranch.modules import (
 from spechtbranch.tabloids import (
     ModuleVector,
     Tableau,
+    _row_words,
     canonical_tableau,
-    enumerate_tabloids,
     extension,
     induced_polytabloid,
     polytabloid,
@@ -96,7 +96,21 @@ def test_canonical_and_standard_tableaux():
         assert len(standard_tableaux(lam)) == specht_dimension(lam)
 
 
+def _decode(words, shape):
+    """The sorted-row key of every word of a table, in table order."""
+    rows = [np.nonzero(words == r)[1].reshape(len(words), part) + 1
+            for r, part in enumerate(shape)]
+    return [tuple(tuple(row[i].tolist()) for row in rows) for i in range(len(words))]
+
+
 def test_tabloid_enumeration_counts():
+    """The word table spells the oracle's keys, in its order, for every
+    shape of size <= 8 and for (62, 1), whose codes pass int64."""
+    for lam in [lam for n in range(9) for lam in partitions_of(n)] + [Partition((62, 1))]:
+        words = _row_words(lam)[0]
+        assert words.shape == (len(enumerate_tabloids(lam)), lam.size)
+        assert _decode(words, lam) == list(enumerate_tabloids(lam)), lam
+        assert len(ModuleVector.zero(lam, GF(2)).row) == len(words)
     assert len(enumerate_tabloids(Partition((2, 1)))) == 3
     assert len(enumerate_tabloids(Partition((1, 1, 1)))) == 6
     lam = Partition((5, 3, 1))
