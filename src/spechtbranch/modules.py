@@ -35,7 +35,7 @@ import numpy as np
 
 from .exact import Matrix, Subspace, _SparseRows, unipotent_inverse
 from .fields import FieldSpec
-from .partitions import Partition, specht_dimension
+from .partitions import Partition
 from .perms import Perm, adjacent, embed, transposition
 from .tabloids import (
     ModuleVector,
@@ -278,7 +278,7 @@ def build_specht(lam, field: FieldSpec) -> GroupActionModule:
         raise ValueError("empty partition")
 
     def make():
-        _check_cost(lam, specht_dimension(lam))
+        _check_cost(lam, lam)
         tableaux = standard_tableaux(lam)
         basis = Matrix(field, np.stack([polytabloid(t, field).row for t in tableaux]))
         return TabloidModule(n, field, lam, basis, tabloid_indices(lam, tableaux),
@@ -337,7 +337,7 @@ def build_induction(lam, field: FieldSpec) -> GroupActionModule:
 
     def make():
         shape = Partition(tuple(lam) + (1,))
-        _check_cost(shape, (n + 1) * specht_dimension(lam))
+        _check_cost(shape, lam)
         tableaux = _induction_tableaux(lam)
         basis = Matrix(field, np.stack([induced_polytabloid(T, lam, field).row
                                         for T in tableaux]))

@@ -28,12 +28,12 @@ from math import factorial, prod
 import numpy as np
 
 from .fields import FieldSpec
-from .partitions import Partition, removable_nodes
+from .partitions import Partition, removable_nodes, specht_dimension
 from .perms import Perm
 
 TabloidKey = tuple[tuple[int, ...], ...]
 
-# W tabloids x max(dim, degree): S^(3,2,1,1,1) induced, 30,240 x 576, passes
+# entries of a module and of E_n: S^(3,2,1,1,1) induced, 30,240 x 576, passes
 COST_GUARDRAIL = 2 ** 25
 
 
@@ -75,17 +75,16 @@ class Tableau(tuple):
 
 def canonical_tableau(lam: Partition) -> Tableau:
     """The row-filling tableau: 1..lam_1 in row one, and so on."""
-    rows = []
-    next_sym = 1
-    for part in lam:
-        rows.append(tuple(range(next_sym, next_sym + part)))
-        next_sym += part
-    return Tableau(rows)
+    lam = Partition(lam)
+    _check_cost(lam)
+    return Tableau(range(end - part + 1, end + 1)
+                   for part, end in zip(lam, itertools.accumulate(lam)))
 
 
 @lru_cache(maxsize=64)
 def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
     """All standard tableaux of the given shape, in a fixed growth order."""
+    _check_cost(lam)
     n = lam.size
     out = []
     rows: list[list[int]] = [[] for _ in lam]
@@ -96,9 +95,7 @@ def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
             return
         for r in range(len(lam)):
             c = len(rows[r])
-            if c >= lam[r]:
-                continue
-            if r > 0 and len(rows[r - 1]) <= c:
+            if c >= lam[r] or (r > 0 and len(rows[r - 1]) <= c):
                 continue
             rows[r].append(k)
             place(k + 1)
@@ -113,12 +110,17 @@ def tabloid(t: Tableau) -> TabloidKey:
     return tuple(tuple(sorted(row)) for row in t)
 
 
-def _check_cost(shape: Partition, dim: int) -> None:
-    """Refuse, before it is built, a module of dimension dim in M^shape (dim 0: the table)."""
-    width = factorial(shape.size) // prod(map(factorial, shape))
-    if width * max(dim, shape.size) > COST_GUARDRAIL:
-        raise ValueError(f"cost guardrail: {width} tabloids x max(dim {dim}, "
-                         f"degree {shape.size}) > {COST_GUARDRAIL}")
+def _check_cost(shape: Partition, lam: Partition | None = None) -> None:
+    """Refuse S^lam induced to degree n = |shape| (None: the table alone) when
+    its W = n!/prod(mu_i!) tabloids x max(dim, n), plus the n * n(n-1)/2
+    entries of E_n, pass the bound; a large n is refused before W is found."""
+    n = shape.size
+    cost = n * n * (n - 1) // 2
+    if cost <= COST_GUARDRAIL:
+        dim = 0 if lam is None else specht_dimension(lam) * factorial(n) // factorial(lam.size)
+        cost += factorial(n) // prod(map(factorial, shape)) * max(dim, n)
+    if cost > COST_GUARDRAIL:
+        raise ValueError(f"cost guardrail: M^({shape}) needs more than {COST_GUARDRAIL} entries")
 
 
 @lru_cache(maxsize=64)
@@ -128,11 +130,9 @@ def _row_words(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     ``words[i, x-1]`` is the row of symbol x in tabloid i, ``words @ weights``
     reads each word in base l (l the number of rows), and ``order`` sorts
     those codes.  The codes are int64 unless l**n would not fit, as for a
-    long first row like (62, 1); then they are Python ints.  Row r splits each
-    partial word by the lam_r-subsets of its free symbols, in lexicographic
-    order; the last row keeps the rest.
+    long first row like (62, 1); then they are Python ints.
     """
-    _check_cost(shape, 0)
+    _check_cost(shape)
     n, ell = shape.size, len(shape)
     words = np.full((1, n), ell - 1, dtype=np.intp)
     for r, part in enumerate(shape[:-1]):

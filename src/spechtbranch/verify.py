@@ -387,7 +387,7 @@ def run_char2_counterexamples(seed: int = 0) -> VerificationReport:
     return report
 
 
-SWEEP_GUARDRAIL = 9
+SWEEP_GUARDRAIL = 8
 
 
 def sweep(n_max: int, primes, directions=(RESTRICT, INDUCE), seed: int = 0,

@@ -38,7 +38,7 @@ from spechtbranch.partitions import (
 )
 from spechtbranch.perms import adjacent, compose, transposition
 from spechtbranch.tabloids import (ModuleVector, Tableau, canonical_tableau,
-                                   induced_polytabloid, polytabloid)
+                                   induced_polytabloid, polytabloid, standard_tableaux)
 
 
 def _random_perm(rng, n):
@@ -68,12 +68,15 @@ def test_specht_dimensions_match_hook_formula():
 
 
 def test_build_guardrails(monkeypatch):
-    """The cost guardrail bounds W * max(dim, degree), W the tabloids of the
-    shape tabled.  S^(3,2,1,1,1,1,1) induced (dim 1,760 in 3,326,400
-    tabloids) is refused before a table or a basis is made, in the library
-    and on the command line (exit 2), and so is the table of (1^10), which a
-    polytabloid alone would build.  Every lam of size <= 8 passes in both
-    directions, and S^(1^9) (362,880 tabloids of one row each) builds."""
+    """The cost guardrail bounds W * max(dim, degree) plus the entries of E_n,
+    W the tabloids of the shape tabled.  S^(3,2,1,1,1,1,1) induced (dim 1,760
+    in 3,326,400 tabloids) is refused before a table or a basis is made, in
+    the library and on the command line (exit 2), and so is the table of
+    (1^10), which a polytabloid alone would build.  A one-row shape has one
+    tabloid, so E_n bounds its degree: S^(1000) is refused with ValueError,
+    not RecursionError, and so is degree 10^8, before any factorial.  Every
+    lam of size <= 8 passes in both directions, and S^(1^9) (362,880
+    tabloids of one row each) builds."""
     def no_table(*args):
         raise AssertionError("a table was built for a refused module")
 
@@ -85,13 +88,18 @@ def test_build_guardrails(monkeypatch):
         assert main(["blocks", "--lambda", "3,2,1,1,1,1,1", "--field", "3",
                      "--direction", "induce"]) == 2
     with pytest.raises(ValueError, match="cost guardrail"):
-        polytabloid(canonical_tableau(Partition((1,) * 10)), GF(3))
+        polytabloid(Tableau((x,) for x in range(1, 11)), GF(3))
+    for lam in (Partition((1000,)), Partition((10 ** 8,))):
+        for make in (standard_tableaux, canonical_tableau, lambda mu: build_specht(mu, GF(3))):
+            with pytest.raises(ValueError, match="cost guardrail"):
+                make(lam)
+    for command in ("en-scalar", "coeff-lemma"):
+        assert main([command, "--lambda", str(10 ** 8), "--field", "3"]) == 2
     with pytest.raises(ValueError):
         build_restriction(Partition((1,)), QQ)
     for lam in (lam for n in range(1, 9) for lam in partitions_of(n)):
-        tabloids._check_cost(lam, specht_dimension(lam))
-        tabloids._check_cost(Partition(tuple(lam) + (1,)),
-                             (lam.size + 1) * specht_dimension(lam))
+        tabloids._check_cost(lam, lam)
+        tabloids._check_cost(Partition(tuple(lam) + (1,)), lam)
     column = build_specht(Partition((1,) * 9), GF(3))
     assert (column.dim, column.ambient_width) == (1, 362880)
     clear_module_cache()

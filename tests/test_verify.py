@@ -125,8 +125,9 @@ def test_sweep_small_all_pass():
 
 
 def test_sweep_guardrail():
-    with pytest.raises(ValueError):
-        sweep(10, [3])
+    for n_max in (9, 10):
+        with pytest.raises(ValueError, match="sweep guardrail"):
+            sweep(n_max, [3])
     result = sweep(2, [2], only=[Partition((2,))])
     assert result["exit_code"] == 0
 
