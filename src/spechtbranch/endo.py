@@ -50,17 +50,10 @@ from .exact import (
     rref,
 )
 from .fields import FieldSpec
-from .modules import GroupActionModule
-from .perms import Perm, adjacent, cycle
+from .modules import GroupActionModule, _generators
 
-
-def _generators(n: int) -> list[Perm]:
-    """(1 2) and the n-cycle (1 2 ... n), which generate S_n: (1 2) alone
-    for n = 2, and nothing for n = 1."""
-    if n < 2:
-        return []
-    swap, n_cycle = adjacent(n, 1), cycle(n, range(1, n + 1))
-    return [swap] if n_cycle == swap else [swap, n_cycle]
+# entries of the spin's image array, d1 x d2 x d2 at most: 2 GiB of int64
+HOM_GUARDRAIL = 2 ** 28
 
 
 def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
@@ -76,7 +69,9 @@ def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
     met while spinning keeps the combinations of candidates that respect it.
     The basis is echelon-canonical in flattened coordinates, so it does not
     depend on the generators chosen, and every element is re-verified to
-    intertwine both generator pairs.
+    intertwine both generator pairs.  The image array holds up to
+    d1 * d2 * d2 entries, so a pair past ``HOM_GUARDRAIL`` is refused with
+    ValueError before the spin.
     """
     if m1.degree != m2.degree:
         raise ValueError(f"degrees differ: {m1.degree} != {m2.degree}")
@@ -86,6 +81,9 @@ def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
     d1, d2 = m1.dim, m2.dim
     if d1 == 0 or d2 == 0:
         return []
+    if d1 * d2 * d2 > HOM_GUARDRAIL:
+        raise ValueError(f"hom guardrail: a spin from dimension {d1} to {d2} holds "
+                         f"{d1} * {d2}^2 entries, more than {HOM_GUARDRAIL}")
     perms = _generators(m1.degree)
     gens1 = [m1.perm_matrix(pi).a for pi in perms]
     gens2 = [m2.perm_matrix(pi).a for pi in perms]

@@ -1,20 +1,19 @@
 """Specht modules, their restrictions and inductions, as explicit row spaces.
 
 A module built here is a row space inside the tabloid module of an ambient
-shape, together with the symmetric group degree that acts.  A permutation
-acts through its tabloid index table (``tabloids.tabloid_permutation``):
-column i of a dense row moves to column dst[i], so a group algebra element
-is a sum of scattered copies of the rows.  One scatter serves a single
-tabloid vector and a module's basis rows alike.  The moved rows go back to
-module coordinates through the standard minor, the columns of the basis
-tableaux's own tabloids: it is unitriangular (James's standard basis
-theorem), so its exact integral inverse turns d columns of a moved row into
-its coordinates, which ``exact``'s sparse product re-checks.  No solve
-runs at the width of the tabloid space.  A submodule, such as a block
+shape, together with the symmetric group degree that acts.  Coordinates
+come through the standard minor, the columns of the basis tableaux's own
+tabloids: it is unitriangular (James's standard basis theorem), so its
+exact integral inverse turns the d minor columns of a row of the module
+into its coordinates.  The constructor proves the row space invariant
+under the symmetric group of the shape's size, once, with two solves at
+the width of the tabloid space; after that the minor columns of every
+moved basis are a gather of d columns (``tabloids.tabloid_preimages``),
+so no action runs at that width.  A submodule, such as a block
 component, holds its parent and a ``Subspace`` of the parent's
 coordinates, in reduced echelon form, and restricts the parent's d x d
-matrices to it.
-Restriction reuses the Specht basis verbatim with the degree dropped by one.
+matrices to it.  Restriction reuses the Specht module, its invariance
+proof included, with the degree dropped by one.
 
 Induction to the next symmetric group sits in M^(lam + a bottom node) and
 has a basis known in advance, from James's standard basis theorem (James,
@@ -28,6 +27,7 @@ rows are therefore independent over every field.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -36,7 +36,7 @@ import numpy as np
 from .exact import Matrix, Subspace, _SparseRows, unipotent_inverse
 from .fields import FieldSpec
 from .partitions import Partition
-from .perms import Perm, adjacent, embed, transposition
+from .perms import Perm, adjacent, cycle, embed, transposition
 from .tabloids import (
     ModuleVector,
     Tableau,
@@ -46,7 +46,17 @@ from .tabloids import (
     standard_tableaux,
     tabloid_indices,
     tabloid_permutation,
+    tabloid_preimages,
 )
+
+
+def _generators(n: int) -> list[Perm]:
+    """(1 2) and the n-cycle (1 2 ... n), which generate S_n: (1 2) alone
+    for n = 2, and nothing for n = 1."""
+    if n < 2:
+        return []
+    swap, n_cycle = adjacent(n, 1), cycle(n, range(1, n + 1))
+    return [swap] if n_cycle == swap else [swap, n_cycle]
 
 
 @dataclass(frozen=True)
@@ -147,8 +157,7 @@ class GroupActionModule:
         """Matrix of a group algebra element in the module basis.
 
         The element may exceed the acting degree up to the ambient size
-        (L_n or E_n on a restriction, say); the module must still be stable
-        under it, which the coordinate solve asserts.
+        (L_n or E_n on a restriction, say).
         """
         if elt.degree > self.shape.size:
             raise ValueError(
@@ -180,9 +189,22 @@ class TabloidModule(GroupActionModule):
     dominant tabloid of e_t, with coefficient 1, so the minor
     D = basis[:, minor_cols] is unitriangular in any order that extends
     dominance.  Its inverse is exact and integral (``unipotent_inverse``),
-    and an invertible D proves the rows independent.  A row v of the module
-    is c basis with c = v[:, minor_cols] D^-1; every solve re-checks
-    c basis = v exactly, which proves that the action kept the row space.
+    and an invertible D proves the rows independent.
+
+    The constructor proves the row space V of the basis B invariant under
+    S_m, m = |shape|: for g = (1 2) and (1 2 ... m) it moves B at the width
+    of the tabloid space, solves c = (B g)[:, minor_cols] D^-1 and re-checks
+    c B = B g through the sparse basis (``_to_module_coords``); both
+    matrices are cached.  Proof that every later action is exact: V g lies
+    in V for both generators, so V w lies in V for every word w in them,
+    that is for every pi in S_m, and so V a lies in V for every a in the
+    group algebra of S_m.  That covers every element of degree at most m,
+    also above the acting degree, such as L_m and E_m on a restriction.  A
+    row v of V is c B for one c, so v[:, minor_cols] = c D and
+    c = v[:, minor_cols] D^-1.  The minor columns of B pi are
+    B[:, cols pi^-1], the tabloids that pi moves onto the minor tabloids
+    (``tabloid_preimages``), so sum c_pi pi acts as
+    (sum c_pi B[:, cols pi^-1]) D^-1, at width d, with nothing to check.
     """
 
     def __init__(self, degree: int, field: FieldSpec, shape: Partition,
@@ -193,7 +215,11 @@ class TabloidModule(GroupActionModule):
         inverse = unipotent_inverse(Matrix(field, basis.a[:, self.minor_cols]))
         # D^-1 - I is sparse, so a solve costs d nnz(D^-1 - I)
         self._correction = _SparseRows(field, inverse.shift(-1).a)
-        self._sparse_basis = _SparseRows(field, basis.a)
+        for pi in _generators(shape.size):
+            # a permutation of reduced rows is reduced already
+            moved = np.empty_like(basis.a)
+            moved[:, tabloid_permutation(shape, pi)] = basis.a
+            self._perm_cache[pi] = self._to_module_coords(moved)
 
     @property
     def dim(self) -> int:
@@ -203,24 +229,41 @@ class TabloidModule(GroupActionModule):
     def ambient_width(self) -> int:
         return self.basis.ncols
 
-    def _to_module_coords(self, rows: np.ndarray) -> Matrix:
-        """Coordinates of reduced rows of the module, re-checked."""
+    def _one_degree_down(self, label: str) -> "TabloidModule":
+        """The same row space acted on by S_(degree - 1).  Its basis, minor
+        inverse and invariance proof, over S_|shape|, are this module's, so
+        nothing is rebuilt; the cached permutation matrices, the proof's
+        among them, are copied."""
+        down = copy.copy(self)
+        GroupActionModule.__init__(down, self.degree - 1, self.field, self.shape, label)
+        down._perm_cache.update(self._perm_cache)
+        return down
+
+    def _solve(self, lead: np.ndarray) -> Matrix:
+        """Coordinates lead D^-1 of the rows of the module with minor columns lead."""
         field = self.field
-        lead = rows[:, self.minor_cols]
-        coeffs = field.reduce_array(lead + self._correction.left_mul(lead))
-        if not np.array_equal(self._sparse_basis.left_mul(coeffs), rows):
+        return Matrix(field, field.reduce_array(lead + self._correction.left_mul(lead)))
+
+    def _to_module_coords(self, rows: np.ndarray) -> Matrix:
+        """Coordinates of reduced rows of the module, re-checked: the checked
+        solve of the invariance proof."""
+        coeffs = self._solve(rows[:, self.minor_cols])
+        sparse_basis = _SparseRows(self.field, self.basis.a)
+        if not np.array_equal(sparse_basis.left_mul(coeffs.a), rows):
             raise ArithmeticError("action left the module's row space")
-        return Matrix(field, coeffs)
+        return coeffs
 
     def _perm_action(self, pi: Perm) -> Matrix:
-        # a permutation of reduced rows is reduced already
-        acc = np.empty_like(self.basis.a)
-        acc[:, tabloid_permutation(self.shape, embed(pi, self.shape.size))] = self.basis.a
-        return self._to_module_coords(acc)
+        return self._element_action(AlgebraElement(len(pi), ((pi, 1),)))
 
     def _element_action(self, elt: AlgebraElement) -> Matrix:
-        return self._to_module_coords(
-            self.field.reduce_array(_scatter(elt, self.shape, self.basis.a)))
+        field, size = self.field, self.shape.size
+        lead = field.zeros((self.dim, self.dim))
+        for pi, coeff in elt.terms:
+            src = tabloid_preimages(self.shape, embed(pi, size), self.minor_cols)
+            # reduced per term: (p-1) + (p-1)^2 < 2^63 for every p FieldSpec admits
+            lead = field.reduce_array(lead + field.scalar(coeff) * self.basis.a[:, src])
+        return self._solve(lead)
 
 
 class Submodule(GroupActionModule):
@@ -294,9 +337,8 @@ def build_restriction(lam, field: FieldSpec) -> GroupActionModule:
         raise ValueError("restriction needs degree at least 2")
 
     def make():
-        base = build_specht(lam, field)
-        return TabloidModule(lam.size - 1, field, lam, base.basis, base.minor_cols,
-                             label=f"S^({lam}) restricted, over {field}")
+        return build_specht(lam, field)._one_degree_down(
+            f"S^({lam}) restricted, over {field}")
 
     return _cached_module(("R", lam, field), make)
 

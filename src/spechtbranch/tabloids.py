@@ -10,12 +10,14 @@ the column stabilizer of a smaller tableau sitting inside one extra node.
 
 Tabloids are found through codes: the words read as base-l numbers (l the
 number of rows) tell tabloids apart, and one search in the sorted codes
-gives their indices.  Acting by pi moves column x-1 of every word to
-column pi(x)-1; the codes of the moved words give
-``tabloid_permutation(shape, pi)``: the index of {t_i} pi for every i at
-once, with no row sorted.  A code is a sum over the columns of a tableau,
-so a column stabilizer moves it by per-column offsets, and a key's
-coefficient is read at its code's position.
+gives their indices.  The tabloid that pi moves onto {t_i} has the word
+of {t_i} read through pi, letter x from column pi(x)-1, so the codes of
+the read words give ``tabloid_preimages(shape, pi, rows)`` for chosen
+tabloids, with no row sorted; over every tabloid, inverted, they give
+``tabloid_permutation(shape, pi)``, the index of {t_i} pi for every i.
+A code is a sum over the columns of a tableau, so a column stabilizer
+moves it by per-column offsets, and a key's coefficient is read at its
+code's position.
 """
 
 from __future__ import annotations
@@ -167,20 +169,29 @@ def tabloid_indices(shape: Partition, tableaux) -> np.ndarray:
     return _index(shape, np.array([_code(weights, t) for t in tableaux], dtype=weights.dtype))
 
 
+def tabloid_preimages(shape: Partition, pi: Perm, rows) -> np.ndarray:
+    """The index of {t_i} pi^-1 for each tabloid index i in rows: the
+    tabloid that pi moves onto {t_i}.  Its word is the word of {t_i} read
+    through pi, letter x taken from ``words[i, pi(x) - 1]``.  A pi that is
+    not a permutation of 1..|shape| raises ValueError."""
+    if sorted(pi) != list(range(1, shape.size + 1)):
+        raise ValueError(f"{pi} is not a permutation of 1..{shape.size}")
+    words, weights, _, _ = _row_words(shape)
+    return _index(shape, words[rows][:, np.asarray(pi, dtype=np.intp) - 1] @ weights)
+
+
 @lru_cache(maxsize=4096)
 def tabloid_permutation(shape: Partition, pi: Perm) -> np.ndarray:
     """Index table of pi on the tabloids of a shape: ``dst[i]`` is the index
     of {t_i} pi, where {t_i} is the i-th tabloid and pi has degree |shape|.
 
-    The table is read-only: every caller shares the cached array.  A pi that
-    is not a permutation of 1..|shape| raises ValueError.
+    It inverts the preimages of every tabloid, so a pi that is not a
+    permutation raises ValueError there.  The table is read-only: every
+    caller shares the cached array.
     """
-    if sorted(pi) != list(range(1, shape.size + 1)):
-        raise ValueError(f"{pi} is not a permutation of 1..{shape.size}")
-    words, weights, _, _ = _row_words(shape)
-    moved = np.empty_like(words)
-    moved[:, np.asarray(pi, dtype=np.intp) - 1] = words
-    dst = _index(shape, moved @ weights)
+    src = tabloid_preimages(shape, pi, slice(None))
+    dst = np.empty_like(src)
+    dst[src] = np.arange(len(src))
     dst.flags.writeable = False
     return dst
 

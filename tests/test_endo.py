@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import Rebased, rows_in, split_branching
-from spechtbranch import endo
+from spechtbranch import cli, endo
 from spechtbranch.central import (
     INDUCE,
     RESTRICT,
@@ -133,6 +133,28 @@ def test_hom_space_spins_on_two_generators(monkeypatch):
     homs = hom_space(module, module)
     assert module.degree == 5 and homs
     assert set(asked) == {(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)}
+
+
+class _Huge(GroupActionModule):
+    """A module that only has a dimension: every action matrix is refused."""
+
+    dim = 700
+
+    def _perm_action(self, pi):
+        raise AssertionError(f"the matrix of {pi} was asked for")
+
+
+def test_hom_space_refuses_a_spin_past_its_memory_bound(monkeypatch):
+    """700 * 700^2 image entries pass HOM_GUARDRAIL (2^28, 2 GiB of int64),
+    so hom_space raises ValueError naming both dimensions before any matrix
+    is asked for or any array is made, and the CLI exits 2; the 576-dim
+    block of S^(3,2,1,1,1) induced at p = 2 passes the bound."""
+    huge = _Huge(3, GF(3), Partition((2, 1)), "stub")
+    with pytest.raises(ValueError, match="hom guardrail.* 700 to 700"):
+        hom_space(huge, huge)
+    assert 576 ** 3 <= endo.HOM_GUARDRAIL < 700 ** 3
+    monkeypatch.setattr(cli, "build_specht", lambda lam, field: huge)
+    assert cli.main(["decompose", "--lambda", "2,1", "--field", "3"]) == 2
 
 
 @pytest.mark.parametrize("degree,generators", [

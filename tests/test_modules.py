@@ -370,13 +370,16 @@ _BUILDS = ((build_specht, 1), (build_restriction, 2), (build_induction, 1))
 def _assert_matches_ambient_solve(sub, module, rows=None):
     """sub, spanned by rows times module's basis (module itself when rows
     is None), has the Coxeter generator matrices and transposition sum of
-    that span solved through a RowBasis as wide as the tabloids."""
+    that span, and E_m and L_m for m = |shape| (above the acting degree on
+    a restriction), solved through a RowBasis as wide as the tabloids."""
     oracle = ambient_solver(module, rows)
     for i in range(1, module.degree):
         pi = adjacent(module.degree, i)
         assert sub.perm_matrix(pi) == oracle.perm_matrix(module.shape, pi)
-    elt = transposition_sum(module.degree)
-    assert sub.element_matrix(elt) == oracle.element_matrix(module.shape, elt)
+    size = module.shape.size
+    for elt in (transposition_sum(module.degree), transposition_sum(size),
+                murphy_element(size)):
+        assert sub.element_matrix(elt) == oracle.element_matrix(module.shape, elt)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
@@ -408,6 +411,18 @@ def test_action_matrices_at_a_large_prime_match_the_ambient_solve():
                    build_induction(Partition((3, 2, 1)), field)):
         _assert_matches_ambient_solve(module, module)
         assert all(g.a.dtype == np.int64 for g in module.gens())
+
+
+def test_large_element_coefficients_act_as_their_residues():
+    """Over GF(2^31 - 1) a coefficient of 2^62 acts as its residue on a
+    module, though 2^62 times an entry, and a sum of such terms, leave
+    int64; the matrix equals the ambient solve of the residues."""
+    field = GF(2147483647)
+    module = build_induction(Partition((2, 1)), field)
+    terms = [((2, 1, 3, 4), 2 ** 62), ((1, 3, 4, 2), 2 ** 62), ((4, 3, 2, 1), 2 ** 62)]
+    residues = AlgebraElement.from_terms(4, [(pi, c % 2147483647) for pi, c in terms])
+    assert module.element_matrix(AlgebraElement.from_terms(4, terms)) == \
+        ambient_solver(module).element_matrix(module.shape, residues)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
@@ -571,13 +586,15 @@ def test_block_component_owns_its_submodule():
         assert sub.parent is module and sub.dim == comp.dim
 
 
-def test_perm_matrix_reduces_at_ambient_width_once(monkeypatch):
-    """A permutation moves reduced rows to reduced rows, so one perm_matrix
-    over GF(3) reduces one array as wide as the tabloids, the re-check
-    product, and not the moved rows as well."""
+def test_actions_after_the_build_reduce_nothing_at_ambient_width(monkeypatch):
+    """Once the build has proved the row space invariant, perm_matrix and
+    element_matrix over GF(3) read the d minor columns: on an induction and
+    on a restriction, also for an element above the acting degree, they
+    reduce no array as wide as the tabloids."""
     field = GF(3)
-    clear_module_cache()  # so no earlier test has cached the matrix
-    module = build_induction(Partition((2, 1)), field)
+    clear_module_cache()  # so no earlier test has cached the matrices
+    built = (build_induction(Partition((2, 1)), field),
+             build_restriction(Partition((3, 1)), field))
     widths = []
     reduce_array = type(field).reduce_array
 
@@ -586,5 +603,48 @@ def test_perm_matrix_reduces_at_ambient_width_once(monkeypatch):
         return reduce_array(self, a)
 
     monkeypatch.setattr(type(field), "reduce_array", recorded)
-    module.perm_matrix(adjacent(module.degree, 2))
-    assert widths.count(module.ambient_width) == 1
+    for module in built:
+        widths.clear()
+        size = module.shape.size
+        module.perm_matrix(adjacent(module.degree, module.degree - 1))
+        module.element_matrix(transposition_sum(module.degree))
+        module.element_matrix(murphy_element(size))
+        assert widths and module.ambient_width not in widths
+    clear_module_cache()
+
+
+def test_a_row_space_that_is_not_invariant_is_refused_at_construction():
+    """The constructor proves invariance under S_|shape| whatever the acting
+    degree: the tabloid {1 2 / 3} of M^(2,1), with its own column as the
+    minor, is fixed by (1 2) but moved off its span by the 3-cycle."""
+    shape = Partition((2, 1))
+    cols = tabloids.tabloid_indices(shape, [Tableau(((1, 2), (3,)))])
+    for field in (QQ, GF(2), GF(3)):
+        row = field.zeros((1, 3))
+        row[0, cols] = 1
+        for degree in (2, 3):
+            with pytest.raises(ArithmeticError):
+                modules.TabloidModule(degree, field, shape, Matrix(field, row), cols)
+
+
+def test_restriction_reuses_the_specht_modules_proof(monkeypatch):
+    """Building S^lam restricted after S^lam runs no unipotent_inverse and no
+    solve at the width of the tabloids: the restriction shares the Specht
+    module's minor inverse and proof, and the proof's matrices."""
+    lam, field = Partition((3, 2, 1)), GF(3)
+    clear_module_cache()
+    specht = build_specht(lam, field)
+
+    def refused(*args):
+        raise AssertionError("rebuilt by the restriction")
+
+    monkeypatch.setattr(modules, "unipotent_inverse", refused)
+    monkeypatch.setattr(modules.TabloidModule, "_to_module_coords", refused)
+    down = build_restriction(lam, field)
+    down.gens()
+    down.element_matrix(murphy_element(lam.size))
+    assert down.degree == lam.size - 1
+    assert down.basis is specht.basis and down._correction is specht._correction
+    for pi in modules._generators(lam.size):
+        assert down.perm_matrix(pi) is specht.perm_matrix(pi)
+    clear_module_cache()
