@@ -7,9 +7,11 @@ tabloids: it is unitriangular (James's standard basis theorem), so its
 exact integral inverse turns the d minor columns of a row of the module
 into its coordinates.  The constructor proves the row space invariant
 under the symmetric group of the shape's size, once, with two solves at
-the width of the tabloid space; after that the minor columns of every
-moved basis are a gather of d columns (``tabloids.tabloid_preimages``),
-so no action runs at that width.  A submodule, such as a block
+the width of the tabloid space.  Every action is one gather per term
+through the permutation's preimage table,
+``tabloids.tabloid_preimages(shape, pi)``: of a tabloid vector, of the
+basis in that proof, and after it of the d minor columns alone, so no
+action after the build runs at that width.  A submodule, such as a block
 component, holds its parent and a ``Subspace`` of the parent's
 coordinates, in reduced echelon form, and restricts the parent's d x d
 matrices to it.  Restriction reuses the Specht module, its invariance
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import Matrix, Subspace, _SparseRows, unipotent_inverse
+from .exact import Matrix, Subspace, _SparseRows, _wide, unipotent_inverse
 from .fields import FieldSpec
 from .partitions import Partition
 from .perms import Perm, adjacent, cycle, embed, transposition
@@ -45,7 +47,6 @@ from .tabloids import (
     polytabloid,
     standard_tableaux,
     tabloid_indices,
-    tabloid_permutation,
     tabloid_preimages,
 )
 
@@ -72,13 +73,14 @@ class AlgebraElement:
         for perm, coeff in terms:
             if len(perm) != degree:
                 raise ValueError(f"term degree {len(perm)} != {degree}")
+            if not isinstance(coeff, (int, np.integer)):
+                raise TypeError(f"coefficient {coeff!r} of {perm} is not an integer")
             acc[perm] = acc.get(perm, 0) + int(coeff)
         return cls(degree, tuple(sorted((p, c) for p, c in acc.items() if c)))
 
     def apply(self, vec: ModuleVector) -> ModuleVector:
-        """Right action on a tabloid vector, reduced once."""
-        return ModuleVector(vec.shape, vec.field,
-                            vec.field.reduce_array(_scatter(self, vec.shape, vec.row)))
+        """Right action on a tabloid vector."""
+        return ModuleVector(vec.shape, vec.field, _act(self, vec.field, vec.shape, vec.row))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -86,14 +88,21 @@ class AlgebraElement:
         return " + ".join(f"{c}*{p}" for p, c in self.terms)
 
 
-def _scatter(elt: AlgebraElement, shape: Partition, rows: np.ndarray) -> np.ndarray:
-    """rows times elt, unreduced: each term adds a multiple of the rows (one
-    row or a stack of them, one column per tabloid of shape) with column i
-    moved to column dst[i] of its permutation's index table."""
-    out = np.zeros_like(rows)
+def _act(elt: AlgebraElement, field: FieldSpec, shape: Partition, rows: np.ndarray,
+         cols=slice(None)) -> np.ndarray:
+    """The columns cols (all by default) of reduced rows times elt, for one
+    row or a stack of them with one column per tabloid of shape: each term
+    adds c * rows[..., src[cols]], src its permutation's preimage table
+    (``tabloid_preimages``) and c reduced.  The sum of the terms is
+    reduced once, or after every term when it may leave int64 (``_wide``)."""
+    wide = _wide(field, len(elt.terms))
+    out = np.zeros_like(rows[..., cols])
     for perm, coeff in elt.terms:
-        out[..., tabloid_permutation(shape, embed(perm, shape.size))] += coeff * rows
-    return out
+        src = tabloid_preimages(shape, embed(perm, shape.size))
+        out = out + field.scalar(coeff) * rows[..., src[cols]]
+        if wide:  # (p-1) + (p-1)^2 < 2^63 for every p FieldSpec admits
+            out = field.reduce_array(out)
+    return field.reduce_array(out)
 
 
 def murphy_element(k: int) -> AlgebraElement:
@@ -116,7 +125,8 @@ def transposition_sum(k: int) -> AlgebraElement:
 class GroupActionModule:
     """A symmetric group module, known through the matrices of its action.
 
-    Matrices are computed on demand, in the module's basis, and cached.  A
+    Matrices are computed on demand, in the module's basis, and cached, one
+    cache for every element; a permutation is its one-term element.  A
     module built from tabloids is a ``TabloidModule``; a ``Submodule`` takes
     its matrices from its parent's.
     """
@@ -128,7 +138,6 @@ class GroupActionModule:
         self.field = field
         self.shape = shape
         self.label = label or f"module of degree {degree} over {field}"
-        self._perm_cache: dict = {}
         self._elt_cache: dict = {}
 
     @property
@@ -138,20 +147,13 @@ class GroupActionModule:
     def __repr__(self) -> str:
         return f"<{self.label}: dim {self.dim}>"
 
-    def _perm_action(self, pi: Perm) -> Matrix:
-        raise NotImplementedError
-
     def _element_action(self, elt: AlgebraElement) -> Matrix:
         raise NotImplementedError
 
     def perm_matrix(self, pi: Perm) -> Matrix:
-        """Matrix of the right action of pi in the module basis."""
-        if len(pi) > self.shape.size:
-            raise ValueError(
-                f"permutation degree {len(pi)} exceeds ambient size {self.shape.size}")
-        if pi not in self._perm_cache:
-            self._perm_cache[pi] = self._perm_action(pi)
-        return self._perm_cache[pi]
+        """Matrix of the right action of pi in the module basis: the matrix
+        of the one-term element pi, in the one cache of ``element_matrix``."""
+        return self.element_matrix(AlgebraElement(len(pi), ((pi, 1),)))
 
     def element_matrix(self, elt: AlgebraElement) -> Matrix:
         """Matrix of a group algebra element in the module basis.
@@ -161,7 +163,7 @@ class GroupActionModule:
         """
         if elt.degree > self.shape.size:
             raise ValueError(
-                f"element degree {elt.degree} exceeds ambient size {self.shape.size}")
+                f"degree {elt.degree} exceeds ambient size {self.shape.size}")
         if elt not in self._elt_cache:
             self._elt_cache[elt] = self._element_action(elt)
         return self._elt_cache[elt]
@@ -195,16 +197,16 @@ class TabloidModule(GroupActionModule):
     S_m, m = |shape|: for g = (1 2) and (1 2 ... m) it moves B at the width
     of the tabloid space, solves c = (B g)[:, minor_cols] D^-1 and re-checks
     c B = B g through the sparse basis (``_to_module_coords``); both
-    matrices are cached.  Proof that every later action is exact: V g lies
-    in V for both generators, so V w lies in V for every word w in them,
-    that is for every pi in S_m, and so V a lies in V for every a in the
-    group algebra of S_m.  That covers every element of degree at most m,
+    matrices are cached, as their one-term elements.  Proof that every later
+    action is exact: V g lies in V for both generators, so V w lies in V for
+    every word w in them, that is for every pi in S_m, and so V a lies in V
+    for every a in the group algebra of S_m.  That covers every element of degree at most m,
     also above the acting degree, such as L_m and E_m on a restriction.  A
     row v of V is c B for one c, so v[:, minor_cols] = c D and
     c = v[:, minor_cols] D^-1.  The minor columns of B pi are
-    B[:, cols pi^-1], the tabloids that pi moves onto the minor tabloids
-    (``tabloid_preimages``), so sum c_pi pi acts as
-    (sum c_pi B[:, cols pi^-1]) D^-1, at width d, with nothing to check.
+    B[:, src[cols]], the tabloids that pi moves onto the minor tabloids
+    (src = ``tabloid_preimages``), so sum c_pi pi acts as
+    (sum c_pi B[:, src[cols]]) D^-1, at width d, with nothing to check.
     """
 
     def __init__(self, degree: int, field: FieldSpec, shape: Partition,
@@ -217,9 +219,8 @@ class TabloidModule(GroupActionModule):
         self._correction = _SparseRows(field, inverse.shift(-1).a)
         for pi in _generators(shape.size):
             # a permutation of reduced rows is reduced already
-            moved = np.empty_like(basis.a)
-            moved[:, tabloid_permutation(shape, pi)] = basis.a
-            self._perm_cache[pi] = self._to_module_coords(moved)
+            moved = basis.a[:, tabloid_preimages(shape, pi)]
+            self._elt_cache[AlgebraElement(len(pi), ((pi, 1),))] = self._to_module_coords(moved)
 
     @property
     def dim(self) -> int:
@@ -232,11 +233,11 @@ class TabloidModule(GroupActionModule):
     def _one_degree_down(self, label: str) -> "TabloidModule":
         """The same row space acted on by S_(degree - 1).  Its basis, minor
         inverse and invariance proof, over S_|shape|, are this module's, so
-        nothing is rebuilt; the cached permutation matrices, the proof's
-        among them, are copied."""
+        nothing is rebuilt; the cached matrices, the proof's among them, are
+        copied."""
         down = copy.copy(self)
         GroupActionModule.__init__(down, self.degree - 1, self.field, self.shape, label)
-        down._perm_cache.update(self._perm_cache)
+        down._elt_cache.update(self._elt_cache)
         return down
 
     def _solve(self, lead: np.ndarray) -> Matrix:
@@ -253,17 +254,8 @@ class TabloidModule(GroupActionModule):
             raise ArithmeticError("action left the module's row space")
         return coeffs
 
-    def _perm_action(self, pi: Perm) -> Matrix:
-        return self._element_action(AlgebraElement(len(pi), ((pi, 1),)))
-
     def _element_action(self, elt: AlgebraElement) -> Matrix:
-        field, size = self.field, self.shape.size
-        lead = field.zeros((self.dim, self.dim))
-        for pi, coeff in elt.terms:
-            src = tabloid_preimages(self.shape, embed(pi, size), self.minor_cols)
-            # reduced per term: (p-1) + (p-1)^2 < 2^63 for every p FieldSpec admits
-            lead = field.reduce_array(lead + field.scalar(coeff) * self.basis.a[:, src])
-        return self._solve(lead)
+        return self._solve(_act(elt, self.field, self.shape, self.basis.a, self.minor_cols))
 
 
 class Submodule(GroupActionModule):
@@ -286,9 +278,6 @@ class Submodule(GroupActionModule):
             return self.space.restrict(m)
         except ValueError as exc:
             raise ArithmeticError(f"action left the submodule: {exc}") from exc
-
-    def _perm_action(self, pi: Perm) -> Matrix:
-        return self._restricted(self.parent.perm_matrix(pi))
 
     def _element_action(self, elt: AlgebraElement) -> Matrix:
         return self._restricted(self.parent.element_matrix(elt))

@@ -11,10 +11,11 @@ the column stabilizer of a smaller tableau sitting inside one extra node.
 Tabloids are found through codes: the words read as base-l numbers (l the
 number of rows) tell tabloids apart, and one search in the sorted codes
 gives their indices.  The tabloid that pi moves onto {t_i} has the word
-of {t_i} read through pi, letter x from column pi(x)-1, so the codes of
-the read words give ``tabloid_preimages(shape, pi, rows)`` for chosen
-tabloids, with no row sorted; over every tabloid, inverted, they give
-``tabloid_permutation(shape, pi)``, the index of {t_i} pi for every i.
+of {t_i} read through pi, letter x from column pi(x)-1, and the read
+words of all tabloids are all the words again, so ranking their codes
+gives ``tabloid_preimages(shape, pi)``, the index of {t_i} pi^-1 for
+every i, with no row sorted: the one table through which a permutation
+moves tabloid vectors, v pi = v[src].
 A code is a sum over the columns of a tableau, so a column stabilizer
 moves it by per-column offsets, and a key's coefficient is read at its
 code's position.
@@ -145,7 +146,8 @@ def _row_words(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     dtype = np.int64 if ell ** n <= np.iinfo(np.int64).max else object
     weights = np.array([ell ** k for k in range(n)], dtype=dtype)
     codes = words @ weights
-    order = np.argsort(codes)
+    # W < 2^25 under COST_GUARDRAIL, so int32 indices halve every cached table
+    order = np.argsort(codes).astype(np.int32)
     out = (words, weights, codes[order], order)
     for a in out:
         a.flags.writeable = False
@@ -169,31 +171,26 @@ def tabloid_indices(shape: Partition, tableaux) -> np.ndarray:
     return _index(shape, np.array([_code(weights, t) for t in tableaux], dtype=weights.dtype))
 
 
-def tabloid_preimages(shape: Partition, pi: Perm, rows) -> np.ndarray:
-    """The index of {t_i} pi^-1 for each tabloid index i in rows: the
-    tabloid that pi moves onto {t_i}.  Its word is the word of {t_i} read
-    through pi, letter x taken from ``words[i, pi(x) - 1]``.  A pi that is
-    not a permutation of 1..|shape| raises ValueError."""
+@lru_cache(maxsize=4096)
+def tabloid_preimages(shape: Partition, pi: Perm) -> np.ndarray:
+    """Index table of pi on the tabloids of a shape, pi of degree |shape|:
+    ``src[i]`` is the index of {t_i} pi^-1, the tabloid that pi moves onto
+    the i-th tabloid {t_i}, so a vector v moves to v pi = v[src].  Its word
+    is the word of {t_i} read through pi, letter x taken from
+    ``words[i, pi(x) - 1]``, so its code is ``words[i]`` times the weights
+    permuted by pi^-1.  The read words of all tabloids are all the words
+    again, so their codes are the sorted codes in another order, and one
+    argsort ranks them.  A pi that is not a permutation of 1..|shape|
+    raises ValueError.  The table is read-only: every caller shares the
+    cached array.
+    """
     if sorted(pi) != list(range(1, shape.size + 1)):
         raise ValueError(f"{pi} is not a permutation of 1..{shape.size}")
-    words, weights, _, _ = _row_words(shape)
-    return _index(shape, words[rows][:, np.asarray(pi, dtype=np.intp) - 1] @ weights)
-
-
-@lru_cache(maxsize=4096)
-def tabloid_permutation(shape: Partition, pi: Perm) -> np.ndarray:
-    """Index table of pi on the tabloids of a shape: ``dst[i]`` is the index
-    of {t_i} pi, where {t_i} is the i-th tabloid and pi has degree |shape|.
-
-    It inverts the preimages of every tabloid, so a pi that is not a
-    permutation raises ValueError there.  The table is read-only: every
-    caller shares the cached array.
-    """
-    src = tabloid_preimages(shape, pi, slice(None))
-    dst = np.empty_like(src)
-    dst[src] = np.arange(len(src))
-    dst.flags.writeable = False
-    return dst
+    words, weights, _, order = _row_words(shape)
+    src = np.empty_like(order)
+    src[np.argsort(words @ weights[np.argsort(pi)])] = order
+    src.flags.writeable = False
+    return src
 
 
 @dataclass

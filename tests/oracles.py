@@ -2,9 +2,10 @@
 
 The tabloid oracles enumerate the tabloids of a shape as sorted-row keys,
 by recursion on the rows, walk the column stabilizer one permutation at a
-time and find each tabloid through a dict of those keys: slow, and
-independent of the row-word table and codes that ``spechtbranch.tabloids``
-builds.
+time, move a tabloid by relabelling its key and sorting its rows
+(``act_key``) and find each tabloid through a dict of those keys: slow, and
+independent of the row-word table, codes and preimage tables that
+``spechtbranch.tabloids`` builds.
 The polynomial oracles (x, division, gcd, lcm, evaluation at a matrix) serve
 the minimal-polynomial oracles, which take the lcm of per-vector Krylov
 polynomials or search annihilators exhaustively.
@@ -29,10 +30,10 @@ import numpy as np
 from spechtbranch.central import block_split, branching_factors
 from spechtbranch.exact import (Matrix, Polynomial, RowBasis, Subspace, kernel,
                                poly_divmod, poly_gcd)
-from spechtbranch.modules import GroupActionModule, _scatter
+from spechtbranch.modules import GroupActionModule
 from spechtbranch.partitions import Partition
 from spechtbranch.perms import embed
-from spechtbranch.tabloids import ModuleVector, tabloid_permutation
+from spechtbranch.tabloids import ModuleVector
 
 
 @lru_cache(maxsize=64)
@@ -57,6 +58,27 @@ def enumerate_tabloids(shape) -> tuple:
 def tabloid_index(shape) -> dict:
     """Tabloid key -> its index in ``enumerate_tabloids(shape)``."""
     return {key: i for i, key in enumerate(enumerate_tabloids(shape))}
+
+
+def act_key(key, pi):
+    """{t} pi on a tabloid key, each row relabelled and sorted."""
+    return tuple(tuple(sorted(pi[x - 1] for x in row)) for row in key)
+
+
+@lru_cache(maxsize=1024)
+def key_destinations(shape, pi) -> tuple:
+    """The index of {t_i} pi for each tabloid key {t_i} of shape, pi of
+    degree |shape|: column i of a row moves to column dst[i]."""
+    index = tabloid_index(shape)
+    return tuple(index[act_key(key, pi)] for key in enumerate_tabloids(shape))
+
+
+def move_columns(rows: np.ndarray, shape, pi) -> np.ndarray:
+    """rows times pi, one column per tabloid key: column i moved to the
+    index of its key relabelled by pi and sorted."""
+    moved = np.empty_like(rows)
+    moved[..., list(key_destinations(shape, embed(pi, shape.size)))] = rows
+    return moved
 
 
 def column_signed_maps(t):
@@ -155,12 +177,14 @@ class AmbientSolver:
         return Matrix(self.field, coeffs)
 
     def perm_matrix(self, shape, pi) -> Matrix:
-        moved = np.empty_like(self.rows.a)
-        moved[:, tabloid_permutation(shape, embed(pi, shape.size))] = self.rows.a
-        return self.coords(moved)
+        return self.coords(move_columns(self.rows.a, shape, pi))
 
     def element_matrix(self, shape, elt) -> Matrix:
-        return self.coords(_scatter(elt, shape, self.rows.a))
+        out = np.zeros_like(self.rows.a)
+        for pi, coeff in elt.terms:
+            out = self.field.reduce_array(
+                out + self.field.scalar(coeff) * move_columns(self.rows.a, shape, pi))
+        return self.coords(out)
 
 
 def ambient_solver(module, coeff_rows: Matrix = None) -> AmbientSolver:
@@ -210,9 +234,6 @@ class Rebased(GroupActionModule):
     @property
     def dim(self) -> int:
         return self.change.nrows
-
-    def _perm_action(self, pi) -> Matrix:
-        return self.change @ self.module.perm_matrix(pi) @ self.inverse
 
     def _element_action(self, elt) -> Matrix:
         return self.change @ self.module.element_matrix(elt) @ self.inverse

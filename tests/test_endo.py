@@ -140,8 +140,8 @@ class _Huge(GroupActionModule):
 
     dim = 700
 
-    def _perm_action(self, pi):
-        raise AssertionError(f"the matrix of {pi} was asked for")
+    def _element_action(self, elt):
+        raise AssertionError(f"the matrix of {elt} was asked for")
 
 
 def test_hom_space_refuses_a_spin_past_its_memory_bound(monkeypatch):

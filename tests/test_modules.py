@@ -5,6 +5,7 @@ standard-minor solve and submodule restriction against the ambient solve."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def test_algebra_elements():
     assert all(c == 1 for _, c in e3.terms)
     with pytest.raises(ValueError):
         murphy_element(0)
+
+
+def test_algebra_element_coefficients_must_be_integers():
+    """A coefficient that is not a Python or numpy integer is refused, not
+    truncated: Fraction(1, 2) and 0.5 would both become 0 and drop their
+    term."""
+    for coeff in (Fraction(1, 2), 0.5, Fraction(2, 1), 1.0):
+        with pytest.raises(TypeError):
+            AlgebraElement.from_terms(3, [((2, 1, 3), coeff)])
+    elt = AlgebraElement.from_terms(3, [((2, 1, 3), np.int64(2)), ((2, 1, 3), 1)])
+    assert elt.terms == (((2, 1, 3), 3),)
 
 
 def test_specht_dimensions_match_hook_formula():

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (column_signed_maps, enumerate_tabloids, identity_perm,
+from oracles import (act_key, column_signed_maps, enumerate_tabloids, identity_perm,
                      signed_column_sum, tabloid_index)
 from spechtbranch.exact import RowBasis
 from spechtbranch.fields import GF, QQ
@@ -36,14 +38,8 @@ from spechtbranch.tabloids import (
     region_V,
     standard_tableaux,
     tabloid,
-    tabloid_permutation,
+    tabloid_preimages,
 )
-
-
-def act_key(key, pi):
-    """{t} pi on a tabloid key, each row relabelled and sorted: the oracle
-    for ``tabloid_permutation``."""
-    return tuple(tuple(sorted(pi[x - 1] for x in row)) for row in key)
 
 
 def _apply_per_term(elt, vec):
@@ -141,11 +137,40 @@ def test_tabloid_permutation_matches_act_key():
     for lam in shapes:
         n = lam.size
         keys = enumerate_tabloids(lam)
-        index = tabloid_index(lam)
         perms = [adjacent(n, i) for i in range(1, n)] + [_random_perm(rng, n) for _ in range(3)]
         for pi in perms:
-            dst = tabloid_permutation(lam, pi)
-            assert dst.tolist() == [index[act_key(k, pi)] for k in keys], (lam, pi)
+            src = tabloid_preimages(lam, pi)
+            assert all(act_key(keys[src[j]], pi) == keys[j] for j in range(len(keys))), (lam, pi)
+
+
+# (62, 1): its codes are Python ints, past int64
+_TABLE_SHAPES = [lam for n in range(1, 8) for lam in partitions_of(n)] + [Partition((62, 1))]
+
+
+@st.composite
+def _shape_and_two_perms(draw):
+    shape = draw(st.sampled_from(_TABLE_SHAPES))
+    perms = st.permutations(range(1, shape.size + 1)).map(tuple)
+    return shape, draw(perms), draw(perms)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_shape_and_two_perms())
+def test_preimage_tables_compose_as_a_right_action(drawn):
+    """v (p q) = (v p) q gives src_pq = src_p[src_q]; the identity gives
+    arange(W), every table is a permutation of range(W), and none can be
+    written."""
+    shape, p, q = drawn
+    width = len(enumerate_tabloids(shape))
+    tables = [tabloid_preimages(shape, pi) for pi in (p, q, compose(p, q))]
+    assert np.array_equal(tables[2], tables[0][tables[1]])
+    assert np.array_equal(tabloid_preimages(shape, identity_perm(shape.size)),
+                          np.arange(width))
+    for table in tables:
+        assert sorted(table.tolist()) == list(range(width))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=str)
@@ -165,6 +190,24 @@ def test_apply_matches_per_term_sparse_sum(field):
                         once = elt.apply(vec)
                         assert once == _apply_per_term(elt, vec), (lam, t, elt)
                         assert elt.apply(once) == _apply_per_term(elt, once), (lam, t, elt)
+
+
+def test_apply_reduces_large_coefficients():
+    """Over GF(2^31 - 1) the coefficients 2^62 and 2^62 - 2 act as their
+    residues, 1 and p - 1: each coefficient is reduced, and a sum of three
+    products (p - 1)^2, which leaves int64, is reduced after every term."""
+    p = 2147483647
+    field = GF(p)
+    shape = Partition((2, 1))
+    vectors = [polytabloid(t, field) for t in standard_tableaux(shape)]
+    vectors.append(ModuleVector(shape, field, np.full(3, p - 1)))
+    two = [((2, 1, 3), 2 ** 62), ((1, 3, 2), 2 ** 62)]
+    three = [((2, 1, 3), 2 ** 62 - 2), ((1, 3, 2), 2 ** 62 - 2), ((3, 2, 1), 2 ** 62 - 2)]
+    for terms in (two, three):
+        residues = AlgebraElement.from_terms(3, [(pi, c % p) for pi, c in terms])
+        for v in vectors:
+            assert AlgebraElement.from_terms(3, terms).apply(v) == residues.apply(v)
+            assert residues.apply(v) == _apply_per_term(residues, v)
 
 
 def test_module_vector_sum_needs_one_shape_and_field():
