@@ -112,7 +112,7 @@ def _cmd_sweep(args) -> tuple[list, dict | None]:
     fields = [int(x) for x in args.fields.split(",") if x.strip() != ""]
     directions = [x.strip() for x in args.directions.split(",") if x.strip()]
     result = verify.sweep(args.n_max, fields, directions, seed=args.seed,
-                          force=args.force, only=args.lam or None)
+                          only=args.lam or None)
     reports = result.pop("reports")
     return reports, result
 
@@ -184,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--lambda", dest="lam", type=_partition, action="append",
                      metavar="PARTS", help="restrict the sweep to these "
                      "partitions (repeatable)")
-    sub.add_argument("--force", action="store_true",
-                     help="override the sweep size guardrail")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", dest="json_path", metavar="PATH")
     sub.set_defaults(handler=_cmd_sweep)

@@ -9,9 +9,9 @@ into its coordinates.  The constructor proves the row space invariant
 under the symmetric group of the shape's size, once, with two solves at
 the width of the tabloid space.  Every action is one gather per term
 through the permutation's preimage table,
-``tabloids.tabloid_preimages(shape, pi)``: of a tabloid vector, of the
-basis in that proof, and after it of the d minor columns alone, so no
-action after the build runs at that width.  A submodule, such as a block
+``tabloids.tabloid_preimages(shape, pi, at)``: of a tabloid vector, of
+the basis in that proof, and after it of the d minor tabloids alone, so no
+action after the build reads that width.  A submodule, such as a block
 component, holds its parent and a ``Subspace`` of the parent's
 coordinates, in reduced echelon form, and restricts the parent's d x d
 matrices to it.  Restriction reuses the Specht module, its invariance
@@ -89,17 +89,17 @@ class AlgebraElement:
 
 
 def _act(elt: AlgebraElement, field: FieldSpec, shape: Partition, rows: np.ndarray,
-         cols=slice(None)) -> np.ndarray:
-    """The columns cols (all by default) of reduced rows times elt, for one
-    row or a stack of them with one column per tabloid of shape: each term
-    adds c * rows[..., src[cols]], src its permutation's preimage table
-    (``tabloid_preimages``) and c reduced.  The sum of the terms is
-    reduced once, or after every term when it may leave int64 (``_wide``)."""
+         at: tuple | None = None) -> np.ndarray:
+    """The columns at (all if None) of reduced rows times elt, for one row
+    or a stack of them with one column per tabloid of shape: each term adds
+    c * rows[..., src], src = ``tabloid_preimages(shape, pi, at)`` and c
+    reduced.  The sum of the terms is reduced once, or after every term
+    when it may leave int64 (``_wide``)."""
     wide = _wide(field, len(elt.terms))
-    out = np.zeros_like(rows[..., cols])
+    out = np.zeros_like(rows if at is None else rows[..., :len(at)])
     for perm, coeff in elt.terms:
-        src = tabloid_preimages(shape, embed(perm, shape.size))
-        out = out + field.scalar(coeff) * rows[..., src[cols]]
+        src = tabloid_preimages(shape, embed(perm, shape.size), at)
+        out = out + field.scalar(coeff) * rows[..., src]
         if wide:  # (p-1) + (p-1)^2 < 2^63 for every p FieldSpec admits
             out = field.reduce_array(out)
     return field.reduce_array(out)
@@ -203,17 +203,17 @@ class TabloidModule(GroupActionModule):
     for every a in the group algebra of S_m.  That covers every element of degree at most m,
     also above the acting degree, such as L_m and E_m on a restriction.  A
     row v of V is c B for one c, so v[:, minor_cols] = c D and
-    c = v[:, minor_cols] D^-1.  The minor columns of B pi are
-    B[:, src[cols]], the tabloids that pi moves onto the minor tabloids
-    (src = ``tabloid_preimages``), so sum c_pi pi acts as
-    (sum c_pi B[:, src[cols]]) D^-1, at width d, with nothing to check.
+    c = v[:, minor_cols] D^-1.  The minor columns of B pi are B[:, src],
+    the tabloids that pi moves onto the minor tabloids (src =
+    ``tabloid_preimages(shape, pi, minor_cols)``), so sum c_pi pi acts as
+    (sum c_pi B[:, src]) D^-1, at width d, with nothing to check.
     """
 
     def __init__(self, degree: int, field: FieldSpec, shape: Partition,
                  basis: Matrix, minor_cols, label: str = ""):
         super().__init__(degree, field, shape, label)
         self.basis = basis
-        self.minor_cols = np.asarray(minor_cols, dtype=np.intp)
+        self.minor_cols = tuple(map(int, minor_cols))
         inverse = unipotent_inverse(Matrix(field, basis.a[:, self.minor_cols]))
         # D^-1 - I is sparse, so a solve costs d nnz(D^-1 - I)
         self._correction = _SparseRows(field, inverse.shift(-1).a)
@@ -284,7 +284,9 @@ class Submodule(GroupActionModule):
 
 
 _module_cache: OrderedDict = OrderedDict()
-_MODULE_CACHE_CAP = 24
+# for one (lam, field) a sweep builds S^lam, then its induction, then its
+# restriction, which reuses S^lam; no module is reused across lam or fields
+_MODULE_CACHE_CAP = 3
 
 
 def _cached_module(key, make):

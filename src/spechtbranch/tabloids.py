@@ -10,12 +10,12 @@ the column stabilizer of a smaller tableau sitting inside one extra node.
 
 Tabloids are found through codes: the words read as base-l numbers (l the
 number of rows) tell tabloids apart, and one search in the sorted codes
-gives their indices.  The tabloid that pi moves onto {t_i} has the word
-of {t_i} read through pi, letter x from column pi(x)-1, and the read
-words of all tabloids are all the words again, so ranking their codes
-gives ``tabloid_preimages(shape, pi)``, the index of {t_i} pi^-1 for
-every i, with no row sorted: the one table through which a permutation
-moves tabloid vectors, v pi = v[src].
+(``_index``) gives their indices; nothing else turns a code into an index.
+The tabloid that pi moves onto {t_i} has the word of {t_i} read through
+pi, letter x from column pi(x)-1, so ``tabloid_preimages(shape, pi, at)``
+finds the index of {t_i} pi^-1 for each i in ``at`` (every tabloid by
+default) with no row sorted: the one table through which a permutation
+moves tabloid vectors, v pi = v[src], or reads their entries at ``at``.
 A code is a sum over the columns of a tableau, so a column stabilizer
 moves it by per-column offsets, and a key's coefficient is read at its
 code's position.
@@ -172,23 +172,22 @@ def tabloid_indices(shape: Partition, tableaux) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def tabloid_preimages(shape: Partition, pi: Perm) -> np.ndarray:
+def tabloid_preimages(shape: Partition, pi: Perm, at: tuple | None = None) -> np.ndarray:
     """Index table of pi on the tabloids of a shape, pi of degree |shape|:
-    ``src[i]`` is the index of {t_i} pi^-1, the tabloid that pi moves onto
-    the i-th tabloid {t_i}, so a vector v moves to v pi = v[src].  Its word
-    is the word of {t_i} read through pi, letter x taken from
+    ``src[j]`` is the index of {t_i} pi^-1, the tabloid that pi moves onto
+    {t_i}, for i = ``at[j]`` (i = j, every tabloid, when at is None), so the
+    entries of v pi at ``at`` are v[src], and v pi = v[src] for at = None.
+    Its word is the word of {t_i} read through pi, letter x taken from
     ``words[i, pi(x) - 1]``, so its code is ``words[i]`` times the weights
-    permuted by pi^-1.  The read words of all tabloids are all the words
-    again, so their codes are the sorted codes in another order, and one
-    argsort ranks them.  A pi that is not a permutation of 1..|shape|
-    raises ValueError.  The table is read-only: every caller shares the
-    cached array.
+    permuted by pi^-1, and ``_index`` finds it.  A pi that is not a
+    permutation of 1..|shape| raises ValueError.  The table is read-only:
+    every caller shares the cached array.
     """
     if sorted(pi) != list(range(1, shape.size + 1)):
         raise ValueError(f"{pi} is not a permutation of 1..{shape.size}")
-    words, weights, _, order = _row_words(shape)
-    src = np.empty_like(order)
-    src[np.argsort(words @ weights[np.argsort(pi)])] = order
+    words, weights, _, _ = _row_words(shape)
+    read = words if at is None else words[list(at)]
+    src = _index(shape, read @ weights[np.argsort(pi)])
     src.flags.writeable = False
     return src
 

@@ -45,6 +45,7 @@ from .partitions import (
 from .perms import cycle
 from .tabloids import (
     ModuleVector,
+    _check_cost,
     canonical_tableau,
     extension,
     induced_polytabloid,
@@ -387,42 +388,51 @@ def run_char2_counterexamples(seed: int = 0) -> VerificationReport:
     return report
 
 
-SWEEP_GUARDRAIL = 8
-
-
 def sweep(n_max: int, primes, directions=(RESTRICT, INDUCE), seed: int = 0,
-          force: bool = False, only=None) -> dict:
+          only=None) -> dict:
     """Run every verifier over all lam of size 2..n_max and every field.
 
     Results are ordered by (n, lam lexicographic, field characteristic,
-    direction).  `only` restricts to the given partitions.  Returns a dict
-    with per-case reports and an exit code (nonzero iff anything failed).
+    direction).  `only` restricts to the given partitions, each of size
+    2..n_max.  Every module and table the sweep will build passes
+    ``_check_cost`` before the first report, and a sweep of no case is
+    refused, both with ValueError.  Returns a dict with per-case reports
+    and an exit code (nonzero iff anything failed).
     """
-    if n_max > SWEEP_GUARDRAIL and not force:
-        raise ValueError(
-            f"sweep guardrail: n_max = {n_max} > {SWEEP_GUARDRAIL} "
-            f"(pass force=True to override)")
-    only = {Partition(mu) for mu in only} if only else None
-    directions = sorted(directions)
+    directions = sorted(set(directions))
     for d in directions:
         if d not in (RESTRICT, INDUCE):
             raise ValueError(f"unknown direction {d!r}")
     fields = sorted(set(int(p) for p in primes))
+    if only:
+        lams = sorted({Partition(mu) for mu in only}, key=lambda lam: (lam.size, lam))
+        bad = [f"({lam})" for lam in lams if not 2 <= lam.size <= n_max]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} not of a size in 2..{n_max}")
+    else:
+        lams = (lam for n in range(2, n_max + 1) for lam in sorted(partitions_of(n)))
+    cases = []
+    try:  # case by case, so a refused n stops the enumeration of larger ones
+        for lam in lams:
+            _check_cost(lam, lam)
+            _check_cost(Partition(lam + (1,)), lam if INDUCE in directions else None)
+            cases.append(lam)
+    except ValueError as exc:
+        raise ValueError(f"sweep guardrail: {exc}") from None
+    if not (cases and fields):
+        raise ValueError(f"empty sweep: no partition of 2..{n_max} or no field")
 
     reports = []
-    for n in range(2, n_max + 1):
-        for lam in sorted(partitions_of(n)):
-            if only is not None and lam not in only:
-                continue
-            for p in fields:
-                f = GF(p) if p else QQ
-                reports.append(verify_en_scalar(lam, f))
-                reports.append(verify_poly_transfer(lam, f, seed=seed))
-                reports.append(verify_coefficient_restriction(lam, f))
-                reports.append(verify_coefficient_induction(lam, f))
-                for direction in directions:
-                    reports.append(verify_min_poly(lam, f, direction))
-                    reports.append(verify_branching(lam, p, direction, seed=seed))
+    for lam in cases:
+        for p in fields:
+            f = GF(p) if p else QQ
+            reports.append(verify_en_scalar(lam, f))
+            reports.append(verify_poly_transfer(lam, f, seed=seed))
+            reports.append(verify_coefficient_restriction(lam, f))
+            reports.append(verify_coefficient_induction(lam, f))
+            for direction in directions:
+                reports.append(verify_min_poly(lam, f, direction))
+                reports.append(verify_branching(lam, p, direction, seed=seed))
 
     failed = [r for r in reports if not r.passed]
     return {

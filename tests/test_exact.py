@@ -811,6 +811,43 @@ def test_restrict_property_against_conjugation(drawn):
 
 
 @st.composite
+def _square_matrix(draw):
+    """A field and a square matrix c I + L R, L and R with a drawn inner
+    dimension, so low degrees come up: sizes up to 4 over GF(2) and GF(3),
+    where every monic polynomial of degree up to 4 can be tried, and up to 6
+    over Q, with small fractions in L and R."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    n = draw(st.integers(1, 6 if field.characteristic == 0 else 4))
+    inner = draw(st.integers(0, n))
+    entries = (st.fractions(-3, 3, max_denominator=3) if field.characteristic == 0
+               else st.integers(0, field.characteristic - 1))
+
+    def draw_matrix(r, c):
+        rows = draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+        return Matrix(field, field.array(rows).reshape(r, c))
+
+    return (draw_matrix(n, inner) @ draw_matrix(inner, n)).shift(draw(entries))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_square_matrix())
+def test_minimal_polynomial_property(m):
+    """Over GF(2) and GF(3) the minimal polynomial is the first monic
+    annihilator of an exhaustive search by degree; over Q it is monic,
+    mu(m) = 0 on every entry, and I, m, ..., m^(deg - 1) are independent
+    under the unit-pivot Fraction elimination."""
+    mu = minimal_polynomial(m)
+    if m.field.characteristic:
+        assert mu == _brute_min_poly(m)
+        return
+    assert mu.coeffs[-1] == 1
+    assert eval_matrix(mu, m).is_zero()
+    powers = Matrix(m.field, np.stack([m.pow(k).a.reshape(-1) for k in range(mu.degree)]))
+    assert _oracle_rref(powers)[1] == mu.degree
+
+
+@st.composite
 def _block_insert_case(draw):
     """A field, a width, a prefix and a block of rows.  The rows combine a
     few drawn generators, with zero rows and repeated rows mixed in, and the

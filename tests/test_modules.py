@@ -625,6 +625,33 @@ def test_actions_after_the_build_reduce_nothing_at_ambient_width(monkeypatch):
     clear_module_cache()
 
 
+def test_actions_after_the_build_ask_for_no_table_of_every_tabloid(monkeypatch):
+    """Once the build has proved the row space invariant, perm_matrix and
+    element_matrix(E_|shape|) look up the preimages of the d minor tabloids
+    alone: on a Specht module, an induction and a restriction, over GF(3)
+    and Q, no table is asked for with at=None."""
+    clear_module_cache()  # so no earlier test has cached the matrices
+    built = [build(Partition(lam), field) for field in (GF(3), QQ)
+             for lam, build in (((3, 2), build_specht), ((2, 1), build_induction),
+                                ((3, 1), build_restriction))]
+    asked = []
+    preimages = modules.tabloid_preimages
+
+    def recorded(shape, pi, at=None):
+        asked.append(at)
+        return preimages(shape, pi, at)
+
+    monkeypatch.setattr(modules, "tabloid_preimages", recorded)
+    rng = random.Random(5)
+    for module in built:
+        asked.clear()
+        module.gens()
+        module.perm_matrix(_random_perm(rng, module.degree))
+        module.element_matrix(transposition_sum(module.shape.size))
+        assert asked and all(at == module.minor_cols for at in asked)
+    clear_module_cache()
+
+
 def test_a_row_space_that_is_not_invariant_is_refused_at_construction():
     """The constructor proves invariance under S_|shape| whatever the acting
     degree: the tabloid {1 2 / 3} of M^(2,1), with its own column as the

@@ -148,29 +148,35 @@ _TABLE_SHAPES = [lam for n in range(1, 8) for lam in partitions_of(n)] + [Partit
 
 
 @st.composite
-def _shape_and_two_perms(draw):
+def _shape_perms_and_tabloids(draw):
     shape = draw(st.sampled_from(_TABLE_SHAPES))
     perms = st.permutations(range(1, shape.size + 1)).map(tuple)
-    return shape, draw(perms), draw(perms)
+    width = len(enumerate_tabloids(shape))
+    at = st.lists(st.integers(0, width - 1), max_size=8).map(tuple)
+    return shape, draw(perms), draw(perms), draw(at)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
-@given(_shape_and_two_perms())
+@given(_shape_perms_and_tabloids())
 def test_preimage_tables_compose_as_a_right_action(drawn):
     """v (p q) = (v p) q gives src_pq = src_p[src_q]; the identity gives
     arange(W), every table is a permutation of range(W), and none can be
-    written."""
-    shape, p, q = drawn
+    written.  The table of a tuple of tabloids is the full table read at
+    them, also for the object-dtype codes of (62, 1)."""
+    shape, p, q, at = drawn
     width = len(enumerate_tabloids(shape))
     tables = [tabloid_preimages(shape, pi) for pi in (p, q, compose(p, q))]
     assert np.array_equal(tables[2], tables[0][tables[1]])
     assert np.array_equal(tabloid_preimages(shape, identity_perm(shape.size)),
                           np.arange(width))
-    for table in tables:
+    for pi, table in zip((p, q, compose(p, q)), tables):
         assert sorted(table.tolist()) == list(range(width))
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = 0
+        read = tabloid_preimages(shape, pi, at)
+        assert np.array_equal(read, table[list(at)])
+        for t in (table, read):
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[:1] = 0
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=str)

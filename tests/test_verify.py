@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from spechtbranch import verify
+from spechtbranch import modules, verify
 from spechtbranch.central import INDUCE, RESTRICT
 from spechtbranch.cli import build_parser, main
 from spechtbranch.fields import GF, QQ
@@ -130,6 +130,58 @@ def test_sweep_guardrail():
             sweep(n_max, [3])
     result = sweep(2, [2], only=[Partition((2,))])
     assert result["exit_code"] == 0
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((1, [3]), {}),
+    ((3, []), {}),
+    ((3, [3]), {"only": [Partition((7,))]}),
+    ((3, [3]), {"only": [Partition((2, 1)), Partition((1,))]}),
+], ids=["no-partition", "no-field", "only-too-large", "only-too-small"])
+def test_sweep_refuses_a_sweep_of_no_case(args, kwargs):
+    with pytest.raises(ValueError):
+        sweep(*args, **kwargs)
+
+
+def test_cli_sweep_of_a_partition_outside_its_range_exits_2(capsys):
+    assert main(["sweep", "--n-max", "3", "--fields", "3", "--lambda", "7"]) == 2
+    assert "2..3" in capsys.readouterr().err
+
+
+def test_sweep_runs_each_direction_once():
+    once = sweep(3, [3], directions=(INDUCE,), only=[Partition((2, 1))])
+    twice = sweep(3, [3], directions=(INDUCE, INDUCE), only=[Partition((2, 1))])
+    assert twice["directions"] == [INDUCE]
+    assert [r.to_dict()["checks"] for r in twice["reports"]] == \
+        [r.to_dict()["checks"] for r in once["reports"]]
+
+
+def test_sweep_bounds_its_modules_not_its_n_max(monkeypatch):
+    """No size knob: a sweep past n = 8 runs when every module and table it
+    builds passes the cost bound, and one that would fail partway through
+    is refused before its first report."""
+    result = sweep(9, [3], only=[Partition((9,))])
+    assert result["exit_code"] == 0 and result["cases"] == 8
+    monkeypatch.setattr(verify, "verify_en_scalar", _raise(AssertionError("a report")))
+    with pytest.raises(ValueError, match="sweep guardrail"):
+        sweep(9, [3], only=[Partition((2,)), Partition((1,) * 9)])
+
+
+def test_sweep_builds_each_tabloid_module_once(monkeypatch):
+    """One lam over one field builds S^lam and its induction; the
+    restriction reuses S^lam from the module cache."""
+    built = []
+    init = modules.TabloidModule.__init__
+
+    def recorded(self, *args, **kwargs):
+        built.append(kwargs.get("label"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(modules.TabloidModule, "__init__", recorded)
+    modules.clear_module_cache()
+    sweep(4, [3], only=[Partition((2, 1, 1))])
+    modules.clear_module_cache()
+    assert built == ["S^(2,1,1) over GF(3)", "S^(2,1,1) induced, over GF(3)"]
 
 
 def test_cli_en_scalar_and_exit_codes(capsys):
