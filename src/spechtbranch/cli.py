@@ -74,11 +74,11 @@ def _cmd_coeff_lemma(args) -> tuple[list, dict | None]:
 
 def _cmd_branching(args) -> tuple[list, dict | None]:
     p = args.field.characteristic
-    return [verify.verify_branching(args.lam, p, args.direction, seed=args.seed)], None
+    return [verify.verify_branching(args.lam, p, args.direction)], None
 
 
 def _cmd_counterexamples(args) -> tuple[list, dict | None]:
-    return [verify.run_char2_counterexamples(seed=args.seed)], None
+    return [verify.run_char2_counterexamples()], None
 
 
 def _cmd_blocks(args) -> tuple[list, dict | None]:
@@ -99,7 +99,7 @@ def _cmd_decompose(args) -> tuple[list, dict | None]:
     parts = decompose(module)
     what = {RESTRICT: "restriction", INDUCE: "induction"}.get(args.direction, "module")
     report = VerificationReport(f"decompose {what} ({args.lam})", str(args.field),
-                                args.direction, seed=args.seed)
+                                args.direction)
     report.add("summand-count", len(parts), len(parts), True)
     for i, (summand, cert) in enumerate(parts):
         report.add(f"summand[{i}]", "indecomposable, deterministic certificate",
@@ -117,7 +117,7 @@ def _cmd_sweep(args) -> tuple[list, dict | None]:
     return reports, result
 
 
-def _common(sub, lam=True, field=True, direction="required", seed=False):
+def _common(sub, lam=True, field=True, direction="required"):
     if lam:
         sub.add_argument("--lambda", dest="lam", type=_partition, required=True,
                          metavar="PARTS", help="partition, e.g. 6,1,1,1")
@@ -128,8 +128,6 @@ def _common(sub, lam=True, field=True, direction="required", seed=False):
         sub.add_argument("--direction", choices=[RESTRICT, INDUCE], required=True)
     elif direction == "optional":
         sub.add_argument("--direction", choices=[RESTRICT, INDUCE], default=None)
-    if seed:
-        sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", dest="json_path", metavar="PATH",
                      help="write the report as JSON")
 
@@ -157,12 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("branching", help="block components of the branching "
                           "module and their indecomposability certificates")
-    _common(sub, seed=True)
+    _common(sub)
     sub.set_defaults(handler=_cmd_branching)
 
     sub = subs.add_parser("counterexamples", help="the characteristic-2 "
                           "decomposable cases")
-    _common(sub, lam=False, field=False, direction=None, seed=True)
+    _common(sub, lam=False, field=False, direction=None)
     sub.set_defaults(handler=_cmd_counterexamples)
 
     sub = subs.add_parser("blocks", help="list block components without "
@@ -172,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("decompose", help="split a module into indecomposable "
                           "summands")
-    _common(sub, direction="optional", seed=True)
+    _common(sub, direction="optional")
     sub.set_defaults(handler=_cmd_decompose)
 
     sub = subs.add_parser("sweep", help="run every verifier over all "

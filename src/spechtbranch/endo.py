@@ -160,9 +160,12 @@ class DecompositionCertificate:
 
     verdict: str
     branch: str
-    deterministic: bool
     split: tuple[Subspace, Subspace] | None = None
     trials: int = 0
+
+    @property
+    def deterministic(self) -> bool:
+        return self.verdict != "undecided"
 
     @property
     def split_dims(self) -> tuple | None:
@@ -341,22 +344,20 @@ def certify_indecomposable(module: GroupActionModule) -> DecompositionCertificat
     b_i then span E/J(E) = F.
     """
     if module.dim == 0:
-        return DecompositionCertificate("zero", "zero-module", True)
+        return DecompositionCertificate("zero", "zero-module")
     basis = hom_space(module, module)
     if len(basis) == 1:
-        return DecompositionCertificate("indecomposable", "scalar-commutant", True)
+        return DecompositionCertificate("indecomposable", "scalar-commutant")
     branch, witness, examined = locality_certificate(module.field, basis)
     if branch == LOCAL:
-        return DecompositionCertificate("indecomposable", branch, True,
-                                        trials=examined)
+        return DecompositionCertificate("indecomposable", branch, trials=examined)
     if branch != SPLIT:
-        return DecompositionCertificate("undecided", branch, False,
-                                        trials=examined)
+        return DecompositionCertificate("undecided", branch, trials=examined)
     ker, image = fitting_split(witness)
     if ker.dim == 0 or image.dim == 0:
         raise ArithmeticError("witness produced a trivial split")
     return DecompositionCertificate(
-        "decomposable", branch, True, split=(ker, image), trials=examined)
+        "decomposable", branch, split=(ker, image), trials=examined)
 
 
 def decompose(module: GroupActionModule

@@ -5,17 +5,17 @@ shape, together with the symmetric group degree that acts.  Coordinates
 come through the standard minor, the columns of the basis tableaux's own
 tabloids: it is unitriangular (James's standard basis theorem), so its
 exact integral inverse turns the d minor columns of a row of the module
-into its coordinates.  The constructor proves the row space invariant
-under the symmetric group of the shape's size, once, with two solves at
-the width of the tabloid space.  Every action is one gather per term
-through the permutation's preimage table,
-``tabloids.tabloid_preimages(shape, pi, at)``: of a tabloid vector, of
-the basis in that proof, and after it of the d minor tabloids alone, so no
-action after the build reads that width.  A submodule, such as a block
-component, holds its parent and a ``Subspace`` of the parent's
+into its coordinates.  Every action is one gather per term through the
+permutation's preimage table, ``tabloids.tabloid_preimages(shape, pi,
+at)``, of a tabloid vector or of the d minor tabloids of the basis.  The
+constructor proves the row space invariant under the symmetric group of
+the shape's size, once: it reads two generators' matrices that way and
+checks them against the generators' moves of the basis, at the width of
+the tabloid space, which no later action reads.  A submodule, such as a
+block component, holds its parent and a ``Subspace`` of the parent's
 coordinates, in reduced echelon form, and restricts the parent's d x d
-matrices to it.  Restriction reuses the Specht module, its invariance
-proof included, with the degree dropped by one.
+matrices to it.  A restriction is a view of the Specht module with the
+degree dropped by one, sharing its proof and its cached matrices.
 
 Induction to the next symmetric group sits in M^(lam + a bottom node) and
 has a basis known in advance, from James's standard basis theorem (James,
@@ -194,11 +194,11 @@ class TabloidModule(GroupActionModule):
     and an invertible D proves the rows independent.
 
     The constructor proves the row space V of the basis B invariant under
-    S_m, m = |shape|: for g = (1 2) and (1 2 ... m) it moves B at the width
-    of the tabloid space, solves c = (B g)[:, minor_cols] D^-1 and re-checks
-    c B = B g through the sparse basis (``_to_module_coords``); both
-    matrices are cached, as their one-term elements.  Proof that every later
-    action is exact: V g lies in V for both generators, so V w lies in V for
+    S_m, m = |shape|: for g = (1 2) and (1 2 ... m) it takes the matrix c
+    of g from ``_element_action``, as below, and checks c B = B g through
+    the sparse basis, at the width of the tabloid space; both matrices are
+    cached, as their one-term elements.  Proof that every later action is
+    exact: V g lies in V for both generators, so V w lies in V for
     every word w in them, that is for every pi in S_m, and so V a lies in V
     for every a in the group algebra of S_m.  That covers every element of degree at most m,
     also above the acting degree, such as L_m and E_m on a restriction.  A
@@ -217,10 +217,15 @@ class TabloidModule(GroupActionModule):
         inverse = unipotent_inverse(Matrix(field, basis.a[:, self.minor_cols]))
         # D^-1 - I is sparse, so a solve costs d nnz(D^-1 - I)
         self._correction = _SparseRows(field, inverse.shift(-1).a)
+        sparse_basis = _SparseRows(field, basis.a)
         for pi in _generators(shape.size):
+            g = AlgebraElement(len(pi), ((pi, 1),))
+            c = self._element_action(g)
             # a permutation of reduced rows is reduced already
-            moved = basis.a[:, tabloid_preimages(shape, pi)]
-            self._elt_cache[AlgebraElement(len(pi), ((pi, 1),))] = self._to_module_coords(moved)
+            if not np.array_equal(sparse_basis.left_mul(c.a),
+                                  basis.a[:, tabloid_preimages(shape, pi)]):
+                raise ArithmeticError("action left the module's row space")
+            self._elt_cache[g] = c
 
     @property
     def dim(self) -> int:
@@ -231,31 +236,18 @@ class TabloidModule(GroupActionModule):
         return self.basis.ncols
 
     def _one_degree_down(self, label: str) -> "TabloidModule":
-        """The same row space acted on by S_(degree - 1).  Its basis, minor
-        inverse and invariance proof, over S_|shape|, are this module's, so
-        nothing is rebuilt; the cached matrices, the proof's among them, are
-        copied."""
+        """The same row space acted on by S_(degree - 1): a view that shares
+        this module's basis, minor inverse, invariance proof, over S_|shape|,
+        and element cache, since a matrix does not depend on the acting
+        degree."""
         down = copy.copy(self)
-        GroupActionModule.__init__(down, self.degree - 1, self.field, self.shape, label)
-        down._elt_cache.update(self._elt_cache)
+        down.degree, down.label = self.degree - 1, label
         return down
 
-    def _solve(self, lead: np.ndarray) -> Matrix:
-        """Coordinates lead D^-1 of the rows of the module with minor columns lead."""
-        field = self.field
-        return Matrix(field, field.reduce_array(lead + self._correction.left_mul(lead)))
-
-    def _to_module_coords(self, rows: np.ndarray) -> Matrix:
-        """Coordinates of reduced rows of the module, re-checked: the checked
-        solve of the invariance proof."""
-        coeffs = self._solve(rows[:, self.minor_cols])
-        sparse_basis = _SparseRows(self.field, self.basis.a)
-        if not np.array_equal(sparse_basis.left_mul(coeffs.a), rows):
-            raise ArithmeticError("action left the module's row space")
-        return coeffs
-
     def _element_action(self, elt: AlgebraElement) -> Matrix:
-        return self._solve(_act(elt, self.field, self.shape, self.basis.a, self.minor_cols))
+        field = self.field
+        lead = _act(elt, field, self.shape, self.basis.a, self.minor_cols)
+        return Matrix(field, field.reduce_array(lead + self._correction.left_mul(lead)))
 
 
 class Submodule(GroupActionModule):
@@ -284,8 +276,9 @@ class Submodule(GroupActionModule):
 
 
 _module_cache: OrderedDict = OrderedDict()
-# for one (lam, field) a sweep builds S^lam, then its induction, then its
-# restriction, which reuses S^lam; no module is reused across lam or fields
+# S^lam and its induction, reused within one (lam, field) of a sweep, where a
+# restriction is a view of S^lam; the char-2 report's S^(6,1,1,1) also
+# outlives two other Specht builds before its restriction needs it
 _MODULE_CACHE_CAP = 3
 
 
@@ -327,11 +320,7 @@ def build_restriction(lam, field: FieldSpec) -> GroupActionModule:
     if lam.size < 2:
         raise ValueError("restriction needs degree at least 2")
 
-    def make():
-        return build_specht(lam, field)._one_degree_down(
-            f"S^({lam}) restricted, over {field}")
-
-    return _cached_module(("R", lam, field), make)
+    return build_specht(lam, field)._one_degree_down(f"S^({lam}) restricted, over {field}")
 
 
 def _induction_tableaux(lam: Partition) -> list[Tableau]:

@@ -282,7 +282,7 @@ _EXPECTED_DECOMPOSABLE = {
 
 
 def verify_branching(lam, p: int, direction: str,
-                     seed: int = 0) -> VerificationReport:
+                     seed: int | None = None) -> VerificationReport:
     """Block components of the restriction or induction are 0 or
     indecomposable (for odd p), with the component count equal to the
     number of distinct p-cores among the branching factors.
@@ -330,14 +330,14 @@ def verify_branching(lam, p: int, direction: str,
     return report
 
 
-def run_char2_counterexamples(seed: int = 0) -> VerificationReport:
+def run_char2_counterexamples() -> VerificationReport:
     """The three characteristic-2 failures of the branching theorem's
     hypothesis: the decomposable Specht module S^(6,1,1,1), its decomposable
     restriction sitting in a single block, and the decomposable block
     component of the induction of S^(6,1,1).  The certificates are
-    deterministic; seed is only recorded in the report."""
+    deterministic."""
     two = GF(2)
-    report = VerificationReport("char-2 counterexamples", "GF(2)", None, seed=seed)
+    report = VerificationReport("char-2 counterexamples", "GF(2)", None)
     with _Timer() as t:
         lam = Partition((6, 1, 1, 1))
 

@@ -2,7 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import split_branching
 from spechtbranch.central import (
@@ -14,7 +17,7 @@ from spechtbranch.central import (
     central_symmetric_action,
     predicted_min_poly,
 )
-from spechtbranch.exact import Matrix, Polynomial, kernel, minimal_polynomial
+from spechtbranch.exact import Matrix, Polynomial, kernel, minimal_polynomial, rref
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import (
     build_induction,
@@ -193,3 +196,40 @@ def test_block_split_rejects_blocks_sharing_an_e_value():
         with pytest.raises(ArithmeticError, match="share"):
             block_split(module, field.characteristic,
                         [Partition((4, 1, 1)), Partition((3, 3))])
+
+
+@st.composite
+def _branching_and_order(draw):
+    """A restriction or induction of a drawn lam |- 2..5 over a drawn field,
+    with its branching factors in a drawn order."""
+    field = draw(st.sampled_from([GF(2), GF(3), GF(5), QQ]))
+    direction = draw(st.sampled_from([RESTRICT, INDUCE]))
+    lam = draw(st.sampled_from(partitions_of(draw(st.integers(2, 5)))))
+    build = build_restriction if direction == RESTRICT else build_induction
+    factors = branching_factors(lam, direction)
+    return build(lam, field), factors, tuple(draw(st.permutations(factors)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_branching_and_order())
+def test_block_split_property(drawn):
+    """Each component has its expected dimension and is killed by
+    (E - c)^m, c its E value and m its factor count; the components span
+    the module; and any order of the factors gives the same components, in
+    the order their blocks first appear in it."""
+    module, factors, shuffled = drawn
+    field = module.field
+    p = field.characteristic
+    comps = block_split(module, p, shuffled)
+    e = transposition_sum(module.degree)
+    for comp in comps:
+        assert comp.dim == comp.expected_dim
+        c = field.scalar(content_sum(comp.factors[0]))
+        on_comp = comp.module.element_matrix(e).shift(field.neg(c))
+        assert on_comp.pow(len(comp.factors)).is_zero()
+    stacked = Matrix(field, np.vstack([comp.module.space.basis.a for comp in comps]))
+    assert rref(stacked)[1] == module.dim
+    first_seen = list(dict.fromkeys(block_label(mu, field) for mu in shuffled))
+    assert [comp.label for comp in comps] == first_seen
+    in_order = {comp.label: comp.module.space for comp in block_split(module, p, factors)}
+    assert {comp.label: comp.module.space for comp in comps} == in_order

@@ -340,7 +340,7 @@ def test_is_isomorphic_matches_summands_of_decomposable_modules():
 
 
 def test_is_isomorphic_raises_on_undecided_certificate(monkeypatch):
-    undecided = DecompositionCertificate("undecided", ROOTLESS, False, trials=2)
+    undecided = DecompositionCertificate("undecided", ROOTLESS, trials=2)
     monkeypatch.setattr(endo, "certify_indecomposable", lambda module: undecided)
     a = build_restriction(Partition((3, 1)), QQ)
     b = build_induction(Partition((1, 1)), QQ)

@@ -18,7 +18,8 @@ from spechtbranch import modules, tabloids
 from spechtbranch.central import INDUCE, RESTRICT
 from spechtbranch.cli import main
 from spechtbranch.endo import decompose
-from spechtbranch.exact import Matrix, RowBasis, Subspace, minimal_polynomial, rref
+from spechtbranch.exact import (Matrix, RowBasis, Subspace, minimal_polynomial, rref,
+                                unipotent_inverse)
 from spechtbranch.fields import GF, QQ
 from spechtbranch.modules import (
     AlgebraElement,
@@ -40,6 +41,7 @@ from spechtbranch.partitions import (
 from spechtbranch.perms import adjacent, compose, transposition
 from spechtbranch.tabloids import (ModuleVector, Tableau, canonical_tableau,
                                    induced_polytabloid, polytabloid, standard_tableaux)
+from spechtbranch.verify import sweep
 
 
 def _random_perm(rng, n):
@@ -537,8 +539,9 @@ def _module_and_action(draw):
 @given(_module_and_action(), st.data())
 def test_minor_solve_property_against_ambient_solve(drawn, data):
     """Through the standard minor: a drawn permutation and a drawn group
-    algebra element act as the ambient solve says, a combination of basis
-    rows comes back as its coefficients, and a row off the module raises."""
+    algebra element act as the ambient solve says, and a combination of
+    basis rows, read at the minor columns and multiplied by the inverse
+    minor, comes back as its coefficients."""
     module, pi, elt = drawn
     field = module.field
     oracle = ambient_solver(module)
@@ -548,14 +551,9 @@ def test_minor_solve_property_against_ambient_solve(drawn, data):
         st.lists(st.integers(-4, 4), min_size=module.dim, max_size=module.dim),
         min_size=1, max_size=3)))
     rows = (Matrix(field, coeffs) @ module.basis).a
-    assert module._to_module_coords(rows) == Matrix(field, coeffs)
-    col = data.draw(st.integers(0, module.ambient_width - 1))
-    off = rows.copy()
-    off[0, col] += 1
-    if oracle.basis.contains(field.reduce_array(off[0])):
-        return
-    with pytest.raises(ArithmeticError):
-        module._to_module_coords(off)
+    cols = list(module.minor_cols)
+    inverse = unipotent_inverse(Matrix(field, module.basis.a[:, cols]))
+    assert Matrix(field, rows[:, cols]) @ inverse == Matrix(field, coeffs)
 
 
 def test_no_ambient_row_basis_in_build_split_or_components(monkeypatch):
@@ -667,18 +665,24 @@ def test_a_row_space_that_is_not_invariant_is_refused_at_construction():
 
 
 def test_restriction_reuses_the_specht_modules_proof(monkeypatch):
-    """Building S^lam restricted after S^lam runs no unipotent_inverse and no
-    solve at the width of the tabloids: the restriction shares the Specht
+    """Building S^lam restricted after S^lam runs no unipotent_inverse and
+    asks for no table of every tabloid: the restriction shares the Specht
     module's minor inverse and proof, and the proof's matrices."""
     lam, field = Partition((3, 2, 1)), GF(3)
     clear_module_cache()
     specht = build_specht(lam, field)
+    preimages = modules.tabloid_preimages
 
     def refused(*args):
         raise AssertionError("rebuilt by the restriction")
 
+    def minor_only(shape, pi, at=None):
+        if at is None:
+            raise AssertionError("a table of every tabloid in the restriction")
+        return preimages(shape, pi, at)
+
     monkeypatch.setattr(modules, "unipotent_inverse", refused)
-    monkeypatch.setattr(modules.TabloidModule, "_to_module_coords", refused)
+    monkeypatch.setattr(modules, "tabloid_preimages", minor_only)
     down = build_restriction(lam, field)
     down.gens()
     down.element_matrix(murphy_element(lam.size))
@@ -687,3 +691,43 @@ def test_restriction_reuses_the_specht_modules_proof(monkeypatch):
     for pi in modules._generators(lam.size):
         assert down.perm_matrix(pi) is specht.perm_matrix(pi)
     clear_module_cache()
+
+
+def test_a_restriction_is_a_view_that_shares_its_specht_modules_cache(monkeypatch):
+    """Every restriction of S^lam is a view of the cached Specht module: it
+    shares its element cache, so E_(n-1) computed through one view is
+    returned by another without a new solve, and the module cache holds no
+    entry of a restriction after a sweep."""
+    lam, field = Partition((3, 1, 1)), GF(3)
+    clear_module_cache()
+    first = build_restriction(lam, field)
+    assert first._elt_cache is build_specht(lam, field)._elt_cache
+    e_down = first.element_matrix(transposition_sum(lam.size - 1))
+    calls = []
+    element_action = modules.TabloidModule._element_action
+
+    def counted(self, elt):
+        calls.append(elt)
+        return element_action(self, elt)
+
+    monkeypatch.setattr(modules.TabloidModule, "_element_action", counted)
+    second = build_restriction(lam, field)
+    assert second is not first and second.degree == first.degree
+    assert second.element_matrix(transposition_sum(lam.size - 1)) is e_down
+    assert calls == []
+    monkeypatch.undo()
+    keys = []
+    cached_module = modules._cached_module
+
+    def recorded(key, make):
+        keys.append(key)
+        return cached_module(key, make)
+
+    monkeypatch.setattr(modules, "_cached_module", recorded)
+    clear_module_cache()
+    try:
+        sweep(4, [3])
+        assert keys and {key[0] for key in keys} == {"S", "I"}
+        assert all(key[0] != "R" for key in modules._module_cache)
+    finally:
+        clear_module_cache()

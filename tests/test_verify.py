@@ -283,9 +283,8 @@ def test_cli_rejects_a_prime_too_large_for_int64(capsys):
 
 
 def test_cli_seed_only_on_verbs_that_use_it(capsys):
-    """sweep passes --seed to its checks and branching, counterexamples and
-    decompose record it in their reports; the other verbs would ignore it,
-    so they refuse it."""
+    """sweep passes --seed to its checks; the other verbs draw nothing at
+    random and would ignore it, so they refuse it."""
     minimal = {
         "minpoly": ["--lambda", "2,1", "--direction", "restrict"],
         "en-scalar": ["--lambda", "2,1"],
@@ -301,7 +300,7 @@ def test_cli_seed_only_on_verbs_that_use_it(capsys):
                 if isinstance(a, argparse._SubParsersAction))
     assert set(subs.choices) == set(minimal)
     for verb, argv in minimal.items():
-        if verb in ("sweep", "branching", "counterexamples", "decompose"):
+        if verb == "sweep":
             assert parser.parse_args([verb, *argv]).seed == 0
             assert parser.parse_args([verb, *argv, "--seed", "7"]).seed == 7
         else:
