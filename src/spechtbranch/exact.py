@@ -191,8 +191,9 @@ class _SparseRows:
     k (p - 1) < 2^63: for every k below 3 * 10^9, since ``FieldSpec``
     bounds p by 2^31.5."""
 
-    # entries of the gathered block c[:, rows] held at once
-    CHUNK = 1 << 22
+    # entries of a gathered block held at once: of c[:, rows] here, and of a
+    # block of terms in ``modules._act`` and of codes in a tabloid table
+    CHUNK = 1 << 20
 
     def __init__(self, field: FieldSpec, b: np.ndarray):
         cols, self.rows = np.nonzero(b.T)

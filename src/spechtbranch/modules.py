@@ -5,9 +5,10 @@ shape, together with the symmetric group degree that acts.  Coordinates
 come through the standard minor, the columns of the basis tableaux's own
 tabloids: it is unitriangular (James's standard basis theorem), so its
 exact integral inverse turns the d minor columns of a row of the module
-into its coordinates.  Every action is one gather per term through the
-permutation's preimage table, ``tabloids.tabloid_preimages(shape, pi,
-at)``, of a tabloid vector or of the d minor tabloids of the basis.  The
+into its coordinates.  Every action is one lookup of the element's
+preimage table, ``tabloids.tabloid_preimages(shape, perms, at)`` with a
+row per term, one gather per block of terms, of a tabloid vector or of the
+d minor tabloids of the basis, and one reduction per block.  The
 constructor proves the row space invariant under the symmetric group of
 the shape's size, once: it reads two generators' matrices that way and
 checks them against the generators' moves of the basis, at the width of
@@ -32,13 +33,14 @@ from __future__ import annotations
 import copy
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .exact import Matrix, Subspace, _SparseRows, _wide, unipotent_inverse
 from .fields import FieldSpec
 from .partitions import Partition
-from .perms import Perm, adjacent, cycle, embed, transposition
+from .perms import Perm, adjacent, cycle, transposition
 from .tabloids import (
     ModuleVector,
     Tableau,
@@ -91,20 +93,36 @@ class AlgebraElement:
 def _act(elt: AlgebraElement, field: FieldSpec, shape: Partition, rows: np.ndarray,
          at: tuple | None = None) -> np.ndarray:
     """The columns at (all if None) of reduced rows times elt, for one row
-    or a stack of them with one column per tabloid of shape: each term adds
-    c * rows[..., src], src = ``tabloid_preimages(shape, pi, at)`` and c
-    reduced.  The sum of the terms is reduced once, or after every term
-    when it may leave int64 (``_wide``)."""
-    wide = _wide(field, len(elt.terms))
-    out = np.zeros_like(rows if at is None else rows[..., :len(at)])
-    for perm, coeff in elt.terms:
-        src = tabloid_preimages(shape, embed(perm, shape.size), at)
-        out = out + field.scalar(coeff) * rows[..., src]
-        if wide:  # (p-1) + (p-1)^2 < 2^63 for every p FieldSpec admits
+    or a stack of them with one column per tabloid of shape: one table for
+    the element, src = ``tabloid_preimages(shape, perms, at)`` with a row
+    per term, and c * rows[..., src[k]] summed over the terms as the
+    reduced coefficients times the gathered rows.  Terms are gathered in
+    blocks whose entries, with numpy's intp copy of the indices, stay under
+    ``_SparseRows.CHUNK``.  The sum is reduced once, or after every block
+    when it may leave int64 (``_wide``); then a block holds one term unless
+    a sum of more still fits."""
+    if not elt.terms:
+        return np.zeros_like(rows if at is None else rows[..., :len(at)])
+    perms, coeffs = zip(*elt.terms)
+    src = tabloid_preimages(shape, perms, at)
+    coeffs = np.array([field.scalar(c) for c in coeffs], dtype=field.dtype)
+    terms, width = src.shape
+    step = max(1, _SparseRows.CHUNK // (width * (rows.size // rows.shape[-1] + 1)))
+    wide = _wide(field, terms + 1)
+    if wide and _wide(field, min(step, terms) + 1):
+        step = 1
+    out = 0
+    for lo in range(0, terms, step):
+        if step == 1:  # numpy's integer dot costs more than a multiply on one term
+            out = out + coeffs[lo] * rows[..., src[lo]]
+        else:
+            out = out + np.dot(coeffs[lo: lo + step], rows[..., src[lo: lo + step]])
+        if wide:  # (p-1) + step (p-1)^2 < 2^63
             out = field.reduce_array(out)
     return field.reduce_array(out)
 
 
+@lru_cache(maxsize=64)
 def murphy_element(k: int) -> AlgebraElement:
     """L_k, the sum of the transpositions (j,k) for j < k; L_1 = 0."""
     if k < 1:
@@ -113,6 +131,7 @@ def murphy_element(k: int) -> AlgebraElement:
         k, ((transposition(k, j, k), 1) for j in range(1, k)))
 
 
+@lru_cache(maxsize=64)
 def transposition_sum(k: int) -> AlgebraElement:
     """E_k, the sum of all transpositions of degree k."""
     if k < 1:
@@ -203,10 +222,11 @@ class TabloidModule(GroupActionModule):
     for every a in the group algebra of S_m.  That covers every element of degree at most m,
     also above the acting degree, such as L_m and E_m on a restriction.  A
     row v of V is c B for one c, so v[:, minor_cols] = c D and
-    c = v[:, minor_cols] D^-1.  The minor columns of B pi are B[:, src],
-    the tabloids that pi moves onto the minor tabloids (src =
-    ``tabloid_preimages(shape, pi, minor_cols)``), so sum c_pi pi acts as
-    (sum c_pi B[:, src]) D^-1, at width d, with nothing to check.
+    c = v[:, minor_cols] D^-1.  The minor columns of B pi_k are B[:, src[k]],
+    the tabloids that pi_k moves onto the minor tabloids (src = the
+    element's table ``tabloid_preimages(shape, perms, minor_cols)``), so
+    sum c_k pi_k acts as (sum c_k B[:, src[k]]) D^-1, at width d, with
+    nothing to check.
     """
 
     def __init__(self, degree: int, field: FieldSpec, shape: Partition,
@@ -223,7 +243,7 @@ class TabloidModule(GroupActionModule):
             c = self._element_action(g)
             # a permutation of reduced rows is reduced already
             if not np.array_equal(sparse_basis.left_mul(c.a),
-                                  basis.a[:, tabloid_preimages(shape, pi)]):
+                                  basis.a[:, tabloid_preimages(shape, (pi,))[0]]):
                 raise ArithmeticError("action left the module's row space")
             self._elt_cache[g] = c
 

@@ -12,13 +12,14 @@ Tabloids are found through codes: the words read as base-l numbers (l the
 number of rows) tell tabloids apart, and one search in the sorted codes
 (``_index``) gives their indices; nothing else turns a code into an index.
 The tabloid that pi moves onto {t_i} has the word of {t_i} read through
-pi, letter x from column pi(x)-1, so ``tabloid_preimages(shape, pi, at)``
-finds the index of {t_i} pi^-1 for each i in ``at`` (every tabloid by
-default) with no row sorted: the one table through which a permutation
-moves tabloid vectors, v pi = v[src], or reads their entries at ``at``.
-A code is a sum over the columns of a tableau, so a column stabilizer
-moves it by per-column offsets, and a key's coefficient is read at its
-code's position.
+pi, letter x from column pi(x)-1, so ``tabloid_preimages(shape, perms,
+at)`` finds the index of {t_i} pi^-1 for each pi in ``perms`` and each i in
+``at`` (every tabloid by default) with no row sorted: one table, a row per
+permutation, through which a group algebra element moves tabloid vectors,
+v pi = v[src[k]], or reads their entries at ``at``.  A code is a sum over
+the columns of a tableau, so a column stabilizer moves it by per-column
+offsets; the signed tabloid indices of a polytabloid owe nothing to the
+field, and are cached once per tableau for every field.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from math import factorial, prod
 
 import numpy as np
 
+from .exact import _SparseRows
 from .fields import FieldSpec
 from .partitions import Partition, removable_nodes, specht_dimension
-from .perms import Perm
+from .perms import Perm, embed
 
 TabloidKey = tuple[tuple[int, ...], ...]
 
@@ -172,22 +174,33 @@ def tabloid_indices(shape: Partition, tableaux) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def tabloid_preimages(shape: Partition, pi: Perm, at: tuple | None = None) -> np.ndarray:
-    """Index table of pi on the tabloids of a shape, pi of degree |shape|:
-    ``src[j]`` is the index of {t_i} pi^-1, the tabloid that pi moves onto
-    {t_i}, for i = ``at[j]`` (i = j, every tabloid, when at is None), so the
-    entries of v pi at ``at`` are v[src], and v pi = v[src] for at = None.
-    Its word is the word of {t_i} read through pi, letter x taken from
-    ``words[i, pi(x) - 1]``, so its code is ``words[i]`` times the weights
-    permuted by pi^-1, and ``_index`` finds it.  A pi that is not a
-    permutation of 1..|shape| raises ValueError.  The table is read-only:
-    every caller shares the cached array.
+def tabloid_preimages(shape: Partition, perms: tuple[Perm, ...],
+                      at: tuple | None = None) -> np.ndarray:
+    """Index tables of permutations on the tabloids of a shape, one row per
+    permutation in ``perms``, each of degree at most |shape| and embedded in
+    S_|shape|: ``src[k, j]`` is the index of {t_i} pi_k^-1, the tabloid that
+    pi_k moves onto {t_i}, for i = ``at[j]`` (i = j, every tabloid, when at
+    is None), so the entries of v pi_k at ``at`` are v[src[k]], and
+    v pi_k = v[src[k]] for at = None.  Its word is the word of {t_i} read
+    through pi_k, letter x taken from ``words[i, pi_k(x) - 1]``, so its code
+    is ``words[i]`` times the weights permuted by pi_k^-1, and ``_index``
+    finds it, for a chunk of permutations at a time whose codes stay
+    under ``exact._SparseRows.CHUNK`` entries.  A pi that is not a
+    permutation of 1..m for some m <= |shape| raises ValueError.  The int32
+    table is read-only: every caller shares the cached array.
     """
-    if sorted(pi) != list(range(1, shape.size + 1)):
-        raise ValueError(f"{pi} is not a permutation of 1..{shape.size}")
+    n = shape.size
+    for pi in perms:
+        if len(pi) > n or sorted(pi) != list(range(1, len(pi) + 1)):
+            raise ValueError(f"{pi} is not a permutation of 1..m for m <= {n}")
+    images = np.array([embed(pi, n) for pi in perms], dtype=np.intp).reshape(len(perms), n)
     words, weights, _, _ = _row_words(shape)
-    read = words if at is None else words[list(at)]
-    src = _index(shape, read @ weights[np.argsort(pi)])
+    read = (words if at is None else words[list(at)]).T
+    inverses = np.argsort(images, axis=1)
+    src = np.empty((len(perms), read.shape[1]), dtype=np.int32)
+    step = max(1, _SparseRows.CHUNK // max(1, read.shape[1]))
+    for lo in range(0, len(perms), step):
+        src[lo: lo + step] = _index(shape, weights[inverses[lo: lo + step]] @ read)
     src.flags.writeable = False
     return src
 
@@ -235,40 +248,68 @@ class ModuleVector:
                 and np.array_equal(self.row, other.row))
 
 
-def _signed_column_sum(t: Tableau, rows: Tableau, field: FieldSpec) -> ModuleVector:
-    """Sum of sign(sigma) {rows sigma} over the column stabilizer of t.
+@lru_cache(maxsize=16)
+def _column_signs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation s of 0..k-1, one per row, in int8 (S_9's is
+    3.3 MB), and its sign."""
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+    parity = np.zeros(len(perms), dtype=np.int64)
+    for i, j in itertools.combinations(range(k), 2):
+        parity ^= perms[:, i] > perms[:, j]
+    out = (perms, 1 - 2 * parity)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
-    t is rows or rows without its last row, so the j-th entry of a column
-    of t sits in row j of rows.  A tabloid's code is a sum over symbols,
-    sum of r * l^(x-1) for x in row r, so sigma moves it column by column:
-    permuting column c_0..c_{k-1} so that c_{s(j)} lands in row j adds
-    sum_j j * (l^(c_{s(j)}-1) - l^(c_j-1)).  The codes of all sigma are
-    outer sums of those offsets, found in the sorted codes at once.
+
+@lru_cache(maxsize=4096)
+def _column_terms(rows: Tableau, bottom: bool) -> tuple[Partition, np.ndarray, np.ndarray]:
+    """The shape of rows, the index of each tabloid {rows sigma}, sigma in
+    the column stabilizer of t, and sign(sigma): what a signed column sum
+    owes no field.
+
+    t is rows, or with ``bottom`` rows without its last row, so the j-th
+    entry of a column of t sits in row j of rows.  A tabloid's code is a
+    sum over symbols, sum of r * l^(x-1) for x in row r, so sigma moves it
+    column by column: permuting column c_0..c_{k-1} so that c_{s(j)} lands
+    in row j adds sum_j j * (l^(c_{s(j)}-1) - l^(c_j-1)).  The codes of all
+    sigma are outer sums of those offsets, found in the sorted codes at
+    once.  The indices are distinct, since no sigma but 1 keeps the rows of
+    rows.
     """
     shape = rows.shape
     weights = _row_words(shape)[1]
     codes = np.array([_code(weights, rows)], dtype=weights.dtype)
-    signs = np.ones(1, dtype=field.dtype)
-    for col in t.columns():
+    signs = np.ones(1, dtype=np.int64)
+    for col in (Tableau(rows[:-1]) if bottom else rows).columns():
         k = len(col)
         if k == 1:
             continue
-        perms = np.array(list(itertools.permutations(range(k))))
-        parity = np.zeros(len(perms), dtype=np.int64)
-        for i, j in itertools.combinations(range(k), 2):
-            parity ^= perms[:, i] > perms[:, j]
+        perms, col_signs = _column_signs(k)
         symbols = np.asarray(col) - 1
         offsets = weights[symbols[perms]] @ np.arange(k) - weights[symbols] @ np.arange(k)
         codes = (codes[:, None] + offsets[None, :]).reshape(-1)
-        signs = (signs[:, None] * (1 - 2 * parity)[None, :]).reshape(-1)
-    row = ModuleVector.zero(shape, field).row
-    np.add.at(row, _index(shape, codes), signs)
-    return ModuleVector(shape, field, field.reduce_array(row))
+        signs = (signs[:, None] * col_signs[None, :]).reshape(-1)
+    index = _index(shape, codes)
+    for a in (index, signs):
+        a.flags.writeable = False
+    return shape, index, signs
+
+
+def _signed_column_sum(rows: Tableau, bottom: bool, field: FieldSpec) -> ModuleVector:
+    """Sum of sign(sigma) {rows sigma} over the column stabilizer of rows,
+    or of rows without its last row with ``bottom``: the cached
+    ``_column_terms`` written into a zero row and reduced once."""
+    shape, index, signs = _column_terms(rows, bottom)
+    vec = ModuleVector.zero(shape, field)
+    vec.row[index] = signs
+    vec.row = field.reduce_array(vec.row)
+    return vec
 
 
 def polytabloid(t: Tableau, field: FieldSpec) -> ModuleVector:
     """Alternating sum of tabloids over the column stabilizer of t."""
-    return _signed_column_sum(t, t, field)
+    return _signed_column_sum(t, False, field)
 
 
 def extension(t: Tableau) -> Tableau:
@@ -282,9 +323,9 @@ def induced_polytabloid(T: Tableau, lam: Partition, field: FieldSpec) -> ModuleV
     T must have shape lam plus one extra node in a new bottom row; the extra
     entry is untouched by the column stabilizer of the restriction.
     """
-    if T.shape != Partition(tuple(lam) + (1,)):
+    if tuple(map(len, T)) != (*lam, 1):
         raise ValueError(f"shape of {T} is not {lam} plus a bottom node")
-    return _signed_column_sum(Tableau(tuple(T)[:-1]), T, field)
+    return _signed_column_sum(T, True, field)
 
 
 def region_H(t: Tableau, u: int) -> frozenset:

@@ -25,7 +25,7 @@ from .central import (
     predicted_min_poly,
 )
 from .endo import certify_indecomposable, decompose, is_isomorphic
-from .exact import Matrix, minimal_polynomial
+from .exact import Matrix, _wide, minimal_polynomial
 from .fields import GF, QQ, FieldSpec
 from .modules import (
     AlgebraElement,
@@ -161,12 +161,19 @@ def verify_min_poly(lam, field: FieldSpec, direction: str) -> VerificationReport
 
 def _apply_affine_poly(vec: ModuleVector, coeffs, shift, sign: int,
                        elt: AlgebraElement) -> ModuleVector:
-    """vec * f(shift + sign*elt) for f with the given ascending coefficients."""
+    """vec * f(shift + sign*elt) for f with the given ascending coefficients,
+    by Horner's rule: each step acc * shift + sign * (acc elt) + a vec on
+    the raw rows, reduced once (each product first, where their sum may
+    leave int64)."""
     field = vec.field
     shift = field.scalar(shift)
+    wide = _wide(field, 3)
     acc = ModuleVector.zero(vec.shape, field)
     for a in reversed(coeffs):
-        acc = acc.scale(shift) + elt.apply(acc).scale(sign) + vec.scale(a)
+        parts = (shift * acc.row, sign * elt.apply(acc).row, field.scalar(a) * vec.row)
+        if wide:
+            parts = [field.reduce_array(part) for part in parts]
+        acc = ModuleVector(vec.shape, field, field.reduce_array(sum(parts)))
     return acc
 
 

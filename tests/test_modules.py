@@ -635,9 +635,9 @@ def test_actions_after_the_build_ask_for_no_table_of_every_tabloid(monkeypatch):
     asked = []
     preimages = modules.tabloid_preimages
 
-    def recorded(shape, pi, at=None):
+    def recorded(shape, perms, at=None):
         asked.append(at)
-        return preimages(shape, pi, at)
+        return preimages(shape, perms, at)
 
     monkeypatch.setattr(modules, "tabloid_preimages", recorded)
     rng = random.Random(5)
@@ -667,25 +667,29 @@ def test_a_row_space_that_is_not_invariant_is_refused_at_construction():
 def test_restriction_reuses_the_specht_modules_proof(monkeypatch):
     """Building S^lam restricted after S^lam runs no unipotent_inverse and
     asks for no table of every tabloid: the restriction shares the Specht
-    module's minor inverse and proof, and the proof's matrices."""
+    module's minor inverse and proof, and the proof's matrices, and every
+    table it asks for is read at the Specht module's minor tabloids."""
     lam, field = Partition((3, 2, 1)), GF(3)
     clear_module_cache()
     specht = build_specht(lam, field)
     preimages = modules.tabloid_preimages
+    asked = []
 
     def refused(*args):
         raise AssertionError("rebuilt by the restriction")
 
-    def minor_only(shape, pi, at=None):
+    def minor_only(shape, perms, at=None):
+        asked.append(at)
         if at is None:
             raise AssertionError("a table of every tabloid in the restriction")
-        return preimages(shape, pi, at)
+        return preimages(shape, perms, at)
 
     monkeypatch.setattr(modules, "unipotent_inverse", refused)
     monkeypatch.setattr(modules, "tabloid_preimages", minor_only)
     down = build_restriction(lam, field)
     down.gens()
     down.element_matrix(murphy_element(lam.size))
+    assert asked and all(at == specht.minor_cols for at in asked)
     assert down.degree == lam.size - 1
     assert down.basis is specht.basis and down._correction is specht._correction
     for pi in modules._generators(lam.size):

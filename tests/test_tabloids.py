@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (act_key, column_signed_maps, enumerate_tabloids, identity_perm,
                      signed_column_sum, tabloid_index)
-from spechtbranch.exact import RowBasis
+from spechtbranch.exact import RowBasis, _SparseRows
 from spechtbranch.fields import GF, QQ
 from spechtbranch.partitions import (
     Partition,
@@ -20,15 +21,19 @@ from spechtbranch.partitions import (
     specht_dimension,
 )
 from spechtbranch.perms import adjacent, compose, embed, transposition
+from spechtbranch import modules
 from spechtbranch.modules import (
     AlgebraElement,
     _induction_tableaux,
+    build_specht,
+    clear_module_cache,
     murphy_element,
     transposition_sum,
 )
 from spechtbranch.tabloids import (
     ModuleVector,
     Tableau,
+    _column_terms,
     _row_words,
     canonical_tableau,
     extension,
@@ -139,7 +144,7 @@ def test_tabloid_permutation_matches_act_key():
         keys = enumerate_tabloids(lam)
         perms = [adjacent(n, i) for i in range(1, n)] + [_random_perm(rng, n) for _ in range(3)]
         for pi in perms:
-            src = tabloid_preimages(lam, pi)
+            src = tabloid_preimages(lam, (pi,))[0]
             assert all(act_key(keys[src[j]], pi) == keys[j] for j in range(len(keys))), (lam, pi)
 
 
@@ -162,21 +167,30 @@ def test_preimage_tables_compose_as_a_right_action(drawn):
     """v (p q) = (v p) q gives src_pq = src_p[src_q]; the identity gives
     arange(W), every table is a permutation of range(W), and none can be
     written.  The table of a tuple of tabloids is the full table read at
-    them, also for the object-dtype codes of (62, 1)."""
+    them, also for the object-dtype codes of (62, 1), and the table of a
+    tuple of permutations stacks their one-permutation tables."""
     shape, p, q, at = drawn
     width = len(enumerate_tabloids(shape))
-    tables = [tabloid_preimages(shape, pi) for pi in (p, q, compose(p, q))]
+    perms = (p, q, compose(p, q))
+    tables = [tabloid_preimages(shape, (pi,))[0] for pi in perms]
     assert np.array_equal(tables[2], tables[0][tables[1]])
-    assert np.array_equal(tabloid_preimages(shape, identity_perm(shape.size)),
+    assert np.array_equal(tabloid_preimages(shape, (identity_perm(shape.size),))[0],
                           np.arange(width))
-    for pi, table in zip((p, q, compose(p, q)), tables):
+    for pi, table in zip(perms, tables):
         assert sorted(table.tolist()) == list(range(width))
-        read = tabloid_preimages(shape, pi, at)
+        read = tabloid_preimages(shape, (pi,), at)[0]
         assert np.array_equal(read, table[list(at)])
         for t in (table, read):
             assert not t.flags.writeable
             with pytest.raises(ValueError):
                 t[:1] = 0
+    for at_ in (None, at):
+        stacked = tabloid_preimages(shape, perms, at_)
+        one = [tabloid_preimages(shape, (pi,), at_)[0] for pi in perms]
+        assert stacked.dtype == np.int32 and np.array_equal(stacked, np.stack(one))
+        assert not stacked.flags.writeable
+        with pytest.raises(ValueError):
+            stacked[:1] = 0
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=str)
@@ -214,6 +228,92 @@ def test_apply_reduces_large_coefficients():
         for v in vectors:
             assert AlgebraElement.from_terms(3, terms).apply(v) == residues.apply(v)
             assert residues.apply(v) == _apply_per_term(residues, v)
+
+
+def _act_per_term(elt, field, shape, rows, at):
+    """rows * elt read at at (every column if None), one act_key and one
+    Python scalar per tabloid per term: the oracle for ``modules._act``."""
+    keys = enumerate_tabloids(shape)
+    index = tabloid_index(shape)
+    out = []
+    for row in np.atleast_2d(rows).tolist():
+        acc = [0] * len(keys)
+        for perm, coeff in elt.terms:
+            pi = embed(perm, shape.size)
+            for i, key in enumerate(keys):
+                acc[index[act_key(key, pi)]] += coeff * row[i]
+        out.append([field.scalar(acc[j]) for j in (range(len(keys)) if at is None else at)])
+    return out if rows.ndim == 2 else out[0]
+
+
+_GATHER_FIELDS = [GF(2), GF(3), GF(2 ** 31 - 1), QQ]
+
+
+@st.composite
+def _element_rows_and_at(draw):
+    lam = draw(st.sampled_from([lam for n in range(2, 7) for lam in partitions_of(n)]))
+    field = draw(st.sampled_from(_GATHER_FIELDS))
+    degree = draw(st.integers(1, lam.size))
+    perm = st.permutations(range(1, degree + 1)).map(tuple)
+    coeff = st.sampled_from([2 ** 62, -2 ** 62]) | st.integers(-3, 3)
+    elt = AlgebraElement.from_terms(
+        degree, draw(st.lists(st.tuples(perm, coeff), min_size=1, max_size=15)))
+    width = len(enumerate_tabloids(lam))
+    p = field.characteristic
+    # residues near p - 1, so that three products over GF(2^31 - 1) leave int64
+    entry = (st.sampled_from([p - 1, p - 2]) | st.integers(0, p - 1) if p
+             else st.fractions(max_denominator=4) | st.integers(-2 ** 70, 2 ** 70))
+    stack = draw(st.none() | st.integers(1, 4))
+    count = width if stack is None else stack * width
+    rows = field.array(draw(st.lists(entry, min_size=count, max_size=count)))
+    if stack is not None:
+        rows = rows.reshape(stack, width)
+    at = draw(st.none() | st.lists(st.integers(0, width - 1), min_size=1, max_size=8).map(tuple))
+    return elt, field, lam, rows, at
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_element_rows_and_at())
+def test_blocked_gathers_match_the_per_term_sum(drawn):
+    """_act on one row or a stack, read at every tabloid or a tuple of them,
+    equals the sum over the terms one tabloid at a time, for coefficients
+    +-2^62 and over GF(2^31 - 1), where two products already leave int64;
+    the same with blocks bounded to one entry, one term per block."""
+    elt, field, lam, rows, at = drawn
+    expected = _act_per_term(elt, field, lam, rows, at)
+    assert modules._act(elt, field, lam, rows, at).tolist() == expected
+    with mock.patch.object(_SparseRows, "CHUNK", 1):
+        assert modules._act(elt, field, lam, rows, at).tolist() == expected
+
+
+def test_polytabloid_terms_are_cached_once_for_every_field():
+    """The signed tabloid indices of a polytabloid owe nothing to the field:
+    over GF(2), GF(3) and GF(5), polytabloid and induced_polytabloid are the
+    Q vector reduced mod p, for every standard tableau of size <= 6 and
+    every induction tableau of lam |- 5; the cached indices are distinct,
+    so one assignment writes them, and neither cached array can be
+    written.  Building S^lam over GF(5) after GF(3) adds no cache miss."""
+    cases = [(t, False, lambda field, t=t: polytabloid(t, field))
+             for n in range(1, 7) for lam in partitions_of(n) for t in standard_tableaux(lam)]
+    cases += [(T, True, lambda field, T=T, lam=lam: induced_polytabloid(T, lam, field))
+              for lam in partitions_of(5) for T in _induction_tableaux(lam)]
+    for rows, bottom, build in cases:
+        over_q = np.array(build(QQ).row.tolist(), dtype=np.int64)
+        for p in (2, 3, 5):
+            assert np.array_equal(build(GF(p)).row, over_q % p), (rows, p)
+        shape, index, signs = _column_terms(rows, bottom)
+        assert shape == rows.shape
+        assert len(np.unique(index)) == len(index)
+        for a in (index, signs):
+            with pytest.raises(ValueError):
+                a[:1] = 0
+    for lam in (Partition((3, 2)), Partition((2, 2, 1)), Partition((3, 1, 1, 1))):
+        clear_module_cache()
+        build_specht(lam, GF(3))
+        misses = (_column_terms.cache_info().misses, tabloid_preimages.cache_info().misses)
+        build_specht(lam, GF(5))
+        assert (_column_terms.cache_info().misses, tabloid_preimages.cache_info().misses) == misses
+    clear_module_cache()
 
 
 def test_module_vector_sum_needs_one_shape_and_field():

@@ -10,6 +10,7 @@ from spechtbranch.central import INDUCE, RESTRICT
 from spechtbranch.cli import build_parser, main
 from spechtbranch.fields import GF, QQ
 from spechtbranch.partitions import Partition
+from spechtbranch.tabloids import ModuleVector, polytabloid, standard_tableaux
 from spechtbranch.verify import (
     VerificationReport,
     sweep,
@@ -53,6 +54,26 @@ def test_report_schema_and_determinism():
             assert type(check["pass"]) is bool, (da["case"], check["name"])
         assert _strip_millis(da) == _strip_millis(db)
         json.dumps(da)  # serializable as-is
+
+
+def test_affine_poly_reduces_once_per_step_and_stays_exact():
+    """_apply_affine_poly, one reduction of the raw rows per Horner step,
+    equals the same rule on ModuleVector sums and scalings, reduced at every
+    operation: over Q, GF(2), GF(3), GF(2^31 - 1) and GF(3037000493), the
+    largest prime FieldSpec admits, where the sum of two products (p - 1)^2
+    leaves int64 and each product is reduced first."""
+    lam = Partition((3, 1, 1))
+    t = standard_tableaux(lam)[2]
+    for field in (QQ, GF(2), GF(3), GF(2 ** 31 - 1), GF(3037000493)):
+        vec = polytabloid(t, field)
+        for elt, shift, sign in ((modules.transposition_sum(4), 0, 1),
+                                 (modules.murphy_element(5), 2 ** 40 + 3, -1)):
+            for coeffs in ([1, -2, 3], [2 ** 31 - 2, -1, 2 ** 62, 5]):
+                acc = ModuleVector.zero(lam, field)
+                for a in reversed(coeffs):
+                    acc = (acc.scale(shift) + elt.apply(acc).scale(sign)
+                           + vec.scale(a))
+                assert verify._apply_affine_poly(vec, coeffs, shift, sign, elt) == acc
 
 
 def test_branching_rejects_a_field_as_characteristic():
