@@ -8,7 +8,8 @@ exact integral inverse turns the d minor columns of a row of the module
 into its coordinates.  Every action is one lookup of the element's
 preimage table, ``tabloids.tabloid_preimages(shape, perms, at)`` with a
 row per term, one gather per block of terms, of a tabloid vector or of the
-d minor tabloids of the basis, and one reduction per block.  The
+d minor tabloids of the basis, and one reduction of the sum, or of each
+term where the sum may leave int64.  The
 constructor proves the row space invariant under the symmetric group of
 the shape's size, once: it reads two generators' matrices that way and
 checks them against the generators' moves of the basis, at the width of
@@ -98,9 +99,8 @@ def _act(elt: AlgebraElement, field: FieldSpec, shape: Partition, rows: np.ndarr
     per term, and c * rows[..., src[k]] summed over the terms as the
     reduced coefficients times the gathered rows.  Terms are gathered in
     blocks whose entries, with numpy's intp copy of the indices, stay under
-    ``_SparseRows.CHUNK``.  The sum is reduced once, or after every block
-    when it may leave int64 (``_wide``); then a block holds one term unless
-    a sum of more still fits."""
+    ``_SparseRows.CHUNK``.  The sum is reduced once, or, when the whole sum
+    may leave int64 (``_wide``), a block holds one term and is reduced."""
     if not elt.terms:
         return np.zeros_like(rows if at is None else rows[..., :len(at)])
     perms, coeffs = zip(*elt.terms)
@@ -109,7 +109,7 @@ def _act(elt: AlgebraElement, field: FieldSpec, shape: Partition, rows: np.ndarr
     terms, width = src.shape
     step = max(1, _SparseRows.CHUNK // (width * (rows.size // rows.shape[-1] + 1)))
     wide = _wide(field, terms + 1)
-    if wide and _wide(field, min(step, terms) + 1):
+    if wide:
         step = 1
     out = 0
     for lo in range(0, terms, step):
@@ -117,7 +117,7 @@ def _act(elt: AlgebraElement, field: FieldSpec, shape: Partition, rows: np.ndarr
             out = out + coeffs[lo] * rows[..., src[lo]]
         else:
             out = out + np.dot(coeffs[lo: lo + step], rows[..., src[lo: lo + step]])
-        if wide:  # (p-1) + step (p-1)^2 < 2^63
+        if wide:  # (p-1) + (p-1)^2 < 2^63
             out = field.reduce_array(out)
     return field.reduce_array(out)
 

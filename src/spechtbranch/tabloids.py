@@ -248,20 +248,6 @@ class ModuleVector:
                 and np.array_equal(self.row, other.row))
 
 
-@lru_cache(maxsize=16)
-def _column_signs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every permutation s of 0..k-1, one per row, in int8 (S_9's is
-    3.3 MB), and its sign."""
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
-    parity = np.zeros(len(perms), dtype=np.int64)
-    for i, j in itertools.combinations(range(k), 2):
-        parity ^= perms[:, i] > perms[:, j]
-    out = (perms, 1 - 2 * parity)
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 @lru_cache(maxsize=4096)
 def _column_terms(rows: Tableau, bottom: bool) -> tuple[Partition, np.ndarray, np.ndarray]:
     """The shape of rows, the index of each tabloid {rows sigma}, sigma in
@@ -285,11 +271,14 @@ def _column_terms(rows: Tableau, bottom: bool) -> tuple[Partition, np.ndarray, n
         k = len(col)
         if k == 1:
             continue
-        perms, col_signs = _column_signs(k)
+        perms = np.array(list(itertools.permutations(range(k))))
+        parity = np.zeros(len(perms), dtype=np.int64)
+        for i, j in itertools.combinations(range(k), 2):
+            parity ^= perms[:, i] > perms[:, j]
         symbols = np.asarray(col) - 1
         offsets = weights[symbols[perms]] @ np.arange(k) - weights[symbols] @ np.arange(k)
         codes = (codes[:, None] + offsets[None, :]).reshape(-1)
-        signs = (signs[:, None] * col_signs[None, :]).reshape(-1)
+        signs = (signs[:, None] * (1 - 2 * parity)[None, :]).reshape(-1)
     index = _index(shape, codes)
     for a in (index, signs):
         a.flags.writeable = False
