@@ -121,8 +121,7 @@ def central_symmetric_action(module: GroupActionModule) -> Matrix:
     return module.element_matrix(transposition_sum(module.degree))
 
 
-def block_split(module: GroupActionModule, p: int,
-                candidate_factors) -> list[BlockComponent]:
+def block_split(module: GroupActionModule, candidate_factors) -> list[BlockComponent]:
     """Split a restricted or induced module into its block components.
 
     candidate_factors are the Specht factors of a filtration of the module.
@@ -150,10 +149,6 @@ def block_split(module: GroupActionModule, p: int,
     order the blocks first appear along the filtration.
     """
     field = module.field
-    if p != field.characteristic:
-        raise ValueError(
-            f"p = {p} does not match the module field of characteristic "
-            f"{field.characteristic}")
     factors = tuple(Partition(mu) for mu in candidate_factors)
     if not factors:
         raise ValueError("no candidate factors")

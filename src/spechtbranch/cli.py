@@ -84,7 +84,7 @@ def _cmd_counterexamples(args) -> tuple[list, dict | None]:
 def _cmd_blocks(args) -> tuple[list, dict | None]:
     module = _build(args.lam, args.field, args.direction)
     factors = branching_factors(args.lam, args.direction)
-    components = block_split(module, args.field.characteristic, factors)
+    components = block_split(module, factors)
     report = VerificationReport(f"blocks ({args.lam})", str(args.field), args.direction)
     report.add("component-count", len(components), len(components), True)
     for comp in components:

@@ -1,13 +1,14 @@
 """Exact dense linear algebra over Q and GF(p).
 
-Matrices wrap numpy arrays: ``int64`` residues for GF(p), Python ints in
-``object`` arrays for Q, with a ``Fraction`` only where an entry is not an
-integer.  Every operation is exact; there is no floating point and no
-tolerance anywhere.  Vectors are rows and operators act on the right, so
-"kernel" always means the left kernel ``{v : v A = 0}`` and spans are row
-spaces.  A ``Subspace`` has one form, its reduced echelon basis with unit
-pivots, so the coordinates of its vectors are their entries at the pivot
-columns and no solve is needed to restrict a matrix to it.
+Matrices wrap numpy arrays of ``FieldSpec.dtype``: ``int64`` residues for
+GF(p) with p < 2^16, Python ints in ``object`` arrays for larger primes and
+for Q, with a ``Fraction`` only where a Q entry is not an integer.  Every
+operation is exact; there is no floating point and no tolerance anywhere.
+Vectors are rows and operators act on the right, so "kernel" always means
+the left kernel ``{v : v A = 0}`` and spans are row spaces.  A ``Subspace``
+has one form, its reduced echelon basis with unit pivots, so the
+coordinates of its vectors are their entries at the pivot columns and no
+solve is needed to restrict a matrix to it.
 
 Elimination (``RowBasis``, and ``rref``, ``kernel`` and
 ``minimal_polynomial`` on top of it) is one fraction-free algorithm for
@@ -37,13 +38,11 @@ next row (the spin of ``endo.hom_space``, ``minimal_polynomial``) inserts
 one row at a time.
 
 Every matrix product over a field is made here, dense (``_mul``) or through
-the nonzeros of its right factor (``_SparseRows``), by one rule: over GF(p),
-on reduced residues, an entry that sums k products accumulates in int64
-while k (p - 1)^2 < 2^63.  Past that bound the dense product accumulates in
-Python ints; the sparse one forms each product before the sums, so it
-reduces each mod p first and stays in int64, as k (p - 1) < 2^63 for any k
-below 3 * 10^9.  Every result comes back as reduced int64.  ``FieldSpec``
-bounds p so that one product always fits.
+the nonzeros of its right factor (``_SparseRows``), in the field's own
+dtype, and reduced once.  Over an int64 field an entry that sums k residue
+products is exact while k (p - 1)^2 < 2^63, for every k below 2^31 since
+p < 2^16; ``_product`` refuses a k past that bound, which only a matrix of
+more than 2^31 columns could reach.  Python ints cannot overflow.
 
 ``unipotent_inverse`` needs no elimination at all: a unipotent D = I - N
 has the inverse (I + N)(I + N^2)(I + N^4)..., which ends at the first zero
@@ -160,17 +159,15 @@ class Matrix:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
 
-def _wide(field: FieldSpec, k: int) -> bool:
-    """Whether a sum of k residue products may leave int64: k (p - 1)^2 >= 2^63."""
-    p = field.characteristic
-    return p != 0 and k * (p - 1) ** 2 >= INT64_LIMIT
-
-
 def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b, not reduced, accumulated by the rule of ``_wide``; a stack of
-    right factors gives the stack of products."""
-    if _wide(field, a.shape[1]):
-        a, b = a.astype(object), b.astype(object)
+    """a b, not reduced; a stack of right factors gives the stack of
+    products.  Over an int64 field, on reduced residues, each entry is
+    exact while k (p - 1)^2 < 2^63, k the inner dimension; a larger k
+    raises ValueError."""
+    p = field.characteristic
+    if field.dtype is not object and a.shape[1] * (p - 1) ** 2 >= INT64_LIMIT:
+        raise ValueError(f"a sum of {a.shape[1]} residue products over {field} "
+                         f"may leave int64")
     # np.dot skips the broadcasting machinery of @, which costs more than
     # the arithmetic of a small product
     return np.dot(a, b) if b.ndim == 2 else a @ b
@@ -185,11 +182,8 @@ class _SparseRows:
     """The nonzeros of a matrix b, column by column, for products c b in
     rows(c) nnz(b) steps, where a dense product takes rows(c) rows(b)
     cols(b).  Entry (i, j) of c b sums one product per nonzero of column j,
-    so the fullest column, of k nonzeros, decides the accumulation.  Each
-    product is gathered before the sums, so where k (p - 1)^2 >= 2^63 (see
-    ``_wide``) each is reduced mod p first, and the sums stay in int64 while
-    k (p - 1) < 2^63: for every k below 3 * 10^9, since ``FieldSpec``
-    bounds p by 2^31.5."""
+    in the field's dtype, and the result is reduced once: over an int64
+    field a column would need 2^31 nonzeros to leave int64."""
 
     # entries of a gathered block held at once: of c[:, rows] here, and of a
     # block of terms in ``modules._act`` and of codes in a tabloid table
@@ -199,8 +193,6 @@ class _SparseRows:
         cols, self.rows = np.nonzero(b.T)
         self.starts = np.flatnonzero(np.diff(cols, prepend=-1))
         self.cols = cols[self.starts]
-        k = int(np.bincount(cols).max(initial=0))
-        self.premod = _wide(field, k)
         self.vals = b[self.rows, cols]
         self.field = field
         self.width = b.shape[1]
@@ -213,8 +205,6 @@ class _SparseRows:
             for lo in range(0, c.shape[0], step):
                 terms = c[lo: lo + step, self.rows]
                 terms *= self.vals
-                if self.premod:
-                    terms %= self.field.characteristic
                 out[lo: lo + step, self.cols] = np.add.reduceat(terms, self.starts, axis=1)
         return self.field.reduce_array(out)
 

@@ -3,8 +3,12 @@
 Scalars are plain Python objects: ``int`` residues in ``0..p-1`` for GF(p);
 ``int`` or ``Fraction`` for the rationals, where ``scalar`` and ``inv``
 return an ``int`` whenever the value is one.  No floating point anywhere.
-GF(p) arrays are int64, and p must have (p - 1)^2 < 2^63, p <= 3,037,000,500,
-so a product of two residues is exact; ``exact`` decides how many may be summed.
+``FieldSpec.dtype`` alone decides how residues are stored: int64 for
+p < 2^16 (``INT64_PRIMES``), where a residue product is under 2^32 and a
+sum of fewer than 2^31 of them fits int64, and Python ints in ``object``
+arrays, as for Q, for every larger prime, where no sum can overflow;
+``zeros``, ``array`` and ``reduce_array`` follow it.  A prime must have
+(p - 1)^2 < 2^63, p <= 3,037,000,500, which keeps trial division short.
 Over Q the linear algebra runs on integers: rows are held as integer
 vectors, a rational row is first scaled by the lcm of its denominators,
 and ``normalize_rows`` divides a row by its content, an exact division
@@ -20,6 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 INT64_LIMIT = 2**63
+# primes below this are held as int64 residues; see the module docstring
+INT64_PRIMES = 2**16
 
 
 def _is_prime(p: int) -> bool:
@@ -133,11 +139,13 @@ class FieldSpec:
 
     @property
     def dtype(self):
-        return np.int64 if self.characteristic else object
+        """int64 for 0 < p < 2^16, object (Python ints) otherwise."""
+        return np.int64 if 0 < self.characteristic < INT64_PRIMES else object
 
     def reduce_array(self, a: np.ndarray) -> np.ndarray:
+        """a mod p, as an array of ``dtype``; over Q, a itself."""
         if self.characteristic:
-            return (a % self.characteristic).astype(np.int64, copy=False)
+            return (a % self.characteristic).astype(self.dtype, copy=False)
         return a
 
     def array(self, data) -> np.ndarray:
@@ -150,9 +158,7 @@ class FieldSpec:
         return out
 
     def zeros(self, shape) -> np.ndarray:
-        if self.characteristic:
-            return np.zeros(shape, dtype=np.int64)
-        return np.zeros(shape, dtype=object)
+        return np.zeros(shape, dtype=self.dtype)
 
 
 QQ = FieldSpec(0)

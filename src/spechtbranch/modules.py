@@ -8,8 +8,8 @@ exact integral inverse turns the d minor columns of a row of the module
 into its coordinates.  Every action is one lookup of the element's
 preimage table, ``tabloids.tabloid_preimages(shape, perms, at)`` with a
 row per term, one gather per block of terms, of a tabloid vector or of the
-d minor tabloids of the basis, and one reduction of the sum, or of each
-term where the sum may leave int64.  The
+d minor tabloids of the basis, and one reduction of the sum, in the
+field's dtype (``FieldSpec.dtype``), where no sum of terms can overflow.  The
 constructor proves the row space invariant under the symmetric group of
 the shape's size, once: it reads two generators' matrices that way and
 checks them against the generators' moves of the basis, at the width of
@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import Matrix, Subspace, _SparseRows, _wide, unipotent_inverse
+from .exact import Matrix, Subspace, _SparseRows, unipotent_inverse
 from .fields import FieldSpec
 from .partitions import Partition
 from .perms import Perm, adjacent, cycle, transposition
@@ -97,10 +97,11 @@ def _act(elt: AlgebraElement, field: FieldSpec, shape: Partition, rows: np.ndarr
     or a stack of them with one column per tabloid of shape: one table for
     the element, src = ``tabloid_preimages(shape, perms, at)`` with a row
     per term, and c * rows[..., src[k]] summed over the terms as the
-    reduced coefficients times the gathered rows.  Terms are gathered in
-    blocks whose entries, with numpy's intp copy of the indices, stay under
-    ``_SparseRows.CHUNK``.  The sum is reduced once, or, when the whole sum
-    may leave int64 (``_wide``), a block holds one term and is reduced."""
+    reduced coefficients times the gathered rows, in the field's dtype.
+    Terms are gathered in blocks whose entries, with numpy's intp copy of
+    the indices, stay under ``_SparseRows.CHUNK``.  The sum is reduced once:
+    over an int64 field it would take 2^31 terms to leave int64."""
+    rows = rows.astype(field.dtype, copy=False)
     if not elt.terms:
         return np.zeros_like(rows if at is None else rows[..., :len(at)])
     perms, coeffs = zip(*elt.terms)
@@ -108,17 +109,12 @@ def _act(elt: AlgebraElement, field: FieldSpec, shape: Partition, rows: np.ndarr
     coeffs = np.array([field.scalar(c) for c in coeffs], dtype=field.dtype)
     terms, width = src.shape
     step = max(1, _SparseRows.CHUNK // (width * (rows.size // rows.shape[-1] + 1)))
-    wide = _wide(field, terms + 1)
-    if wide:
-        step = 1
     out = 0
     for lo in range(0, terms, step):
         if step == 1:  # numpy's integer dot costs more than a multiply on one term
             out = out + coeffs[lo] * rows[..., src[lo]]
         else:
             out = out + np.dot(coeffs[lo: lo + step], rows[..., src[lo: lo + step]])
-        if wide:  # (p-1) + (p-1)^2 < 2^63
-            out = field.reduce_array(out)
     return field.reduce_array(out)
 
 

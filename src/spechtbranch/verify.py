@@ -25,7 +25,7 @@ from .central import (
     predicted_min_poly,
 )
 from .endo import certify_indecomposable, decompose, is_isomorphic
-from .exact import Matrix, _wide, minimal_polynomial
+from .exact import Matrix, minimal_polynomial
 from .fields import GF, QQ, FieldSpec
 from .modules import (
     AlgebraElement,
@@ -71,12 +71,23 @@ class Check:
 
 @dataclass
 class VerificationReport:
+    """The checks of one case; ``with report:`` times the block it runs
+    and sets ``millis`` on exit."""
+
     case: str
     field: str
     direction: str | None
     checks: list = dataclass_field(default_factory=list)
     seed: int | None = None
     millis: int = 0
+
+    def __enter__(self) -> "VerificationReport":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.millis = int((time.perf_counter() - self._start) * 1000)
+        return False
 
     @property
     def passed(self) -> bool:
@@ -105,16 +116,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-class _Timer:
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.millis = int((time.perf_counter() - self.start) * 1000)
-        return False
-
-
 def _scalar_of(matrix: Matrix):
     """The scalar c if the matrix is c*identity, else None."""
     if matrix.nrows == 0:
@@ -127,7 +128,7 @@ def verify_en_scalar(lam, field: FieldSpec) -> VerificationReport:
     """The full transposition sum acts on S^lam as the content-sum scalar."""
     lam = Partition(lam)
     report = VerificationReport(f"en-scalar ({lam})", str(field), None)
-    with _Timer() as t:
+    with report:
         module = build_specht(lam, field)
         a = module.element_matrix(transposition_sum(lam.size))
         expected = field.scalar(content_sum(lam))
@@ -135,7 +136,6 @@ def verify_en_scalar(lam, field: FieldSpec) -> VerificationReport:
         report.add("acts-as-scalar", field.render(expected),
                    "non-scalar" if got is None else field.render(got),
                    got == expected)
-    report.millis = t.millis
     return report
 
 
@@ -145,7 +145,7 @@ def verify_min_poly(lam, field: FieldSpec, direction: str) -> VerificationReport
     bound checked separately."""
     lam = Partition(lam)
     report = VerificationReport(f"min-poly ({lam})", str(field), direction)
-    with _Timer() as t:
+    with report:
         module = branching_module(lam, field, direction)
         a = module.element_matrix(transposition_sum(module.degree))
         computed = minimal_polynomial(a)
@@ -155,7 +155,6 @@ def verify_min_poly(lam, field: FieldSpec, direction: str) -> VerificationReport
         report.add("degree-bound", f"<= {degree}", computed.degree,
                    computed.degree <= degree)
         report.add("degree", degree, computed.degree, computed.degree == degree)
-    report.millis = t.millis
     return report
 
 
@@ -163,17 +162,13 @@ def _apply_affine_poly(vec: ModuleVector, coeffs, shift, sign: int,
                        elt: AlgebraElement) -> ModuleVector:
     """vec * f(shift + sign*elt) for f with the given ascending coefficients,
     by Horner's rule: each step acc * shift + sign * (acc elt) + a vec on
-    the raw rows, reduced once (each product first, where their sum may
-    leave int64)."""
+    the raw rows, in the field's dtype, reduced once."""
     field = vec.field
     shift = field.scalar(shift)
-    wide = _wide(field, 3)
     acc = ModuleVector.zero(vec.shape, field)
     for a in reversed(coeffs):
-        parts = (shift * acc.row, sign * elt.apply(acc).row, field.scalar(a) * vec.row)
-        if wide:
-            parts = [field.reduce_array(part) for part in parts]
-        acc = ModuleVector(vec.shape, field, field.reduce_array(sum(parts)))
+        raw = shift * acc.row + sign * elt.apply(acc).row + field.scalar(a) * vec.row
+        acc = ModuleVector(vec.shape, field, field.reduce_array(raw))
     return acc
 
 
@@ -191,7 +186,7 @@ def verify_poly_transfer(lam, field: FieldSpec, seed: int = 0) -> VerificationRe
     if n < 2:
         raise ValueError("needs degree at least 2")
     report = VerificationReport(f"poly-transfer ({lam})", str(field), None, seed=seed)
-    with _Timer() as t:
+    with report:
         rng = random.Random(seed)
         m = len(removable_nodes(lam))
         e_lam = content_sum(lam)
@@ -216,7 +211,6 @@ def verify_poly_transfer(lam, field: FieldSpec, seed: int = 0) -> VerificationRe
             rhs = _apply_affine_poly(e_big, coeffs, e_lam, 1, murphy_element(n + 1))
             report.add(f"induce-transfer[{r}]", "equal",
                        "equal" if lhs == rhs else "different", lhs == rhs)
-    report.millis = t.millis
     return report
 
 
@@ -254,12 +248,11 @@ def verify_coefficient_restriction(lam, field: FieldSpec) -> VerificationReport:
     lam = Partition(lam)
     n = lam.size
     report = VerificationReport(f"coeff-restriction ({lam})", str(field), None)
-    with _Timer() as t:
+    with report:
         tab, xs = _lemma_choices(lam)
         target = tabloid(tab.act(cycle(n, [n] + xs[:-1][::-1])))
         _coefficient_pattern(report, "coefficient", polytabloid(tab, field),
                              target, murphy_element(n), len(xs) - 1)
-    report.millis = t.millis
     return report
 
 
@@ -269,14 +262,13 @@ def verify_coefficient_induction(lam, field: FieldSpec) -> VerificationReport:
     lam = Partition(lam)
     n = lam.size
     report = VerificationReport(f"coeff-induction ({lam})", str(field), None)
-    with _Timer() as t:
+    with report:
         tab, xs = _lemma_choices(lam)
         big = extension(tab)
         target = tabloid(big.act(cycle(n + 1, [n + 1] + xs[::-1])))
         _coefficient_pattern(report, "multiplicity",
                              induced_polytabloid(big, lam, field), target,
                              murphy_element(n + 1), len(xs))
-    report.millis = t.millis
     return report
 
 
@@ -302,10 +294,10 @@ def verify_branching(lam, p: int, direction: str,
     lam = Partition(lam)
     field = GF(p) if p else QQ
     report = VerificationReport(f"branching ({lam})", str(field), direction, seed=seed)
-    with _Timer() as t:
+    with report:
         module = branching_module(lam, field, direction)
         factors = branching_factors(lam, direction)
-        components = block_split(module, p, factors)
+        components = block_split(module, factors)
 
         distinct_cores = len({p_core(mu, p) for mu in factors}) if p else len(factors)
         report.add("component-count", distinct_cores, len(components),
@@ -333,7 +325,6 @@ def verify_branching(lam, p: int, direction: str,
                            cert.verdict == "indecomposable")
                 report.add(f"deterministic[{tag}]", True, cert.deterministic,
                            cert.deterministic)
-    report.millis = t.millis
     return report
 
 
@@ -345,7 +336,7 @@ def run_char2_counterexamples() -> VerificationReport:
     deterministic."""
     two = GF(2)
     report = VerificationReport("char-2 counterexamples", "GF(2)", None)
-    with _Timer() as t:
+    with report:
         lam = Partition((6, 1, 1, 1))
 
         s_mod = build_specht(lam, two)
@@ -364,7 +355,7 @@ def run_char2_counterexamples() -> VerificationReport:
                        "isomorphic" if same else "not isomorphic", same)
 
         restriction = build_restriction(lam, two)
-        comps = block_split(restriction, 2, branching_factors(lam, RESTRICT))
+        comps = block_split(restriction, branching_factors(lam, RESTRICT))
         report.add("restriction-block-count", 1, len(comps), len(comps) == 1)
         report.add("restriction-core", "()", f"({comps[0].label.core})",
                    comps[0].label.core == Partition(()))
@@ -378,7 +369,7 @@ def run_char2_counterexamples() -> VerificationReport:
         cores = sorted(str(p_core(nu, 2)) for nu in factors)
         report.add("induction-factor-cores", ["1", "1", "2,1"], cores,
                    cores == ["1", "1", "2,1"])
-        comps = block_split(induced, 2, factors)
+        comps = block_split(induced, factors)
         target = [c for c in comps if c.label.core == Partition((2, 1))]
         report.add("induction-(2,1)-component", "present",
                    "present" if len(target) == 1 else "absent", len(target) == 1)
@@ -391,7 +382,6 @@ def run_char2_counterexamples() -> VerificationReport:
             cert = certify_indecomposable(comp.module)
             report.add("induction-(2,1)-verdict", "decomposable", cert.verdict,
                        cert.verdict == "decomposable")
-    report.millis = t.millis
     return report
 
 

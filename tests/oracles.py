@@ -272,8 +272,7 @@ def contains(space: Subspace, v: np.ndarray) -> bool:
 
 def split_branching(module, lam, direction):
     """block_split with the factors filled in from the branching rule."""
-    return block_split(module, module.field.characteristic,
-                       branching_factors(Partition(lam), direction))
+    return block_split(module, branching_factors(Partition(lam), direction))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

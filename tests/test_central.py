@@ -101,7 +101,7 @@ def test_central_action_scalar_on_specht():
 
 def test_block_split_classical_restriction():
     module = build_restriction(Partition((2, 1)), GF(3))
-    comps = block_split(module, 3, branching_factors(Partition((2, 1)), RESTRICT))
+    comps = block_split(module, branching_factors(Partition((2, 1)), RESTRICT))
     assert len(comps) == 2
     assert sorted(c.dim for c in comps) == [1, 1]
     cores = {c.label.core for c in comps}
@@ -112,7 +112,7 @@ def test_block_split_classical_restriction():
 def test_block_split_merges_same_core():
     """At p = 2 both restriction factors of (2,1) share the empty core."""
     module = build_restriction(Partition((2, 1)), GF(2))
-    comps = block_split(module, 2, branching_factors(Partition((2, 1)), RESTRICT))
+    comps = block_split(module, branching_factors(Partition((2, 1)), RESTRICT))
     assert len(comps) == 1
     assert comps[0].dim == 2
     assert comps[0].label.core == Partition(())
@@ -122,7 +122,7 @@ def test_block_split_merges_same_core():
 def test_block_split_induction_char_zero():
     lam = Partition((2, 1))
     module = build_induction(lam, QQ)
-    comps = block_split(module, 0, branching_factors(lam, INDUCE))
+    comps = block_split(module, branching_factors(lam, INDUCE))
     assert len(comps) == 3
     dims = {tuple(c.factors[0]): c.dim for c in comps}
     assert dims == {(3, 1): 3, (2, 2): 2, (2, 1, 1): 3}
@@ -132,11 +132,10 @@ def test_block_split_induction_char_zero():
 
 def test_block_split_validates_inputs():
     module = build_restriction(Partition((2, 1)), GF(3))
-    factors = branching_factors(Partition((2, 1)), RESTRICT)
-    with pytest.raises(ValueError):
-        block_split(module, 2, factors)
-    with pytest.raises(ValueError):
-        block_split(module, 3, (Partition((3,)),))
+    with pytest.raises(ValueError, match="no candidate factors"):
+        block_split(module, ())
+    with pytest.raises(ValueError, match="factor sizes"):
+        block_split(module, (Partition((3,)),))
 
 
 def test_split_branching_convenience():
@@ -152,7 +151,7 @@ def test_split_branching_convenience():
 def test_component_modules_carry_action():
     lam = Partition((3, 1))
     module = build_restriction(lam, GF(3))
-    comps = block_split(module, 3, branching_factors(lam, RESTRICT))
+    comps = block_split(module, branching_factors(lam, RESTRICT))
     for comp in comps:
         sub = comp.module
         ident = Matrix.identity(GF(3), sub.dim)
@@ -194,8 +193,7 @@ def test_block_split_rejects_blocks_sharing_an_e_value():
     for field in (QQ, GF(5)):
         module = build_specht(Partition((3, 3)), field)
         with pytest.raises(ArithmeticError, match="share"):
-            block_split(module, field.characteristic,
-                        [Partition((4, 1, 1)), Partition((3, 3))])
+            block_split(module, [Partition((4, 1, 1)), Partition((3, 3))])
 
 
 @st.composite
@@ -219,8 +217,7 @@ def test_block_split_property(drawn):
     the order their blocks first appear in it."""
     module, factors, shuffled = drawn
     field = module.field
-    p = field.characteristic
-    comps = block_split(module, p, shuffled)
+    comps = block_split(module, shuffled)
     e = transposition_sum(module.degree)
     for comp in comps:
         assert comp.dim == comp.expected_dim
@@ -231,5 +228,5 @@ def test_block_split_property(drawn):
     assert rref(stacked)[1] == module.dim
     first_seen = list(dict.fromkeys(block_label(mu, field) for mu in shuffled))
     assert [comp.label for comp in comps] == first_seen
-    in_order = {comp.label: comp.module.space for comp in block_split(module, p, factors)}
+    in_order = {comp.label: comp.module.space for comp in block_split(module, factors)}
     assert {comp.label: comp.module.space for comp in comps} == in_order

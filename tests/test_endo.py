@@ -497,7 +497,7 @@ def test_certificate_matches_exhaustive_enumeration_through_n5():
                         continue
                     module = build(lam, field)
                     factors = branching_factors(lam, direction)
-                    comps = block_split(module, p, factors)
+                    comps = block_split(module, factors)
                     for sub in [module] + [comp.module for comp in comps]:
                         cert = certify_indecomposable(sub)
                         local = _local_by_enumeration(

@@ -215,9 +215,11 @@ def test_scalar_rejects_floats():
 
 
 def test_field_needs_residue_products_inside_int64(monkeypatch):
-    """A prime is accepted when (p - 1)^2 < 2^63: 3,037,000,493, the largest
-    such prime, is; 3,037,000,507 (the next prime) and 4294967291 are
-    refused, and a prime near 2^64 is refused before any trial division."""
+    """A prime is accepted when (p - 1)^2 < 2^63, a bound of input
+    validation that keeps trial division short (every prime above 2^16 is
+    held as Python ints): 3,037,000,493, the largest such prime, is
+    accepted; 3,037,000,507 (the next prime) and 4294967291 are refused, and
+    a prime near 2^64 is refused before any trial division."""
     assert GF(3037000493).characteristic == 3037000493
     for p in (3037000507, 4294967291):
         with pytest.raises(ValueError, match="too large"):
@@ -231,7 +233,45 @@ def test_field_needs_residue_products_inside_int64(monkeypatch):
         FieldSpec(18446744073709551557)
 
 
-LARGE_PRIMES = [GF(2147483647), GF(3037000493)]
+def test_field_dtype_is_int64_exactly_below_2_16():
+    """FieldSpec.dtype is int64 for every prime below 2^16, where a residue
+    product is under 2^32, and object (Python ints) for every larger prime
+    and for Q; zeros, array and reduce_array follow it."""
+    for p in range(2, 2**16 + 200):
+        if fields._is_prime(p):
+            assert (FieldSpec(p).dtype is np.int64) == (p < 2**16)
+    for p in (0, 2147483647, 3037000493):
+        assert FieldSpec(p).dtype is object
+    for field in (GF(65521), GF(65537)):
+        p = field.characteristic
+        made = [field.zeros((2, 2)), field.array([[p - 1, -1]]),
+                field.reduce_array(np.array([[p, 2 * p - 1]], dtype=np.int64))]
+        assert all(a.dtype == field.dtype for a in made)
+        if field.dtype is object:
+            assert all(type(x) is int for a in made for x in a.flat)
+
+
+def test_product_refuses_an_int64_sum_that_may_leave_int64(monkeypatch):
+    """Over an int64 field a product whose inner dimension k has
+    k (p - 1)^2 >= 2^63 raises ValueError; with the limit patched low, a
+    k that reaches it is refused and the one below it is not.  An object
+    field is never refused."""
+    monkeypatch.setattr(exact, "INT64_LIMIT", 5 * 2 ** 2)  # k = 5 at GF(3)
+    field = GF(3)
+    ones = [field.array([[2] * k]) for k in (4, 5)]
+    assert exact._mul(field, ones[0], ones[0].T).tolist() == [[1]]
+    with pytest.raises(ValueError, match="may leave int64"):
+        exact._mul(field, ones[1], ones[1].T)
+    with pytest.raises(ValueError, match="may leave int64"):
+        Matrix(field, ones[1]) @ Matrix(field, ones[1].T)
+    big = GF(65537)
+    row = big.array([[65536] * 9])
+    assert exact._mul(big, row, row.T).tolist() == [[9]]
+
+
+# the largest int64 field, the smallest object field, and two primes near
+# the largest FieldSpec admits
+LARGE_PRIMES = [GF(65521), GF(65537), GF(2147483647), GF(3037000493)]
 
 
 def _entry(rng, field):
@@ -243,12 +283,21 @@ def _entry(rng, field):
                        Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
 
 
+def _assert_field_array(field, a):
+    """a has the field's dtype, and an object array holds Python ints only
+    (a numpy int64 inside it would wrap in later products)."""
+    assert a.dtype == field.dtype
+    if field.characteristic and a.dtype == object:
+        assert all(type(x) is int for x in a.flat)
+
+
 @pytest.mark.parametrize("field", [GF(3), *LARGE_PRIMES, QQ], ids=str)
 def test_products_match_the_object_product(field):
     """The dense and the sparse product against products of Python objects,
-    on seeded matrices whose columns hold several nonzeros, one, or none:
-    over GF(3037000493) one residue product fits int64 and two do not.
-    Over GF(p) both come back as reduced int64 arrays."""
+    on seeded matrices whose columns hold several nonzeros, one, or none,
+    with entries at p - 1 and just below: over GF(65521) the sums stay in
+    int64, and above 2^16 they are Python ints.  Over GF(p) both come back
+    reduced, in the field's dtype."""
     rng = random.Random(field.characteristic + 17)
     for trial in range(30):
         rows, cols = rng.randint(1, 6), 6
@@ -263,21 +312,25 @@ def test_products_match_the_object_product(field):
             expected %= field.characteristic
         for got in (exact._mul(field, c, b), exact._SparseRows(field, b).left_mul(c)):
             assert np.array_equal(got, expected)
-            assert got.dtype == (np.int64 if field.characteristic else object)
+            _assert_field_array(field, got)
 
 
 @pytest.mark.parametrize("field", LARGE_PRIMES, ids=str)
 def test_exact_results_are_int64_at_large_primes(field):
     """Products, elimination, kernels, restriction and the unipotent inverse
-    over the largest primes give reduced int64 matrices, and exact ones."""
+    at the largest int64 prime and above give reduced matrices in the
+    field's dtype, int64 at GF(65521) and Python ints above 2^16, and exact
+    ones, on entries at p - 1 and just below as often as not."""
     rng = random.Random(field.characteristic)
-    a = _random_matrix(rng, field, 6, 6)
+    a = Matrix(field, field.array([[_entry(rng, field) for _ in range(6)]
+                                   for _ in range(6)]))
     singular = Matrix(field, np.concatenate([a.a[:5], a.a[:1] + a.a[1:2]]))
     unit = Matrix(field, np.triu(a.a, 1)).shift(1)
     ker, image = fitting_split(singular)
     results = [a @ a, a.pow(5), rref(a)[0], ker.basis, image.basis,
                ker.restrict(singular), unipotent_inverse(unit)]
-    assert all(m.a.dtype == np.int64 for m in results)
+    for m in results:
+        _assert_field_array(field, m.a)
     assert rref(a)[1] == 6 and (ker.basis @ singular.pow(6)).is_zero()
     assert unipotent_inverse(unit) @ unit == Matrix.identity(field, 6)
     assert minimal_polynomial(a) == _oracle_min_poly(a)
@@ -285,10 +338,10 @@ def test_exact_results_are_int64_at_large_primes(field):
 
 @pytest.mark.parametrize("field", LARGE_PRIMES, ids=str)
 def test_sparse_product_stays_int64_at_large_primes(field):
-    """A column of k nonzeros sums k residue products, which can leave
-    int64 at these primes from k = 2 or 3 on; the sparse product then
-    reduces each product mod p before the sums, never holds Python ints,
-    and equals the object product."""
+    """A column of k nonzeros sums k residue products, in int64 at
+    GF(65521) and in Python ints above 2^16, where two or three of them
+    would leave int64; the sparse product keeps the field's dtype, reduces
+    once, and equals the object product."""
     rng = random.Random(field.characteristic % 1000)
     p = field.characteristic
     for k in (1, 2, 3, 9, 40):
@@ -297,9 +350,8 @@ def test_sparse_product_stays_int64_at_large_primes(field):
                           for j in range(5)] for _ in range(k)])
         sparse = exact._SparseRows(field, b)
         got = sparse.left_mul(c)
-        assert sparse.vals.dtype == got.dtype == np.int64
-        fullest = int(np.count_nonzero(b, axis=0).max())
-        assert sparse.premod == (fullest * (p - 1) ** 2 >= 2**63)
+        assert sparse.vals.dtype == field.dtype
+        _assert_field_array(field, got)
         assert np.array_equal(got, c.astype(object) @ b.astype(object) % p)
 
 
@@ -420,8 +472,8 @@ def test_minimal_polynomial_of_a_companion_matrix():
 
 
 def test_minimal_polynomial_over_a_large_prime():
-    """Over GF(2^31 - 1) products leave int64 for Python ints (the object
-    fallback of the matrix product), and the result still matches the oracle."""
+    """Over GF(2^31 - 1) residues are Python ints, whose products cannot
+    overflow, and the result matches the oracle."""
     field = GF(2147483647)
     rng = random.Random(71)
     a = _random_matrix(rng, field, 6, 6)

@@ -417,20 +417,39 @@ def _count_vector(key) -> tuple:
 
 
 def test_action_matrices_at_a_large_prime_match_the_ambient_solve():
-    """Over GF(2^31 - 1), where a sum of three residue products leaves int64,
-    S^(3,2,1) and its induction give every Coxeter generator and the
-    transposition sum, as reduced int64 matrices equal to the ambient solve."""
+    """Over GF(2^31 - 1), where residues are Python ints, S^(3,2,1) and its
+    induction give every Coxeter generator and the transposition sum, as
+    reduced matrices of the field's dtype equal to the ambient solve."""
     field = GF(2147483647)
     for module in (build_specht(Partition((3, 2, 1)), field),
                    build_induction(Partition((3, 2, 1)), field)):
         _assert_matches_ambient_solve(module, module)
-        assert all(g.a.dtype == np.int64 for g in module.gens())
+        assert all(g.a.dtype == field.dtype for g in module.gens())
+
+
+def test_entries_at_a_large_prime_are_python_ints():
+    """After a module build and an element action over GF(2^31 - 1), every
+    entry of the basis, of an action matrix, of a block component's matrix
+    and of an acted-on tabloid vector is a Python int: a numpy int64 inside
+    an object array would wrap in later products."""
+    field = GF(2147483647)
+    lam = Partition((2, 1))
+    module = build_induction(lam, field)
+    elt = AlgebraElement.from_terms(4, [((2, 1, 3, 4), 2 ** 62), ((4, 3, 2, 1), -1)])
+    arrays = [module.basis.a, module.element_matrix(elt).a,
+              module.element_matrix(transposition_sum(4)).a]
+    for comp in split_branching(module, lam, INDUCE):
+        arrays.append(comp.module.element_matrix(transposition_sum(4)).a)
+    vec = induced_polytabloid(Tableau(((1, 2), (3,), (4,))), lam, field)
+    arrays += [vec.row, elt.apply(vec).row, elt.apply(elt.apply(vec)).row]
+    for a in arrays:
+        assert a.dtype == object
+        assert all(type(x) is int for x in a.flat)
 
 
 def test_large_element_coefficients_act_as_their_residues():
     """Over GF(2^31 - 1) a coefficient of 2^62 acts as its residue on a
-    module, though 2^62 times an entry, and a sum of such terms, leave
-    int64; the matrix equals the ambient solve of the residues."""
+    module; the matrix equals the ambient solve of the residues."""
     field = GF(2147483647)
     module = build_induction(Partition((2, 1)), field)
     terms = [((2, 1, 3, 4), 2 ** 62), ((1, 3, 4, 2), 2 ** 62), ((4, 3, 2, 1), 2 ** 62)]

@@ -1,5 +1,6 @@
 """Tableaux, tabloids and polytabloids: hand expansions and action laws."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -215,7 +216,8 @@ def test_apply_matches_per_term_sparse_sum(field):
 def test_apply_reduces_large_coefficients():
     """Over GF(2^31 - 1) the coefficients 2^62 and 2^62 - 2 act as their
     residues, 1 and p - 1: each coefficient is reduced, and a sum of three
-    products (p - 1)^2, which leaves int64, is reduced after every term."""
+    products (p - 1)^2, which would leave int64, is summed in Python ints,
+    also on a vector handed in as int64 and with one term per block."""
     p = 2147483647
     field = GF(p)
     shape = Partition((2, 1))
@@ -223,11 +225,12 @@ def test_apply_reduces_large_coefficients():
     vectors.append(ModuleVector(shape, field, np.full(3, p - 1)))
     two = [((2, 1, 3), 2 ** 62), ((1, 3, 2), 2 ** 62)]
     three = [((2, 1, 3), 2 ** 62 - 2), ((1, 3, 2), 2 ** 62 - 2), ((3, 2, 1), 2 ** 62 - 2)]
-    for terms in (two, three):
+    for terms, chunk in itertools.product((two, three), (_SparseRows.CHUNK, 1)):
         residues = AlgebraElement.from_terms(3, [(pi, c % p) for pi, c in terms])
-        for v in vectors:
-            assert AlgebraElement.from_terms(3, terms).apply(v) == residues.apply(v)
-            assert residues.apply(v) == _apply_per_term(residues, v)
+        with mock.patch.object(_SparseRows, "CHUNK", chunk):
+            for v in vectors:
+                assert AlgebraElement.from_terms(3, terms).apply(v) == residues.apply(v)
+                assert residues.apply(v) == _apply_per_term(residues, v)
 
 
 def _act_per_term(elt, field, shape, rows, at):

@@ -61,7 +61,7 @@ def test_affine_poly_reduces_once_per_step_and_stays_exact():
     equals the same rule on ModuleVector sums and scalings, reduced at every
     operation: over Q, GF(2), GF(3), GF(2^31 - 1) and GF(3037000493), the
     largest prime FieldSpec admits, where the sum of two products (p - 1)^2
-    leaves int64 and each product is reduced first."""
+    would leave int64 and is summed in Python ints."""
     lam = Partition((3, 1, 1))
     t = standard_tableaux(lam)[2]
     for field in (QQ, GF(2), GF(3), GF(2 ** 31 - 1), GF(3037000493)):
