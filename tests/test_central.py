@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from oracles import split_branching
@@ -209,6 +209,7 @@ def _branching_and_order(draw):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@seed(0)
 @given(_branching_and_order())
 def test_block_split_property(drawn):
     """Each component has its expected dimension and is killed by

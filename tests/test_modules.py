@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from oracles import (Rebased, ambient_solver, enumerate_tabloids, rows_in,
@@ -555,6 +555,7 @@ def _module_and_action(draw):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@seed(0)
 @given(_module_and_action(), st.data())
 def test_minor_solve_property_against_ambient_solve(drawn, data):
     """Through the standard minor: a drawn permutation and a drawn group

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from oracles import (act_key, column_signed_maps, enumerate_tabloids, identity_perm,
@@ -163,6 +163,7 @@ def _shape_perms_and_tabloids(draw):
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@seed(0)
 @given(_shape_perms_and_tabloids())
 def test_preimage_tables_compose_as_a_right_action(drawn):
     """v (p q) = (v p) q gives src_pq = src_p[src_q]; the identity gives
@@ -276,6 +277,7 @@ def _element_rows_and_at(draw):
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@seed(0)
 @given(_element_rows_and_at())
 def test_blocked_gathers_match_the_per_term_sum(drawn):
     """_act on one row or a stack, read at every tabloid or a tuple of them,
