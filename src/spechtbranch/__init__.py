@@ -7,8 +7,6 @@ from .central import (
     INDUCE,
     RESTRICT,
     BlockComponent,
-    BlockLabel,
-    block_label,
     block_split,
     branching_factors,
     central_symmetric_action,
@@ -66,11 +64,11 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "BlockComponent", "BlockLabel", "Check",
+    "AlgebraElement", "BlockComponent", "Check",
     "DecompositionCertificate", "FieldSpec", "GF",
     "GroupActionModule", "INDUCE", "Matrix", "ModuleVector", "Partition",
     "Polynomial", "QQ", "RESTRICT", "RowBasis", "Subspace", "Tableau",
-    "VerificationReport", "block_label", "block_split", "branching_factors",
+    "VerificationReport", "block_split", "branching_factors",
     "build_induction", "build_restriction", "build_specht",
     "canonical_tableau", "central_symmetric_action", "certify_indecomposable",
     "decompose", "extension", "hom_space",

@@ -2,13 +2,15 @@
 
 Restriction of S^lam one degree down is filtered by the Specht modules at
 the removable nodes; induction one degree up by those at the addable nodes.
-Each factor S^mu lies in one block of the acting group algebra, labeled by
-the p-core of mu (over Q, by mu itself).  The transposition sum E of the
-acting degree is central and acts on S^mu by content_sum(mu).  Every factor
-differs from lam by one node, so two factors share a block exactly when
-their E values agree in the field, and a block's component is one
-generalized eigenspace of E, held as a submodule of the whole module: a
-``Subspace`` of its coordinates, built once by ``block_split``.
+Each factor S^mu lies in one block of the acting group algebra, named by
+the p-core of mu over GF(p) (Nakayama) and by mu itself over Q, where each
+Specht module is its own block; ``BlockComponent.core`` holds that name.
+The transposition sum E of the acting degree is central and acts on S^mu
+by content_sum(mu).  Every factor differs from lam by one node, so two
+factors share a block exactly when their E values agree in the field, and
+a block's component is one generalized eigenspace of E, held as a
+submodule of the whole module: a ``Subspace`` of its coordinates, built
+once by ``block_split``.
 """
 
 from __future__ import annotations
@@ -68,36 +70,13 @@ def predicted_min_poly(lam: Partition, direction: str, field: FieldSpec) -> Poly
     return Polynomial.from_roots(field, roots)
 
 
-@dataclass(frozen=True)
-class BlockLabel:
-    """A block of the acting group algebra.
-
-    For p > 0 the core is the shared p-core of the factors in the block;
-    for p = 0 each factor is its own block and core is the factor itself.
-    """
-
-    p: int
-    core: Partition
-
-    def __str__(self) -> str:
-        if self.p:
-            return f"{self.p}-core ({self.core})"
-        return f"factor ({self.core})"
-
-
-def block_label(mu: Partition, field: FieldSpec) -> BlockLabel:
-    """The label of the block of the degree-|mu| group algebra holding S^mu."""
-    mu = Partition(mu)
-    p = field.characteristic
-    return BlockLabel(p, p_core(mu, p) if p else mu)
-
-
 @dataclass
 class BlockComponent:
     """One block's slice of a restricted or induced module, as a submodule
-    of it."""
+    of it.  The block is named by core: the shared p-core of its factors
+    over GF(p), the one factor itself over Q."""
 
-    label: BlockLabel
+    core: Partition
     factors: tuple
     module: GroupActionModule
 
@@ -110,7 +89,7 @@ class BlockComponent:
         return sum(specht_dimension(mu) for mu in self.factors)
 
     def __repr__(self) -> str:
-        return f"<block {self.label}: dim {self.dim}>"
+        return f"<block core ({self.core}): dim {self.dim}>"
 
 
 def central_symmetric_action(module: GroupActionModule) -> Matrix:
@@ -125,9 +104,10 @@ def block_split(module: GroupActionModule, candidate_factors) -> list[BlockCompo
     """Split a restricted or induced module into its block components.
 
     candidate_factors are the Specht factors of a filtration of the module.
-    They are grouped by block label, and the component of a label is
-    ker (E - c)^m on the whole module, with E the transposition sum, c the
-    label's E value content_sum(mu) in the field and m its factor count.
+    They are grouped by core, p_core(mu, p) over GF(p) and mu itself over
+    Q, and the component of a core is ker (E - c)^m on the whole module,
+    with E the transposition sum, c the core's E value content_sum(mu) in
+    the field and m its factor count.
     Why that is the block component:
 
     * the filtration gives prod_i (E - c_i) = 0 over the factors, so the
@@ -135,44 +115,46 @@ def block_split(module: GroupActionModule, candidate_factors) -> list[BlockCompo
       one at c is ker (E - c)^m when c occurs m times among the c_i;
     * E is central, so each of them is a submodule, and it holds exactly the
       factors with E value c;
-    * factors with one label have one content multiset mod p, hence one E
-      value; branching factors with different labels differ from lam by
+    * factors with one core have one content multiset mod p, hence one E
+      value; branching factors with different cores differ from lam by
       nodes of different residues, hence have different E values.  A
-      caller-supplied list can break this, and two labels with one E value
+      caller-supplied list can break this, and two cores with one E value
       raise ArithmeticError.
 
     Each component's dimension must be the sum of its factors' dimensions,
     and the components' dimensions must add up to the module's.  Kernels at
     distinct E values are independent, so these checks certify the direct
     sum whatever factors were supplied.  Over Q a branching factor is its
-    own label, so m = 1 and no power is taken.  Components come back in the
+    own core, so m = 1 and no power is taken.  Components come back in the
     order the blocks first appear along the filtration.
     """
     field = module.field
+    p = field.characteristic
     factors = tuple(Partition(mu) for mu in candidate_factors)
     if not factors:
         raise ValueError("no candidate factors")
     if any(mu.size != module.degree for mu in factors):
         raise ValueError("factor sizes must equal the acting degree")
 
-    by_label: dict = {}
+    by_core: dict = {}
     for mu in factors:
-        by_label.setdefault(block_label(mu, field), []).append(mu)
-    values = {lab: field.scalar(content_sum(mus[0]))
-              for lab, mus in by_label.items()}
+        by_core.setdefault(p_core(mu, p) if p else mu, []).append(mu)
+    values = {core: field.scalar(content_sum(mus[0]))
+              for core, mus in by_core.items()}
     if len(set(values.values())) != len(values):
         raise ArithmeticError(
             "factors in different blocks share a transposition-sum value")
 
     e = central_symmetric_action(module)
     out = []
-    for lab, mus in by_label.items():
-        shifted = e.shift(field.neg(values[lab]))
+    for core, mus in by_core.items():
+        name = f"{p}-core ({core})" if p else f"factor ({core})"
+        shifted = e.shift(field.neg(values[core]))
         space = kernel(shifted if len(mus) == 1 else shifted.pow(len(mus)))
-        comp = BlockComponent(lab, tuple(mus), module.submodule(
-            space, label=f"{lab} component of {module.label}"))
+        comp = BlockComponent(core, tuple(mus), module.submodule(
+            space, label=f"{name} component of {module.label}"))
         if comp.dim != comp.expected_dim:
-            raise ArithmeticError(f"component {lab} has dimension {comp.dim}, "
+            raise ArithmeticError(f"component {name} has dimension {comp.dim}, "
                                   f"expected {comp.expected_dim}")
         out.append(comp)
 

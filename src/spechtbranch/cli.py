@@ -89,7 +89,7 @@ def _cmd_blocks(args) -> tuple[list, dict | None]:
     report.add("component-count", len(components), len(components), True)
     for comp in components:
         shapes = " + ".join(f"({mu})" for mu in comp.factors)
-        report.add(f"core ({comp.label.core})", f"{shapes} -> dim {comp.expected_dim}",
+        report.add(f"core ({comp.core})", f"{shapes} -> dim {comp.expected_dim}",
                    f"dim {comp.dim}", comp.dim == comp.expected_dim)
     return [report], None
 

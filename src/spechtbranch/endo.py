@@ -135,11 +135,10 @@ def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
         raise ArithmeticError("spin basis does not span the module")
     unit = _mul(field, ident_coords, images.reshape(d1, -1)).reshape(d1, k, d2)
     flat = unit.transpose(1, 0, 2).reshape(k, d1 * d2)
-    canon, rank, _ = rref(Matrix(field, flat))
 
     out = []
-    for r in range(rank):
-        x = Matrix(field, canon.a[r].reshape(d1, d2).copy())
+    for row in rref(Matrix(field, flat)).basis.a:
+        x = Matrix(field, row.reshape(d1, d2).copy())
         for g1, g2 in zip(gens1, gens2):
             if not np.array_equal(_mul(field, g1, x.a), _mul(field, x.a, g2)):
                 raise ArithmeticError("solved hom fails to intertwine")
@@ -380,7 +379,7 @@ def decompose(module: GroupActionModule
 
 def _has_invertible_hom(m1: GroupActionModule, m2: GroupActionModule) -> bool:
     """Whether some echelon basis element of Hom(m1, m2) is invertible."""
-    return m1.dim == m2.dim and any(rref(x)[1] == m1.dim
+    return m1.dim == m2.dim and any(rref(x).dim == m1.dim
                                     for x in hom_space(m1, m2))
 
 

@@ -37,12 +37,16 @@ tail of later rows; a caller that needs each answer before it picks the
 next row (the spin of ``endo.hom_space``, ``minimal_polynomial``) inserts
 one row at a time.
 
-Every matrix product over a field is made here, dense (``_mul``) or through
-the nonzeros of its right factor (``_SparseRows``), in the field's own
-dtype, and reduced once.  Over an int64 field an entry that sums k residue
-products is exact while k (p - 1)^2 < 2^63, for every k below 2^31 since
-p < 2^16; ``_product`` refuses a k past that bound, which only a matrix of
-more than 2^31 columns could reach.  Python ints cannot overflow.
+The matrix products of this package are made here, dense (``_mul``) or
+through the nonzeros of the right factor (``_SparseRows``), in the field's
+own dtype, and reduced at the end; the one other product is the gather of
+``modules._act``, which contracts a group algebra element's gathered terms
+with ``np.dot`` itself.  ``Matrix`` reduces every array it wraps, so a
+product that becomes a ``Matrix`` is reduced a second time.  Over an int64
+field an entry that sums k residue products is exact while
+k (p - 1)^2 < 2^63, for every k below 2^31 since p < 2^16; ``_product``
+refuses a k past that bound, which only a matrix of more than 2^31 columns
+could reach.  Python ints cannot overflow.
 
 ``unipotent_inverse`` needs no elimination at all: a unipotent D = I - N
 has the inverse (I + N)(I + N^2)(I + N^4)..., which ends at the first zero
@@ -503,13 +507,13 @@ class RowBasis:
                 ~np.any(prod[:, :w], axis=1))
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form, unit pivots: returns (R, rank, pivots).
+def rref(m: Matrix) -> "Subspace":
+    """The row space of m, as a Subspace: its reduced row echelon basis with
+    unit pivots, so the rank is ``.dim`` and the pivot columns ``.pivots``.
     The rows go into one RowBasis as one block."""
     rb = RowBasis(m.field, m.ncols)
     rb.insert_rows(m.a)
-    order = np.argsort(rb.pivots)
-    return Matrix(m.field, rb.rows[order].copy()), rb.size, rb.pivots[order].tolist()
+    return Subspace(Matrix(m.field, rb.rows[np.argsort(rb.pivots)]))
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -543,7 +547,7 @@ class Subspace:
     At its pivot columns, the first nonzero column of each row, ascending,
     the basis is the identity matrix; the constructor checks that, so a
     basis that is not in this form, or has dependent rows, raises
-    ValueError.  ``from_rows`` is the way in from any other rows, and
+    ValueError.  ``rref`` is the way in from any other rows, and
     ``kernel`` returns this form directly.  The coordinates of a vector of
     the subspace are its entries at the pivot columns.
     """
@@ -559,11 +563,6 @@ class Subspace:
             raise ValueError("basis is not reduced echelon with unit pivots")
         self.basis = basis
         self.pivots = pivots
-
-    @classmethod
-    def from_rows(cls, rows: Matrix) -> "Subspace":
-        """The span of any rows."""
-        return cls(rref(rows)[0])
 
     @property
     def field(self) -> FieldSpec:
@@ -746,8 +745,7 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     removable nodes plus one, and a basis matrix of a local End(M) is a
     scalar plus a nilpotent), and dear for a matrix whose degree is near d,
     where it is about d^4 operations and d^3 stored entries: a random
-    150 x 150 matrix over GF(5) takes seconds, where a spin of one vector
-    at a time took 0.1 s.
+    150 x 150 matrix over GF(5) takes seconds.
     """
     if m.nrows != m.ncols:
         raise ValueError("minimal polynomial needs a square matrix")
@@ -775,7 +773,7 @@ def fitting_split(m: Matrix):
     n = m.nrows
     power = m.pow(n)
     ker = kernel(power)
-    image = Subspace.from_rows(power)
+    image = rref(power)
     if ker.dim + image.dim != n:
         raise ArithmeticError("fitting split dimensions do not add up")
     return ker, image

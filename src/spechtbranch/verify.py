@@ -308,13 +308,13 @@ def verify_branching(lam, p: int, direction: str,
 
         inverted = _EXPECTED_DECOMPOSABLE.get((lam, p, direction), set())
         for comp in components:
-            tag = f"core ({comp.label.core})"
+            tag = f"core ({comp.core})"
             report.add(f"dim[{tag}]", comp.expected_dim, comp.dim,
                        comp.dim == comp.expected_dim)
             if p == 0:
                 continue
             cert = certify_indecomposable(comp.module)
-            if comp.label.core in inverted:
+            if comp.core in inverted:
                 report.add(f"verdict[{tag}]", "decomposable (known exception)",
                            cert.verdict, cert.verdict == "decomposable")
             elif p == 2:
@@ -357,8 +357,8 @@ def run_char2_counterexamples() -> VerificationReport:
         restriction = build_restriction(lam, two)
         comps = block_split(restriction, branching_factors(lam, RESTRICT))
         report.add("restriction-block-count", 1, len(comps), len(comps) == 1)
-        report.add("restriction-core", "()", f"({comps[0].label.core})",
-                   comps[0].label.core == Partition(()))
+        report.add("restriction-core", "()", f"({comps[0].core})",
+                   comps[0].core == Partition(()))
         cert = certify_indecomposable(comps[0].module)
         report.add("restriction-verdict", "decomposable", cert.verdict,
                    cert.verdict == "decomposable")
@@ -370,7 +370,7 @@ def run_char2_counterexamples() -> VerificationReport:
         report.add("induction-factor-cores", ["1", "1", "2,1"], cores,
                    cores == ["1", "1", "2,1"])
         comps = block_split(induced, factors)
-        target = [c for c in comps if c.label.core == Partition((2, 1))]
+        target = [c for c in comps if c.core == Partition((2, 1))]
         report.add("induction-(2,1)-component", "present",
                    "present" if len(target) == 1 else "absent", len(target) == 1)
         if target:

@@ -29,7 +29,7 @@ import numpy as np
 
 from spechtbranch.central import block_split, branching_factors
 from spechtbranch.exact import (Matrix, Polynomial, RowBasis, Subspace, kernel,
-                               poly_divmod, poly_gcd)
+                               poly_divmod, poly_gcd, rref)
 from spechtbranch.modules import GroupActionModule
 from spechtbranch.partitions import Partition
 from spechtbranch.perms import embed
@@ -281,7 +281,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient dimensions differ")
     ker = kernel(Matrix(a.field, np.concatenate([a.basis.a, b.basis.a], axis=0)))
     left = Matrix(a.field, ker.basis.a[:, : a.dim])
-    return Subspace.from_rows(left @ a.basis)
+    return rref(left @ a.basis)
 
 
 def is_invariant(space: Subspace, m: Matrix) -> bool:

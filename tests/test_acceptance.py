@@ -269,8 +269,7 @@ def test_property_suite_seeded_randomized():
             if ok and ker.dim:
                 ok = ker.restrict(a).pow(ker.dim).is_zero()
             if ok and img.dim:
-                _, r, _ = rref(img.restrict(a))
-                ok = r == img.dim
+                ok = rref(img.restrict(a)).dim == img.dim
             if not ok:
                 failures.append(f"fitting {size}x{size} over {field}")
 
@@ -286,7 +285,7 @@ def test_property_suite_seeded_randomized():
                 data = [[Fraction(rng.randint(-5, 5), rng.randint(1, 2))
                          for _ in range(ncols)] for _ in range(nrows)]
             a = Matrix.from_rows(field, data)
-            _, r, _ = rref(a)
+            r = rref(a).dim
             if kernel(a).dim + r != nrows:
                 failures.append(f"rank-nullity {nrows}x{ncols} over {field}")
 

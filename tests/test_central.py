@@ -1,6 +1,4 @@
-"""Predicted spectra, block labels and block splitting."""
-
-import itertools
+"""Predicted spectra, block cores and block splitting."""
 
 import numpy as np
 import pytest
@@ -11,9 +9,9 @@ from oracles import split_branching
 from spechtbranch.central import (
     INDUCE,
     RESTRICT,
-    block_label,
     block_split,
     branching_factors,
+    branching_module,
     central_symmetric_action,
     predicted_min_poly,
 )
@@ -54,26 +52,23 @@ def test_predicted_min_poly_examples():
     assert predicted_min_poly(lam, RESTRICT, QQ) == Polynomial(QQ, [0, -2, 1])
 
 
-def test_block_label_equivalence_matches_p_core():
-    for n in (5, 6):
-        parts = partitions_of(n)
-        for p in (2, 3):
-            field = GF(p)
-            labels = {mu: block_label(mu, field) for mu in parts}
-            for mu, nu in itertools.combinations(parts, 2):
-                same_core = p_core(mu, p) == p_core(nu, p)
-                assert (labels[mu] == labels[nu]) == same_core, (mu, nu, p)
-                if same_core:
-                    assert labels[mu].core == p_core(nu, p)
-
-
-def test_block_label_char_zero():
-    parts = partitions_of(5)
-    labels = [block_label(mu, QQ) for mu in parts]
-    assert len(set(labels)) == len(parts)
-    for mu, lab in zip(parts, labels):
-        assert lab.core == mu
-        assert lab.p == 0
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_block_split_names_each_block_by_its_core(field):
+    """For every lam of 5 and 6, both directions: over GF(p) the component
+    cores are the distinct p-cores of the branching factors, in the order
+    they first appear, and each component holds the factors of its core;
+    over Q each factor is its own block, named by itself."""
+    p = field.characteristic
+    for lam in partitions_of(5) + partitions_of(6):
+        for direction in (RESTRICT, INDUCE):
+            factors = branching_factors(lam, direction)
+            cores = [p_core(mu, p) for mu in factors] if p else list(factors)
+            comps = block_split(branching_module(lam, field, direction), factors)
+            assert [c.core for c in comps] == list(dict.fromkeys(cores)), \
+                (lam, direction)
+            for comp in comps:
+                assert comp.factors == tuple(
+                    mu for mu, core in zip(factors, cores) if core == comp.core)
 
 
 def test_central_symmetric_action_first_level():
@@ -104,7 +99,7 @@ def test_block_split_classical_restriction():
     comps = block_split(module, branching_factors(Partition((2, 1)), RESTRICT))
     assert len(comps) == 2
     assert sorted(c.dim for c in comps) == [1, 1]
-    cores = {c.label.core for c in comps}
+    cores = {c.core for c in comps}
     assert cores == {Partition((2,)), Partition((1, 1))}
     assert sum(c.dim for c in comps) == module.dim
 
@@ -115,7 +110,7 @@ def test_block_split_merges_same_core():
     comps = block_split(module, branching_factors(Partition((2, 1)), RESTRICT))
     assert len(comps) == 1
     assert comps[0].dim == 2
-    assert comps[0].label.core == Partition(())
+    assert comps[0].core == Partition(())
     assert comps[0].factors == branching_factors(Partition((2, 1)), RESTRICT)
 
 
@@ -182,7 +177,7 @@ def test_block_split_matches_generalized_eigenspace_oracle(field, n_max):
                 if direction == RESTRICT and n == 1:
                     continue
                 module = build(lam, field)
-                got = {c.label.core: c.module.space
+                got = {c.core: c.module.space
                        for c in split_branching(module, lam, direction)}
                 assert got == _eigenspace_oracle(module, lam, direction), \
                     (lam, field, direction)
@@ -226,8 +221,9 @@ def test_block_split_property(drawn):
         on_comp = comp.module.element_matrix(e).shift(field.neg(c))
         assert on_comp.pow(len(comp.factors)).is_zero()
     stacked = Matrix(field, np.vstack([comp.module.space.basis.a for comp in comps]))
-    assert rref(stacked)[1] == module.dim
-    first_seen = list(dict.fromkeys(block_label(mu, field) for mu in shuffled))
-    assert [comp.label for comp in comps] == first_seen
-    in_order = {comp.label: comp.module.space for comp in block_split(module, factors)}
-    assert {comp.label: comp.module.space for comp in comps} == in_order
+    assert rref(stacked).dim == module.dim
+    p = field.characteristic
+    first_seen = list(dict.fromkeys(p_core(mu, p) if p else mu for mu in shuffled))
+    assert [comp.core for comp in comps] == first_seen
+    in_order = {comp.core: comp.module.space for comp in block_split(module, factors)}
+    assert {comp.core: comp.module.space for comp in comps} == in_order

@@ -83,8 +83,7 @@ def test_rank_nullity():
         for _ in range(8):
             nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
             a = _random_matrix(rng, field, nrows, ncols)
-            _, rank, _ = rref(a)
-            assert kernel(a).dim + rank == nrows
+            assert kernel(a).dim + rref(a).dim == nrows
             k = kernel(a)
             if k.dim:
                 assert (k.basis @ a).is_zero()
@@ -94,14 +93,13 @@ def test_rref_is_canonical_under_row_operations():
     rng = random.Random(5)
     for field in FIELDS:
         a = _random_matrix(rng, field, 4, 6)
-        r, rank, pivots = rref(a)
-        r2, rank2, pivots2 = rref(r)
-        assert (r, rank, pivots) == (r2, rank2, pivots2)
+        space = rref(a)
+        again = rref(space.basis)
+        assert again == space and again.pivots.tolist() == space.pivots.tolist()
         shuffled = Matrix(field, a.a[::-1].copy())
         scaled = shuffled.scale(field.scalar(3)) if field.characteristic != 3 \
             else shuffled
-        r3, rank3, _ = rref(scaled)
-        assert rank3 == rank and r3 == r
+        assert rref(scaled) == space
 
 
 def test_row_basis_coordinates_round_trip():
@@ -132,8 +130,8 @@ def test_row_basis_coordinates_round_trip():
 
 def test_subspace_membership_and_intersection():
     field = GF(7)
-    a = Subspace.from_rows(Matrix.from_rows(field, [[1, 0, 0, 0], [0, 1, 0, 0]]))
-    b = Subspace.from_rows(Matrix.from_rows(field, [[0, 1, 0, 0], [0, 0, 1, 0]]))
+    a = rref(Matrix.from_rows(field, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+    b = rref(Matrix.from_rows(field, [[0, 1, 0, 0], [0, 0, 1, 0]]))
     meet = intersect(a, b)
     assert meet.dim == 1
     assert contains(meet, np.array([0, 3, 0, 0], dtype=np.int64))
@@ -143,11 +141,11 @@ def test_subspace_membership_and_intersection():
 def test_subspace_invariance_and_restriction():
     field = GF(5)
     m = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
-    inv = Subspace.from_rows(Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0]]))
+    inv = rref(Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0]]))
     assert is_invariant(inv, m)
     local = inv.restrict(m)
     assert local == Matrix.from_rows(field, [[1, 1], [0, 1]])
-    tilted = Subspace.from_rows(Matrix.from_rows(field, [[1, 0, 1]]))
+    tilted = rref(Matrix.from_rows(field, [[1, 0, 1]]))
     assert not is_invariant(tilted, m)
     with pytest.raises(ValueError):
         tilted.restrict(m)
@@ -157,7 +155,7 @@ def test_subspace_invariance_and_restriction():
 def test_restrict_in_echelon_and_in_other_bases(field, monkeypatch):
     """An invariant subspace in its reduced echelon basis is restricted by
     reading the pivot columns, with no RowBasis.  Another basis T R of the
-    same space is no Subspace; from_rows takes it back to R, with the same
+    same space is no Subspace; rref takes it back to R, with the same
     restriction.  A row that leaves the subspace raises."""
     rng = random.Random(17)
     inserts = _count_calls(monkeypatch, RowBasis, "_insert")
@@ -174,10 +172,10 @@ def test_restrict_in_echelon_and_in_other_bases(field, monkeypatch):
             change = Matrix(field, np.triu(np.ones((space.dim, space.dim), dtype=np.int64)))
             with pytest.raises(ValueError):
                 Subspace(change @ space.basis)
-            other = Subspace.from_rows(change @ space.basis)
+            other = rref(change @ space.basis)
             assert other == space and other.restrict(m) == local
             checked += 1
-    line = Subspace.from_rows(Matrix.from_rows(field, [[1, 0, 1]]))
+    line = rref(Matrix.from_rows(field, [[1, 0, 1]]))
     shear = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     for call in (lambda: line.restrict(shear),
                  lambda: Subspace(Matrix.from_rows(field, [[2, 0, 2]]))):
@@ -327,11 +325,11 @@ def test_exact_results_are_int64_at_large_primes(field):
     singular = Matrix(field, np.concatenate([a.a[:5], a.a[:1] + a.a[1:2]]))
     unit = Matrix(field, np.triu(a.a, 1)).shift(1)
     ker, image = fitting_split(singular)
-    results = [a @ a, a.pow(5), rref(a)[0], ker.basis, image.basis,
+    results = [a @ a, a.pow(5), rref(a).basis, ker.basis, image.basis,
                ker.restrict(singular), unipotent_inverse(unit)]
     for m in results:
         _assert_field_array(field, m.a)
-    assert rref(a)[1] == 6 and (ker.basis @ singular.pow(6)).is_zero()
+    assert rref(a).dim == 6 and (ker.basis @ singular.pow(6)).is_zero()
     assert unipotent_inverse(unit) @ unit == Matrix.identity(field, 6)
     assert minimal_polynomial(a) == _oracle_min_poly(a)
 
@@ -533,8 +531,7 @@ def test_fitting_split_soundness():
                 assert ker.restrict(a).pow(ker.dim).is_zero()
             if img.dim:
                 local = img.restrict(a)
-                _, rank, _ = rref(local)
-                assert rank == img.dim
+                assert rref(local).dim == img.dim
             assert intersect(ker, img).dim == 0
 
 
@@ -661,9 +658,10 @@ def test_elimination_matches_unit_pivot_oracle(field):
     rng = random.Random(20261018)
     for _ in range(40):
         m = _awkward_matrix(rng, field, rng.randint(1, 12), rng.randint(1, 12))
-        r, rank, pivots = rref(m)
+        space = rref(m)
         r0, rank0, pivots0 = _oracle_rref(m)
-        assert (r, rank, pivots) == (r0, rank0, pivots0)
+        assert isinstance(space, Subspace)
+        assert (space.basis, space.dim, space.pivots.tolist()) == (r0, rank0, pivots0)
         assert np.array_equal(kernel(m).basis.a, _oracle_kernel(m))
 
         basis, oracle = RowBasis(field, m.ncols), _UnitPivotBasis(field, m.ncols)
@@ -689,7 +687,7 @@ def test_elimination_matches_unit_pivot_oracle(field):
                 assert all(type(x) is int for x in stored[i])
                 assert math.gcd(*stored[i]) == 1 and stored[i, j] > 0
             assert all(_is_int_or_proper_fraction(x)
-                       for x in np.concatenate([r.a.ravel(), coeffs.ravel()]))
+                       for x in np.concatenate([space.basis.a.ravel(), coeffs.ravel()]))
 
         n = rng.randint(1, 8)
         square = _awkward_matrix(rng, field, n, n)
@@ -729,7 +727,7 @@ def test_kernel_is_the_unit_pivot_rref_of_its_relations(field):
         k = kernel(m)
         assert np.array_equal(k.basis.a, _oracle_kernel(m))
         assert k.basis.a.dtype == field.dtype
-        assert k.dim + rref(m)[1] == m.nrows
+        assert k.dim + rref(m).dim == m.nrows
         if field.characteristic == 0:
             assert all(_is_int_or_proper_fraction(x) for x in k.basis.a.ravel())
     assert kernel(Matrix.zeros(field, 3, 2)).basis == Matrix.identity(field, 3)
@@ -848,7 +846,7 @@ def test_kernel_property(drawn):
     them, and they are a basis that Subspace accepts as it is."""
     field, m = drawn
     k = kernel(m)
-    assert (k.basis.ncols, k.dim) == (m.nrows, m.nrows - rref(m)[1])
+    assert (k.basis.ncols, k.dim) == (m.nrows, m.nrows - rref(m).dim)
     assert (k.basis @ m).is_zero()
     assert Subspace(k.basis) == k
 
