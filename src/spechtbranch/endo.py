@@ -166,10 +166,6 @@ class DecompositionCertificate:
     def deterministic(self) -> bool:
         return self.verdict != "undecided"
 
-    @property
-    def split_dims(self) -> tuple | None:
-        return None if self.split is None else tuple(s.dim for s in self.split)
-
 
 def _rational_roots(poly) -> list[Fraction]:
     """All rational roots of a polynomial over Q, by the rational root test."""
@@ -317,8 +313,10 @@ def locality_certificate(field: FieldSpec, basis: list[Matrix]):
 def certify_indecomposable(module: GroupActionModule) -> DecompositionCertificate:
     """Decide whether a module is zero, indecomposable, or decomposable.
 
-    M is indecomposable exactly when E = End(M) is local.  The argument runs
-    on the echelon basis b_1..b_d of E from hom_space (locality_certificate):
+    M is indecomposable exactly when E = End(M) is local.  A module of
+    dimension one has E = F, which is local, so it needs no spin.  Otherwise
+    the argument runs on the echelon basis b_1..b_d of E from hom_space
+    (locality_certificate):
 
     - A basis element b with a root lam of its minimal polynomial that is
       not a power of (x - lam) makes b - lam singular and not nilpotent, so
@@ -344,6 +342,8 @@ def certify_indecomposable(module: GroupActionModule) -> DecompositionCertificat
     """
     if module.dim == 0:
         return DecompositionCertificate("zero", "zero-module")
+    if module.dim == 1:  # End(M) is F itself
+        return DecompositionCertificate("indecomposable", "scalar-commutant")
     basis = hom_space(module, module)
     if len(basis) == 1:
         return DecompositionCertificate("indecomposable", "scalar-commutant")

@@ -41,8 +41,10 @@ The matrix products of this package are made here, dense (``_mul``) or
 through the nonzeros of the right factor (``_SparseRows``), in the field's
 own dtype, and reduced at the end; the one other product is the gather of
 ``modules._act``, which contracts a group algebra element's gathered terms
-with ``np.dot`` itself.  ``Matrix`` reduces every array it wraps, so a
-product that becomes a ``Matrix`` is reduced a second time.  Over an int64
+with ``np.dot`` itself.  A product is reduced once, and ``Matrix`` wraps
+it as it is: the constructor takes no remainder, and each operation that
+can leave the residues (a sum, a difference, a scaling, a shift, the
+relations of ``kernel``) reduces its own result.  Over an int64
 field an entry that sums k residue products is exact while
 k (p - 1)^2 < 2^63, for every k below 2^31 since p < 2^16; ``_product``
 refuses a k past that bound, which only a matrix of more than 2^31 columns
@@ -72,7 +74,13 @@ from .fields import INT64_LIMIT, FieldSpec
 
 
 class Matrix:
-    """An exact matrix over a FieldSpec."""
+    """An exact matrix over a FieldSpec.
+
+    The constructor wraps an array of residues (any entries over Q) as it is
+    given, cast to the field's dtype when it has another one; it takes no
+    remainder.  ``from_rows`` is the checked way in from Python data, and
+    the operations below that can leave the residues reduce their results.
+    """
 
     __slots__ = ("field", "a")
 
@@ -80,7 +88,7 @@ class Matrix:
         if a.ndim != 2:
             raise ValueError("matrix data must be 2-dimensional")
         self.field = field
-        self.a = field.reduce_array(a)
+        self.a = a if a.dtype == field.dtype else a.astype(field.dtype)
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows) -> "Matrix":
@@ -112,14 +120,14 @@ class Matrix:
         return Matrix(self.field, _mul(self.field, self.a, other.a))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, self.a + other.a)
+        return Matrix(self.field, self.field.reduce_array(self.a + other.a))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, self.a - other.a)
+        return Matrix(self.field, self.field.reduce_array(self.a - other.a))
 
     def scale(self, c) -> "Matrix":
         c = self.field.scalar(c)
-        return Matrix(self.field, self.a * c)
+        return Matrix(self.field, self.field.reduce_array(self.a * c))
 
     def shift(self, c) -> "Matrix":
         """self + c * identity."""
@@ -129,7 +137,7 @@ class Matrix:
         c = self.field.scalar(c)
         for i in range(self.nrows):
             a[i, i] += c
-        return Matrix(self.field, a)
+        return Matrix(self.field, self.field.reduce_array(a))
 
     def pow(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -535,7 +543,8 @@ def kernel(m: Matrix) -> "Subspace":
     if not dep:
         return Subspace(Matrix.zeros(field, 0, n))
     relations = field.zeros((len(dep), n))
-    relations[:, [n - 1 - l for l, t in enumerate(kept) if t >= 0]] = -dc[dep]
+    kept_rows = [n - 1 - l for l, t in enumerate(kept) if t >= 0]
+    relations[:, kept_rows] = field.reduce_array(-dc[dep])
     relations[range(len(dep)), [n - 1 - l for l in dep]] = [den[l] for l in dep]
     return Subspace(Matrix(field, _divide(relations, [den[l] for l in dep])))
 

@@ -32,7 +32,6 @@ rows are therefore independent over every field.
 from __future__ import annotations
 
 import copy
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -183,11 +182,6 @@ class GroupActionModule:
             self._elt_cache[elt] = self._element_action(elt)
         return self._elt_cache[elt]
 
-    def gens(self) -> tuple[Matrix, ...]:
-        """Matrices of the Coxeter generators s_1 .. s_{degree-1}."""
-        return tuple(self.perm_matrix(adjacent(self.degree, i))
-                     for i in range(1, self.degree))
-
     def submodule(self, space: Subspace, label: str = "") -> "Submodule":
         """The submodule whose coordinates in this module span space, with
         the reduced echelon basis of space as its basis."""
@@ -291,43 +285,12 @@ class Submodule(GroupActionModule):
         return self._restricted(self.parent.element_matrix(elt))
 
 
-_module_cache: OrderedDict = OrderedDict()
-# S^lam and its induction, reused within one (lam, field) of a sweep, where a
-# restriction is a view of S^lam; the char-2 report's S^(6,1,1,1) also
-# outlives two other Specht builds before its restriction needs it
-_MODULE_CACHE_CAP = 3
-
-
-def _cached_module(key, make):
-    if key in _module_cache:
-        _module_cache.move_to_end(key)
-        return _module_cache[key]
-    value = make()
-    _module_cache[key] = value
-    while len(_module_cache) > _MODULE_CACHE_CAP:
-        _module_cache.popitem(last=False)
-    return value
-
-
-def clear_module_cache():
-    _module_cache.clear()
-
-
 def build_specht(lam, field: FieldSpec) -> GroupActionModule:
     """The Specht module S^lam, with the standard polytabloid basis."""
     lam = Partition(lam)
-    n = lam.size
-    if n == 0:
+    if lam.size == 0:
         raise ValueError("empty partition")
-
-    def make():
-        _check_cost(lam, lam)
-        tableaux = standard_tableaux(lam)
-        basis = Matrix(field, np.stack([polytabloid(t, field).row for t in tableaux]))
-        return TabloidModule(n, field, lam, basis, tabloid_indices(lam, tableaux),
-                             label=f"S^({lam}) over {field}")
-
-    return _cached_module(("S", lam, field), make)
+    return _build_module("S", lam, field)
 
 
 def build_restriction(lam, field: FieldSpec) -> GroupActionModule:
@@ -369,17 +332,32 @@ def build_induction(lam, field: FieldSpec) -> GroupActionModule:
     the tabloids {T}.
     """
     lam = Partition(lam)
-    n = lam.size
-    if n == 0:
+    if lam.size == 0:
         raise ValueError("empty partition")
+    return _build_module("I", lam, field)
 
-    def make():
-        shape = Partition(tuple(lam) + (1,))
-        _check_cost(shape, lam)
+
+# The one module cache, of the three builds used last: S^lam and its
+# induction are reused within one (lam, field) of a sweep, where a
+# restriction is a view of S^lam; the char-2 report's S^(6,1,1,1) also
+# outlives two other Specht builds before its restriction needs it
+@lru_cache(maxsize=3)
+def _build_module(kind: str, lam: Partition, field: FieldSpec) -> TabloidModule:
+    """S^lam (kind "S") or S^lam induced (kind "I") over field, with its
+    standard basis."""
+    shape = lam if kind == "S" else Partition(tuple(lam) + (1,))
+    _check_cost(shape, lam)
+    # the rows are stacked at once, so no list of them outlives the stack
+    if kind == "S":
+        tableaux = standard_tableaux(lam)
+        basis = np.stack([polytabloid(t, field).row for t in tableaux])
+        label = f"S^({lam}) over {field}"
+    else:
         tableaux = _induction_tableaux(lam)
-        basis = Matrix(field, np.stack([induced_polytabloid(T, lam, field).row
-                                        for T in tableaux]))
-        return TabloidModule(n + 1, field, shape, basis, tabloid_indices(shape, tableaux),
-                             label=f"S^({lam}) induced, over {field}")
+        basis = np.stack([induced_polytabloid(T, lam, field).row for T in tableaux])
+        label = f"S^({lam}) induced, over {field}"
+    return TabloidModule(shape.size, field, shape, Matrix(field, basis),
+                         tabloid_indices(shape, tableaux), label=label)
 
-    return _cached_module(("I", lam, field), make)
+
+clear_module_cache = _build_module.cache_clear

@@ -21,9 +21,12 @@ Node = tuple[int, int]
 
 
 class Partition(tuple):
-    """A partition, stored as a tuple of weakly decreasing positive parts."""
+    """A partition, stored as a tuple of weakly decreasing positive parts.
+    A Partition given to the constructor comes back as it is."""
 
     def __new__(cls, parts=()):
+        if type(parts) is cls:
+            return parts
         parts = tuple(int(x) for x in parts)
         for i, x in enumerate(parts):
             if x <= 0:
@@ -110,6 +113,7 @@ def content_sum(lam: Partition) -> int:
     return sum(contents(lam))
 
 
+@lru_cache(maxsize=256)
 def p_core(lam: Partition, p: int) -> Partition:
     """The p-core, via bead slides on first-column hook lengths."""
     if p < 2:
@@ -137,6 +141,7 @@ def conjugate(lam: Partition) -> Partition:
     return Partition(sum(1 for x in lam if x > c) for c in range(lam[0]))
 
 
+@lru_cache(maxsize=256)
 def specht_dimension(lam: Partition) -> int:
     """Number of standard tableaux, by the hook length formula."""
     n = lam.size

@@ -65,15 +65,6 @@ class Tableau(tuple):
         ncols = len(self[0]) if self else 0
         return [tuple(row[c] for row in self if len(row) > c) for c in range(ncols)]
 
-    def is_standard(self) -> bool:
-        for row in self:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                return False
-        for col in self.columns():
-            if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
-                return False
-        return True
-
     def __str__(self) -> str:
         return "/".join(",".join(str(x) for x in row) for row in self)
 

@@ -17,8 +17,8 @@ holds a module in any basis, which a ``Subspace`` (reduced echelon only)
 cannot, and ``conjugate_restriction`` restricts a matrix to a subspace by
 conjugating with a full change of basis, not by reading pivot columns.
 ``split_branching``, ``coords``, ``contains``, ``intersect``,
-``is_invariant``, ``rows_in`` and ``identity_perm`` are conveniences that
-only the tests use.
+``is_invariant``, ``rows_in``, ``identity_perm`` and ``coxeter_matrices``
+are conveniences that only the tests use.
 """
 
 import itertools
@@ -32,7 +32,7 @@ from spechtbranch.exact import (Matrix, Polynomial, RowBasis, Subspace, kernel,
                                poly_divmod, poly_gcd, rref)
 from spechtbranch.modules import GroupActionModule
 from spechtbranch.partitions import Partition
-from spechtbranch.perms import embed
+from spechtbranch.perms import adjacent, embed
 from spechtbranch.tabloids import ModuleVector
 
 
@@ -303,3 +303,9 @@ def rows_in(module, summand) -> Matrix:
         rows = rows @ summand.space.basis
         summand = summand.parent
     return rows
+
+
+def coxeter_matrices(module: GroupActionModule) -> tuple:
+    """Matrices of the Coxeter generators s_1 .. s_{degree-1} on a module."""
+    return tuple(module.perm_matrix(adjacent(module.degree, i))
+                 for i in range(1, module.degree))

@@ -11,7 +11,7 @@ import time
 
 from fractions import Fraction
 
-from oracles import column_signed_maps, enumerate_tabloids, intersect
+from oracles import column_signed_maps, coxeter_matrices, enumerate_tabloids, intersect
 from spechtbranch import endo
 from spechtbranch.central import INDUCE, RESTRICT
 from spechtbranch.exact import Matrix, RowBasis, fitting_split, kernel, rref
@@ -193,7 +193,7 @@ def test_property_suite_seeded_randomized():
     for lam in (Partition((2, 1)), Partition((3, 2)), Partition((2, 2, 1))):
         for field in FIELDS4:
             module = build_specht(lam, field)
-            gens = module.gens()
+            gens = coxeter_matrices(module)
             ident = Matrix.identity(field, module.dim)
             for i, g in enumerate(gens):
                 if g @ g != ident:

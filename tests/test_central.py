@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from oracles import split_branching
+from oracles import coxeter_matrices, split_branching
 from spechtbranch.central import (
     INDUCE,
     RESTRICT,
@@ -81,7 +81,7 @@ def test_central_symmetric_action_commutes_with_generators():
     for lam, field in ((Partition((3, 1)), GF(2)), (Partition((2, 2)), QQ)):
         module = build_restriction(lam, field)
         e = central_symmetric_action(module)
-        for g in module.gens():
+        for g in coxeter_matrices(module):
             assert e @ g == g @ e
 
 
@@ -150,7 +150,7 @@ def test_component_modules_carry_action():
     for comp in comps:
         sub = comp.module
         ident = Matrix.identity(GF(3), sub.dim)
-        for g in sub.gens():
+        for g in coxeter_matrices(sub):
             assert g @ g == ident
 
 

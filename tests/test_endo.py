@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from oracles import Rebased, rows_in, split_branching
+from oracles import Rebased, coxeter_matrices, rows_in, split_branching
 from spechtbranch import cli, endo
 from spechtbranch.central import (
     INDUCE,
@@ -64,10 +64,10 @@ def _hom_by_kronecker(m1, m2) -> Matrix:
     field = m1.field
     d1, d2 = m1.dim, m2.dim
     blocks = [field.zeros((d1 * d2, 0))]
-    for g1, g2 in zip(m1.gens(), m2.gens()):
+    for g1, g2 in zip(coxeter_matrices(m1), coxeter_matrices(m2)):
         blocks.append(np.kron(g1.a.T, np.eye(d2, dtype=int))
                       - np.kron(np.eye(d1, dtype=int), g2.a))
-    system = Matrix(field, np.concatenate(blocks, axis=1).astype(field.dtype))
+    system = Matrix(field, field.reduce_array(np.concatenate(blocks, axis=1)))
     return kernel(system).basis
 
 
@@ -220,8 +220,8 @@ def test_hom_restriction_to_factor():
     triv = build_specht(Partition((2,)), QQ)
     homs = hom_space(big, triv)
     assert len(homs) == 1
-    g1 = big.gens()
-    g2 = triv.gens()
+    g1 = coxeter_matrices(big)
+    g2 = coxeter_matrices(triv)
     for a, b in zip(g1, g2):
         assert a @ homs[0] == homs[0] @ b
 
@@ -244,7 +244,7 @@ def test_commutant_structure():
     for x, y in itertools.product(basis, repeat=2):
         prod = x @ y
         assert span.contains(prod.a.reshape(-1))
-        for g in big.gens():
+        for g in coxeter_matrices(big):
             assert prod @ g == g @ prod
 
 
@@ -261,7 +261,7 @@ def test_certify_decomposable_restriction():
     over_q = certify_indecomposable(build_restriction(Partition((2, 1)), QQ))
     assert over_q.verdict == "decomposable"
     assert over_q.deterministic
-    assert sorted(over_q.split_dims) == [1, 1]
+    assert sorted(part.dim for part in over_q.split) == [1, 1]
 
     over_3 = certify_indecomposable(build_restriction(Partition((2, 1)), GF(3)))
     assert over_3.verdict == "decomposable"
@@ -274,6 +274,23 @@ def test_certify_zero_module():
     zero = module.submodule(Subspace(Matrix.zeros(GF(3), 0, 2)), label="zero")
     cert = certify_indecomposable(zero)
     assert cert.verdict == "zero"
+
+
+def test_a_one_dimensional_component_is_certified_without_a_spin(monkeypatch):
+    """End(M) of a module of dimension one is the field, so the certificate
+    is the scalar commutant with no call to hom_space."""
+    lam, field = Partition((2, 1)), GF(3)
+    comps = block_split(build_restriction(lam, field),
+                        branching_factors(lam, RESTRICT))
+    line = next(comp for comp in comps if comp.dim == 1)
+
+    def no_spin(m1, m2):
+        raise AssertionError("hom_space called on a module of dimension one")
+
+    monkeypatch.setattr(endo, "hom_space", no_spin)
+    cert = certify_indecomposable(line.module)
+    assert (cert.verdict, cert.branch, cert.trials) == (
+        "indecomposable", "scalar-commutant", 0)
 
 
 def test_decompose_restriction_char_zero():
@@ -364,7 +381,7 @@ def _local_by_enumeration(field, structure, identity) -> bool:
     d = structure.shape[0]
     for coeffs in _projective_coeff_vectors(field.characteristic, d):
         c = np.asarray(coeffs, dtype=field.dtype)
-        left = Matrix(field, np.tensordot(c, structure, axes=(0, 0)))
+        left = Matrix(field, field.reduce_array(np.tensordot(c, structure, axes=(0, 0))))
         if rref(left).dim != d and not left.pow(d).is_zero():
             return False
     return True

@@ -70,6 +70,24 @@ def test_matrix_arithmetic_identities():
         assert a.shift(field.scalar(2)) == a + i.scale(field.scalar(2))
 
 
+def test_a_product_is_reduced_once(monkeypatch):
+    """A product comes back reduced from _mul, and Matrix wraps it without
+    a second reduction."""
+    field = GF(5)
+    a = Matrix.from_rows(field, [[1, 4], [3, 2]]).a
+    calls = []
+    reduce_array = FieldSpec.reduce_array
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return reduce_array(self, x)
+
+    monkeypatch.setattr(FieldSpec, "reduce_array", counted)
+    m = Matrix(field, exact._mul(field, a, a))
+    assert len(calls) == 1
+    assert m.a.tolist() == [[3, 2], [4, 1]]
+
+
 def test_matrix_is_unhashable():
     """Equal matrices must not hash differently, so a Matrix, which compares
     by value and holds mutable data, has no hash at all."""
@@ -282,11 +300,15 @@ def _entry(rng, field):
 
 
 def _assert_field_array(field, a):
-    """a has the field's dtype, and an object array holds Python ints only
-    (a numpy int64 inside it would wrap in later products)."""
+    """a has the field's dtype; over GF(p) it holds residues, and an object
+    array Python ints only (a numpy int64 inside it would wrap in later
+    products)."""
     assert a.dtype == field.dtype
-    if field.characteristic and a.dtype == object:
-        assert all(type(x) is int for x in a.flat)
+    p = field.characteristic
+    if p:
+        assert all(0 <= x < p for x in a.flat)
+        if a.dtype == object:
+            assert all(type(x) is int for x in a.flat)
 
 
 @pytest.mark.parametrize("field", [GF(3), *LARGE_PRIMES, QQ], ids=str)
@@ -313,22 +335,33 @@ def test_products_match_the_object_product(field):
             _assert_field_array(field, got)
 
 
-@pytest.mark.parametrize("field", LARGE_PRIMES, ids=str)
+@pytest.mark.parametrize("field", [GF(3), *LARGE_PRIMES, QQ], ids=str)
 def test_exact_results_are_int64_at_large_primes(field):
-    """Products, elimination, kernels, restriction and the unipotent inverse
-    at the largest int64 prime and above give reduced matrices in the
-    field's dtype, int64 at GF(65521) and Python ints above 2^16, and exact
-    ones, on entries at p - 1 and just below as often as not."""
+    """Products, sums, differences, scalings, shifts, powers, elimination,
+    kernels, restriction and the unipotent inverse at GF(3), at the largest
+    int64 prime and above give reduced matrices in the field's dtype, int64
+    below 2^16 and Python ints above, and exact ones, on entries at p - 1
+    and just below as often as not.  Over Q, on integer entries, every
+    result holds Python ints, and a Fraction only where an entry is not an
+    integer."""
     rng = random.Random(field.characteristic)
-    a = Matrix(field, field.array([[_entry(rng, field) for _ in range(6)]
+    a = Matrix(field, field.array([[_entry(rng, field) if field.characteristic
+                                    else rng.randint(-2**70, 2**70) for _ in range(6)]
                                    for _ in range(6)]))
-    singular = Matrix(field, np.concatenate([a.a[:5], a.a[:1] + a.a[1:2]]))
+    singular = Matrix(field, np.concatenate([a.a[:5], field.reduce_array(a.a[:1] + a.a[1:2])]))
     unit = Matrix(field, np.triu(a.a, 1)).shift(1)
     ker, image = fitting_split(singular)
-    results = [a @ a, a.pow(5), rref(a).basis, ker.basis, image.basis,
-               ker.restrict(singular), unipotent_inverse(unit)]
+    arithmetic = [a + a, a - unit, a.scale(-1), a.scale(field.characteristic - 2),
+                  a.shift(-1), a.pow(5)]
+    results = [a @ a, rref(a).basis, ker.basis, image.basis,
+               ker.restrict(singular), unipotent_inverse(unit), *arithmetic]
     for m in results:
         _assert_field_array(field, m.a)
+    relations = kernel(singular).basis.a
+    _assert_field_array(field, relations)
+    if not field.characteristic:
+        assert all(type(x) is int for m in arithmetic for x in m.a.flat)
+        assert all(type(x) is int or x.denominator != 1 for x in relations.flat)
     assert rref(a).dim == 6 and (ker.basis @ singular.pow(6)).is_zero()
     assert unipotent_inverse(unit) @ unit == Matrix.identity(field, 6)
     assert minimal_polynomial(a) == _oracle_min_poly(a)

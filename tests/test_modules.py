@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from oracles import (Rebased, ambient_solver, enumerate_tabloids, rows_in,
-                     split_branching)
+from oracles import (Rebased, ambient_solver, coxeter_matrices, enumerate_tabloids,
+                     rows_in, split_branching)
 from spechtbranch import modules, tabloids
 from spechtbranch.central import INDUCE, RESTRICT
 from spechtbranch.cli import main
@@ -124,7 +124,7 @@ def test_generator_involution_and_braid_relations():
         n = lam.size
         for field in (QQ, GF(2), GF(5)):
             module = build_specht(lam, field)
-            gens = module.gens()
+            gens = coxeter_matrices(module)
             ident = Matrix.identity(field, module.dim)
             for g in gens:
                 assert g @ g == ident
@@ -201,7 +201,7 @@ def test_transposition_sum_scalar_on_specht():
 def test_rational_module_matrices_hold_python_ints():
     """Young's natural representation is integral, so over Q the generator
     and element matrices hold Python ints, not Fraction(1, 1) objects."""
-    gens = build_restriction((2, 1), QQ).gens()
+    gens = coxeter_matrices(build_restriction((2, 1), QQ))
     e4 = build_induction((2, 1), QQ).element_matrix(transposition_sum(4))
     entries = [x for m in gens + (e4,) for x in m.a.ravel()]
     assert entries and all(type(x) is int for x in entries)
@@ -254,6 +254,24 @@ def test_module_cache_reuse():
     assert a is b
     c = build_specht(Partition((3, 2)), GF(5))
     assert c is not a
+
+
+def test_a_fourth_module_build_evicts_the_least_recently_used():
+    """The module cache keeps the three builds used last: a fourth distinct
+    build evicts the one used longest ago, and the other two stay."""
+    field = GF(3)
+    clear_module_cache()
+    try:
+        a = build_specht((2, 1), field)
+        b = build_specht((3,), field)
+        c = build_induction((2, 1), field)
+        assert build_specht((2, 1), field) is a  # b is now the oldest use
+        build_specht((1, 1, 1), field)
+        assert build_specht((2, 1), field) is a
+        assert build_induction((2, 1), field) is c
+        assert build_specht((3,), field) is not b
+    finally:
+        clear_module_cache()
 
 
 def test_min_poly_of_murphy_on_specht():
@@ -424,7 +442,7 @@ def test_action_matrices_at_a_large_prime_match_the_ambient_solve():
     for module in (build_specht(Partition((3, 2, 1)), field),
                    build_induction(Partition((3, 2, 1)), field)):
         _assert_matches_ambient_solve(module, module)
-        assert all(g.a.dtype == field.dtype for g in module.gens())
+        assert all(g.a.dtype == field.dtype for g in coxeter_matrices(module))
 
 
 def test_entries_at_a_large_prime_are_python_ints():
@@ -596,7 +614,7 @@ def test_no_ambient_row_basis_in_build_split_or_components(monkeypatch):
                 widths.clear()
                 module = build(Partition(lam), field)
                 for comp in split_branching(module, lam, direction):
-                    comp.module.gens()
+                    coxeter_matrices(comp.module)
                 assert module.dim < module.ambient_width
                 assert widths and module.ambient_width not in widths
     finally:
@@ -610,9 +628,9 @@ def test_block_component_owns_its_submodule():
     module = build_restriction(lam, GF(3))
     for comp in split_branching(module, lam, RESTRICT):
         sub = comp.module
-        gens = sub.gens()
+        gens = coxeter_matrices(sub)
         assert comp.module is sub
-        assert all(a is b for a, b in zip(comp.module.gens(), gens))
+        assert all(a is b for a, b in zip(coxeter_matrices(comp.module), gens))
         assert sub.parent is module and sub.dim == comp.dim
 
 
@@ -663,7 +681,7 @@ def test_actions_after_the_build_ask_for_no_table_of_every_tabloid(monkeypatch):
     rng = random.Random(5)
     for module in built:
         asked.clear()
-        module.gens()
+        coxeter_matrices(module)
         module.perm_matrix(_random_perm(rng, module.degree))
         module.element_matrix(transposition_sum(module.shape.size))
         assert asked and all(at == module.minor_cols for at in asked)
@@ -707,7 +725,7 @@ def test_restriction_reuses_the_specht_modules_proof(monkeypatch):
     monkeypatch.setattr(modules, "unipotent_inverse", refused)
     monkeypatch.setattr(modules, "tabloid_preimages", minor_only)
     down = build_restriction(lam, field)
-    down.gens()
+    coxeter_matrices(down)
     down.element_matrix(murphy_element(lam.size))
     assert asked and all(at == specht.minor_cols for at in asked)
     assert down.degree == lam.size - 1
@@ -720,8 +738,8 @@ def test_restriction_reuses_the_specht_modules_proof(monkeypatch):
 def test_a_restriction_is_a_view_that_shares_its_specht_modules_cache(monkeypatch):
     """Every restriction of S^lam is a view of the cached Specht module: it
     shares its element cache, so E_(n-1) computed through one view is
-    returned by another without a new solve, and the module cache holds no
-    entry of a restriction after a sweep."""
+    returned by another without a new solve, and no restriction takes an
+    entry of the module cache, in a sweep or after one."""
     lam, field = Partition((3, 1, 1)), GF(3)
     clear_module_cache()
     first = build_restriction(lam, field)
@@ -741,17 +759,21 @@ def test_a_restriction_is_a_view_that_shares_its_specht_modules_cache(monkeypatc
     assert calls == []
     monkeypatch.undo()
     keys = []
-    cached_module = modules._cached_module
+    build_module = modules._build_module
 
-    def recorded(key, make):
-        keys.append(key)
-        return cached_module(key, make)
+    def recorded(kind, lam, field):
+        keys.append((kind, lam, field))
+        return build_module(kind, lam, field)
 
-    monkeypatch.setattr(modules, "_cached_module", recorded)
+    monkeypatch.setattr(modules, "_build_module", recorded)
     clear_module_cache()
     try:
         sweep(4, [3])
         assert keys and {key[0] for key in keys} == {"S", "I"}
-        assert all(key[0] != "R" for key in modules._module_cache)
+        build_specht(lam, field)
+        held = build_module.cache_info()
+        build_restriction(lam, field)
+        after = build_module.cache_info()
+        assert (after.misses, after.currsize) == (held.misses, held.currsize)
     finally:
         clear_module_cache()

@@ -24,6 +24,8 @@ def test_parse_and_validate():
     assert Partition.parse("6,1,1,1") == Partition((6, 1, 1, 1))
     assert Partition.parse("3") == Partition((3,))
     assert Partition(()).size == 0
+    lam = Partition((3, 1))
+    assert Partition(lam) is lam
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):

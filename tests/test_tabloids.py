@@ -79,8 +79,9 @@ def test_tableau_basics():
     assert t.shape == Partition((2, 1))
     assert t.size == 3
     assert t.columns() == [(1, 3), (2,)]
-    assert t.is_standard()
-    assert not Tableau(((2, 1), (3,))).is_standard()
+    assert t in standard_tableaux(t.shape)
+    unordered = Tableau(((2, 1), (3,)))
+    assert unordered not in standard_tableaux(unordered.shape)
     assert str(t) == "1,2/3"
     swapped = t.act(transposition(3, 1, 3))
     assert swapped == Tableau(((3, 2), (1,)))
@@ -92,7 +93,10 @@ def test_canonical_and_standard_tableaux():
     tabs = standard_tableaux(lam)
     assert len(tabs) == specht_dimension(lam) == 5
     assert len(set(tabs)) == 5
-    assert all(t.is_standard() and t.shape == lam for t in tabs)
+    # rows and columns increase
+    assert all(t.shape == lam and all(list(line) == sorted(line)
+                                      for line in (*t, *t.columns()))
+               for t in tabs)
     assert canonical_tableau(lam) in tabs
     for lam in partitions_of(6):
         assert len(standard_tableaux(lam)) == specht_dimension(lam)
