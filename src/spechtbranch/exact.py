@@ -42,9 +42,10 @@ through the nonzeros of the right factor (``_SparseRows``), in the field's
 own dtype, and reduced at the end; the one other product is the gather of
 ``modules._act``, which contracts a group algebra element's gathered terms
 with ``np.dot`` itself.  A product is reduced once, and ``Matrix`` wraps
-it as it is: the constructor takes no remainder, and each operation that
-can leave the residues (a sum, a difference, a scaling, a shift, the
-relations of ``kernel``) reduces its own result.  Over an int64
+it as it is: the constructor takes no remainder of an array in the
+field's dtype, and each operation that can leave the residues (a sum, a
+difference, a scaling, a shift, the relations of ``kernel``) reduces its
+own result.  Over an int64
 field an entry that sums k residue products is exact while
 k (p - 1)^2 < 2^63, for every k below 2^31 since p < 2^16; ``_product``
 refuses a k past that bound, which only a matrix of more than 2^31 columns
@@ -76,10 +77,11 @@ from .fields import INT64_LIMIT, FieldSpec
 class Matrix:
     """An exact matrix over a FieldSpec.
 
-    The constructor wraps an array of residues (any entries over Q) as it is
-    given, cast to the field's dtype when it has another one; it takes no
-    remainder.  ``from_rows`` is the checked way in from Python data, and
-    the operations below that can leave the residues reduce their results.
+    The constructor wraps an array of the field's dtype as it is given and
+    takes no remainder, so its entries must already be residues (any
+    entries over Q); an array of another dtype is reduced into the field's.
+    ``from_rows`` is the checked way in from Python data, and the
+    operations below that can leave the residues reduce their results.
     """
 
     __slots__ = ("field", "a")
@@ -88,7 +90,8 @@ class Matrix:
         if a.ndim != 2:
             raise ValueError("matrix data must be 2-dimensional")
         self.field = field
-        self.a = a if a.dtype == field.dtype else a.astype(field.dtype)
+        self.a = (a if a.dtype == field.dtype
+                  else field.reduce_array(a).astype(field.dtype, copy=False))
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows) -> "Matrix":

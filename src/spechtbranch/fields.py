@@ -3,24 +3,24 @@
 Scalars are plain Python objects: ``int`` residues in ``0..p-1`` for GF(p);
 ``int`` or ``Fraction`` for the rationals, where ``scalar`` and ``inv``
 return an ``int`` whenever the value is one.  No floating point anywhere.
-``FieldSpec.dtype``, set once when the field is made, alone decides how
-residues are stored: int64 for p < 2^16 (``INT64_PRIMES``), where a
-residue product is under 2^32 and a sum of fewer than 2^31 of them fits
-int64, and Python ints in ``object`` arrays, as for Q, for every larger
-prime, where no sum can overflow; ``zeros``, ``array`` and
-``reduce_array`` follow it.  A prime must have (p - 1)^2 < 2^63,
-p <= 3,037,000,500, which keeps trial division short.  Over Q the linear
-algebra runs on integers: rows are held as integer vectors, a rational
-row is first scaled by the lcm of its denominators, and
-``normalize_rows`` divides a row by its content, an exact division (see
-``exact``).
+``FieldSpec.dtype`` alone decides how residues are stored: int64 for
+p < 2^16 (``INT64_PRIMES``), where a residue product is under 2^32 and a
+sum of fewer than 2^31 of them fits int64, and Python ints in ``object``
+arrays, as for Q, for every larger prime, where no sum can overflow;
+``zeros``, ``array`` and ``reduce_array`` follow it.  A prime must have
+(p - 1)^2 < 2^63, p <= 3,037,000,500, which keeps trial division short.
+Over Q the linear algebra runs on integers: rows are held as integer
+vectors, a rational row is first scaled by the lcm of its denominators,
+and ``normalize_rows`` divides a row by its content, an exact division
+(see ``exact``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class FieldSpec:
     """A coefficient field, given by its characteristic (0 or a prime)."""
 
     characteristic: int
-    # int64 for 0 < p < 2^16, object (Python ints) otherwise; derived from
-    # the characteristic, so equality and hash ignore it
-    dtype: type = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = self.characteristic
@@ -60,7 +57,6 @@ class FieldSpec:
             raise ValueError(f"characteristic {c} is too large: (p - 1)^2 >= 2^63")
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
-        object.__setattr__(self, "dtype", np.int64 if 0 < c < INT64_PRIMES else object)
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
@@ -141,6 +137,11 @@ class FieldSpec:
         if all(x == 1 for x in content):
             return rows
         return rows // np.array(content, dtype=object)[:, None]
+
+    @cached_property
+    def dtype(self):
+        """int64 for 0 < p < 2^16, object (Python ints) otherwise."""
+        return np.int64 if 0 < self.characteristic < INT64_PRIMES else object
 
     def reduce_array(self, a: np.ndarray) -> np.ndarray:
         """a mod p, as an array of ``dtype``; over Q, a itself."""

@@ -113,7 +113,7 @@ def content_sum(lam: Partition) -> int:
     return sum(contents(lam))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def p_core(lam: Partition, p: int) -> Partition:
     """The p-core, via bead slides on first-column hook lengths."""
     if p < 2:
@@ -141,7 +141,7 @@ def conjugate(lam: Partition) -> Partition:
     return Partition(sum(1 for x in lam if x > c) for c in range(lam[0]))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def specht_dimension(lam: Partition) -> int:
     """Number of standard tableaux, by the hook length formula."""
     n = lam.size

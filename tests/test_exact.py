@@ -387,7 +387,9 @@ def test_sparse_product_stays_int64_at_large_primes(field):
 
 
 def test_matrix_entries_are_reduced_by_scalar():
-    """A Fraction entry of a GF(p) matrix is reduced, not truncated."""
+    """A Fraction entry of a GF(p) matrix is reduced, not truncated.  The
+    constructor wraps an array of the field's dtype as given and reduces
+    one of another dtype into the field's."""
     assert Matrix.from_rows(GF(5), [[Fraction(1, 2), Fraction(7, 2)]]).a.tolist() == [[3, 1]]
     assert Matrix.from_rows(GF(5), [[-1, 12]]).a.tolist() == [[4, 2]]
     assert Matrix.from_rows(QQ, [[Fraction(4, 2), Fraction(1, 2)]]).a.tolist() == [
@@ -395,6 +397,16 @@ def test_matrix_entries_are_reduced_by_scalar():
     for field in FIELDS:
         with pytest.raises(TypeError):
             Matrix.from_rows(field, [[1, 0.5]])
+    a = GF(5).zeros((1, 2))
+    assert Matrix(GF(5), a).a is a
+    for field, entries, want in ((GF(5), [[-1, 12]], [[4, 2]]),
+                                 (GF(65537), [[-1, 65538]], [[65536, 1]]),
+                                 (QQ, [[-1, 12]], [[-1, 12]])):
+        for dtype in (np.int64, object):
+            if dtype == field.dtype:
+                continue
+            got = Matrix(field, np.array(entries, dtype=dtype)).a
+            assert got.dtype == field.dtype and got.tolist() == want
 
 
 def test_polynomial_ring_identities():
