@@ -88,6 +88,11 @@ class BlockComponent:
     def expected_dim(self) -> int:
         return sum(specht_dimension(mu) for mu in self.factors)
 
+    @property
+    def value(self):
+        """The scalar by which E acts on each factor, in the field."""
+        return self.module.field.scalar(content_sum(self.factors[0]))
+
     def __repr__(self) -> str:
         return f"<block core ({self.core}): dim {self.dim}>"
 

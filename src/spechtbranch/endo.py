@@ -13,7 +13,12 @@ the way keeps only the combinations of candidates whose images obey it
 too.  Each dependence costs (candidates x target dim) elimination, never
 (dim x dim) unknowns.
 
-Indecomposability is decided by one deterministic certificate on the
+A block component M of a restricted or induced module is certified by
+one argument, End(M) = F[E|_M] for the central transposition sum E, a
+local algebra (certify_block).  The general certificate runs only where
+that equality fails.
+
+The general certificate, certify_indecomposable, decides any module on the
 commutant E = End(M), held as the d x d basis matrices that
 hom_space(M, M) returns: a module is indecomposable exactly when E is
 local.  Each basis matrix b of E is sorted by the roots in F of its minimal
@@ -22,10 +27,11 @@ power of (x - lam) gives a Fitting witness b - lam that splits the module;
 when every basis element is a scalar plus a nilpotent and the nilpotent
 parts span a subalgebra, Wedderburn's theorem makes that span the radical
 of codimension one, so E is local.  Anything else is reported undecided,
-never guessed.  Isomorphism of modules rests on the same certificate
-(see is_isomorphic).  A split is the pair of ``Subspace`` objects that
-the certificate verified, and decompose makes each a submodule of the
-module it splits as it is, with no change of basis and no second split.
+never guessed.  It serves the block components that End(M) = F[E|_M]
+leaves open (at p = 2), decompose and is_isomorphic.  A split is the pair
+of ``Subspace`` objects that the certificate verified, and decompose makes
+each a submodule of the module it splits as it is, with no change of basis
+and no second split.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .central import BlockComponent, central_symmetric_action
 from .exact import (
     Matrix,
     Polynomial,
@@ -150,8 +157,9 @@ def hom_space(m1: GroupActionModule, m2: GroupActionModule) -> list[Matrix]:
 class DecompositionCertificate:
     """The outcome of an indecomposability check.
 
-    deterministic means the verdict is proved: a zero module, a scalar
-    commutant, a Wedderburn locality proof, or a verified Fitting witness.
+    deterministic means the verdict is proved: a zero module, a commutant
+    equal to F[E|_M] or to the scalars, a Wedderburn locality proof, or a
+    verified Fitting witness.
     An "undecided" verdict is not deterministic and claims nothing.
     trials counts the commutant basis elements examined; split is the
     verified (kernel, image) pair of a decomposable verdict's witness.
@@ -251,6 +259,7 @@ def _roots(poly: Polynomial) -> list:
     return sorted(_split_roots(poly_gcd(poly, _pow_mod(x, p, poly) - x)))
 
 
+CENTRAL = "central-commutant"
 LOCAL = "wedderburn-locality"
 SPLIT = "fitting-witness"
 ROOTLESS = "no-root-in-field"
@@ -313,9 +322,9 @@ def locality_certificate(field: FieldSpec, basis: list[Matrix]):
 def certify_indecomposable(module: GroupActionModule) -> DecompositionCertificate:
     """Decide whether a module is zero, indecomposable, or decomposable.
 
-    M is indecomposable exactly when E = End(M) is local.  A module of
-    dimension one has E = F, which is local, so it needs no spin.  Otherwise
-    the argument runs on the echelon basis b_1..b_d of E from hom_space
+    M is indecomposable exactly when E = End(M) is local.  A commutant of
+    dimension one is the scalars, which are local.  Otherwise the argument
+    runs on the echelon basis b_1..b_d of E from hom_space
     (locality_certificate):
 
     - A basis element b with a root lam of its minimal polynomial that is
@@ -342,8 +351,6 @@ def certify_indecomposable(module: GroupActionModule) -> DecompositionCertificat
     """
     if module.dim == 0:
         return DecompositionCertificate("zero", "zero-module")
-    if module.dim == 1:  # End(M) is F itself
-        return DecompositionCertificate("indecomposable", "scalar-commutant")
     basis = hom_space(module, module)
     if len(basis) == 1:
         return DecompositionCertificate("indecomposable", "scalar-commutant")
@@ -357,6 +364,36 @@ def certify_indecomposable(module: GroupActionModule) -> DecompositionCertificat
         raise ArithmeticError("witness produced a trivial split")
     return DecompositionCertificate(
         "decomposable", branch, split=(ker, image), trials=examined)
+
+
+def certify_block(comp: BlockComponent) -> DecompositionCertificate:
+    """Certify a block component by End(M) = F[E|_M], E the transposition
+    sum of the acting degree, or else by certify_indecomposable.
+
+    E|_M, the parent's E matrix from block_split restricted to M, must
+    commute with the two generator matrices, so F[E|_M] lies in End(M),
+    and N = E|_M - c, c the block's E value, must have N^m = 0, m the
+    factor count; either failure raises ArithmeticError.  F[E|_M] = F[N]
+    is F[x]/(x^k), local of dimension k, the nilpotency index of N.  It is
+    End(M) when k = dim M, as the centralizer of one nilpotent Jordan
+    block is F[N] (no spin; every component of dimension one), or when a
+    spin gives dim End(M) = k: then M is indecomposable (branch CENTRAL).
+    """
+    module = comp.module
+    e = central_symmetric_action(module)
+    for pi in _generators(module.degree):
+        g = module.perm_matrix(pi)
+        if g @ e != e @ g:
+            raise ArithmeticError(f"E does not commute with {pi} on {module.label}")
+    nil = e.shift(module.field.neg(comp.value))
+    k, power = 1, nil
+    while not power.is_zero():
+        if k == len(comp.factors):
+            raise ArithmeticError(f"(E - c)^{k} is not zero on {module.label}")
+        k, power = k + 1, power @ nil
+    if k == module.dim or len(hom_space(module, module)) == k:
+        return DecompositionCertificate("indecomposable", CENTRAL)
+    return certify_indecomposable(module)
 
 
 def decompose(module: GroupActionModule

@@ -106,14 +106,23 @@ def test_coefficient_lemmas_all_shapes_through_n6():
     print(f"[PASS] coefficient lemmas: {cases} cases in {elapsed:.1f}s")
 
 
-def test_block_components_indecomposable_odd_primes_through_n7():
+def test_block_components_indecomposable_odd_primes_through_n7(monkeypatch):
     """The structural claim at odd primes, both directions.
 
     Every nonzero block component of the restriction and of the induction
     must carry a deterministic indecomposability certificate, and the
     number of summands must equal the number of distinct p-cores among
-    the branching factors.
+    the branching factors.  Every certificate is End(M) = F[E|_M]: no
+    component falls back to the general certificate.
     """
+    fallbacks = []
+    certify = endo.certify_indecomposable
+
+    def recorded(module):
+        fallbacks.append(module.label)
+        return certify(module)
+
+    monkeypatch.setattr(endo, "certify_indecomposable", recorded)
     t0 = time.perf_counter()
     cases = 0
     for p in (3, 5):
@@ -131,6 +140,7 @@ def test_block_components_indecomposable_odd_primes_through_n7():
                     assert check.computed == "indecomposable", report.summary()
                 cases += 1
     elapsed = time.perf_counter() - t0
+    assert fallbacks == []
     assert elapsed < 900.0, f"branching sweep took {elapsed:.1f}s (budget 900s)"
     print(f"[PASS] odd-prime block indecomposability: {cases} cases in {elapsed:.1f}s")
 

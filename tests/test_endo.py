@@ -12,15 +12,19 @@ from spechtbranch import cli, endo
 from spechtbranch.central import (
     INDUCE,
     RESTRICT,
+    BlockComponent,
     block_split,
     branching_factors,
+    central_symmetric_action,
 )
 from spechtbranch.endo import (
+    CENTRAL,
     LOCAL,
     NOT_CLOSED,
     ROOTLESS,
     SPLIT,
     DecompositionCertificate,
+    certify_block,
     certify_indecomposable,
     decompose,
     hom_space,
@@ -276,21 +280,66 @@ def test_certify_zero_module():
     assert cert.verdict == "zero"
 
 
-def test_a_one_dimensional_component_is_certified_without_a_spin(monkeypatch):
-    """End(M) of a module of dimension one is the field, so the certificate
-    is the scalar commutant with no call to hom_space."""
-    lam, field = Partition((2, 1)), GF(3)
+@pytest.mark.parametrize("p", [3, 2])
+def test_a_cyclic_block_component_is_certified_without_a_spin(p, monkeypatch):
+    """Where E|_M - c is nilpotent of index k = dim M, End(M) = F[E|_M] with
+    no call to hom_space: each line of R(2,1) at GF(3), and R(2,1) at GF(2),
+    one block of dimension 2 on which E - c = (1 2) - 1 is not zero."""
+    lam, field = Partition((2, 1)), GF(p)
     comps = block_split(build_restriction(lam, field),
                         branching_factors(lam, RESTRICT))
-    line = next(comp for comp in comps if comp.dim == 1)
 
     def no_spin(m1, m2):
-        raise AssertionError("hom_space called on a module of dimension one")
+        raise AssertionError("hom_space called on a cyclic component")
 
     monkeypatch.setattr(endo, "hom_space", no_spin)
-    cert = certify_indecomposable(line.module)
-    assert (cert.verdict, cert.branch, cert.trials) == (
-        "indecomposable", "scalar-commutant", 0)
+    for comp in comps:
+        cert = certify_block(comp)
+        assert (cert.verdict, cert.branch, cert.trials) == (
+            "indecomposable", CENTRAL, 0)
+    assert sorted(comp.dim for comp in comps) == ([1, 1] if p == 3 else [2])
+
+
+def _nilpotency_index(comp) -> int:
+    """The least k with (E|_M - c)^k = 0, c the block's E value."""
+    nil = central_symmetric_action(comp.module).shift(comp.module.field.neg(comp.value))
+    k, power = 1, nil
+    while not power.is_zero():
+        k, power = k + 1, power @ nil
+    return k
+
+
+@pytest.mark.parametrize("lam,dim,verdict,branch", [
+    ((3, 1, 1), 6, "indecomposable", LOCAL),
+    ((5, 1, 1), 15, "decomposable", SPLIT),
+], ids=["3,1,1", "5,1,1"])
+def test_block_certificate_falls_back_where_the_commutant_is_larger(
+        lam, dim, verdict, branch):
+    """At GF(2) the restrictions of S^(3,1,1) and S^(5,1,1) are one block
+    each, on which E - c has nilpotency index 2 while End(M) has dimension
+    3, so End(M) is not F[E|_M] and the verdict is the general
+    certificate's: local by Wedderburn, and split by a Fitting witness."""
+    lam, field = Partition(lam), GF(2)
+    (comp,) = block_split(build_restriction(lam, field),
+                          branching_factors(lam, RESTRICT))
+    assert comp.dim == dim
+    assert _nilpotency_index(comp) == 2
+    assert len(hom_space(comp.module, comp.module)) == 3
+    cert = certify_block(comp)
+    assert (cert.verdict, cert.branch) == (verdict, branch)
+    assert cert.deterministic
+
+
+def test_block_certificate_refuses_a_wrong_block_value():
+    """A component paired with a factor of another E value has E|_M - c
+    invertible, not nilpotent, and the certificate raises."""
+    lam, field = Partition((2, 1)), GF(3)
+    line = block_split(build_restriction(lam, field),
+                       branching_factors(lam, RESTRICT))[0]
+    other = next(mu for mu in branching_factors(lam, RESTRICT)
+                 if mu not in line.factors)
+    with pytest.raises(ArithmeticError, match="not zero"):
+        certify_block(BlockComponent(line.core, (other,), line.module))
 
 
 def test_decompose_restriction_char_zero():
@@ -504,7 +553,9 @@ def test_certificate_matches_exhaustive_enumeration_through_n5():
     GF(3) and GF(5), and on each of their block components, the
     certificate's verdict is the verdict of exhaustive enumeration of the
     commutant.  The whole modules supply the decomposable cases: every
-    block component in this range is indecomposable."""
+    block component in this range is indecomposable.  The block
+    certificate gets the same verdict on every component, and at p = 3 and
+    p = 5 it decides each by End(M) = F[E|_M]."""
     for p in (2, 3, 5):
         field = GF(p)
         for n in range(1, 6):
@@ -516,10 +567,15 @@ def test_certificate_matches_exhaustive_enumeration_through_n5():
                     module = build(lam, field)
                     factors = branching_factors(lam, direction)
                     comps = block_split(module, factors)
+                    expected = {}
                     for sub in [module] + [comp.module for comp in comps]:
                         cert = certify_indecomposable(sub)
                         local = _local_by_enumeration(
                             field, *_matrix_algebra(field, hom_space(sub, sub)))
-                        expected = "indecomposable" if local else "decomposable"
-                        assert cert.verdict == expected, (lam, p, direction)
+                        expected[sub] = "indecomposable" if local else "decomposable"
+                        assert cert.verdict == expected[sub], (lam, p, direction)
                         assert cert.deterministic
+                    for comp in comps:
+                        cert = certify_block(comp)
+                        assert cert.verdict == expected[comp.module], (lam, p, direction)
+                        assert cert.branch == CENTRAL or p == 2, (lam, p, direction)
