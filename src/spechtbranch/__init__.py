@@ -14,7 +14,6 @@ from .central import (
 )
 from .endo import (
     DecompositionCertificate,
-    certify_block,
     certify_indecomposable,
     decompose,
     hom_space,
@@ -71,8 +70,7 @@ __all__ = [
     "Polynomial", "QQ", "RESTRICT", "RowBasis", "Subspace", "Tableau",
     "VerificationReport", "block_split", "branching_factors",
     "build_induction", "build_restriction", "build_specht",
-    "canonical_tableau", "central_symmetric_action", "certify_block",
-    "certify_indecomposable",
+    "canonical_tableau", "central_symmetric_action", "certify_indecomposable",
     "decompose", "extension", "hom_space",
     "induced_polytabloid", "is_isomorphic", "kernel", "minimal_polynomial",
     "murphy_element",

@@ -13,25 +13,16 @@ the way keeps only the combinations of candidates whose images obey it
 too.  Each dependence costs (candidates x target dim) elimination, never
 (dim x dim) unknowns.
 
-A block component M of a restricted or induced module is certified by
-one argument, End(M) = F[E|_M] for the central transposition sum E, a
-local algebra (certify_block).  The general certificate runs only where
-that equality fails.
-
-The general certificate, certify_indecomposable, decides any module on the
-commutant E = End(M), held as the d x d basis matrices that
-hom_space(M, M) returns: a module is indecomposable exactly when E is
-local.  Each basis matrix b of E is sorted by the roots in F of its minimal
-polynomial.  An element with a root lam whose minimal polynomial is not a
-power of (x - lam) gives a Fitting witness b - lam that splits the module;
-when every basis element is a scalar plus a nilpotent and the nilpotent
-parts span a subalgebra, Wedderburn's theorem makes that span the radical
-of codimension one, so E is local.  Anything else is reported undecided,
-never guessed.  It serves the block components that End(M) = F[E|_M]
-leaves open (at p = 2), decompose and is_isomorphic.  A split is the pair
-of ``Subspace`` objects that the certificate verified, and decompose makes
-each a submodule of the module it splits as it is, with no change of basis
-and no second split.
+certify_indecomposable is the one certificate, the End-ring test of the
+MeatAxe (Holt and Rees 1994): M is indecomposable exactly when End(M) is
+local.  It starts from F[E|_M], E the central transposition sum, which
+lies in End(M): the minimal polynomial of E|_M splits M along its blocks
+or proves End(M) = F[E|_M] local, mostly before any spin, and otherwise
+one spin of hom_space(M, M) gives the basis that locality_certificate
+reads.  Anything it cannot prove is reported undecided, never guessed.
+A split is the pair of ``Subspace`` objects that the certificate
+verified, and decompose makes each a submodule of the module it splits
+as it is, with no change of basis and no second split.
 """
 
 from __future__ import annotations
@@ -42,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .central import BlockComponent, central_symmetric_action
+from .central import central_symmetric_action
 from .exact import (
     Matrix,
     Polynomial,
@@ -158,11 +149,12 @@ class DecompositionCertificate:
     """The outcome of an indecomposability check.
 
     deterministic means the verdict is proved: a zero module, a commutant
-    equal to F[E|_M] or to the scalars, a Wedderburn locality proof, or a
-    verified Fitting witness.
+    equal to F[E|_M], a Wedderburn locality proof, or a verified Fitting
+    witness, E|_M - c or a commutant basis element minus a root.
     An "undecided" verdict is not deterministic and claims nothing.
-    trials counts the commutant basis elements examined; split is the
-    verified (kernel, image) pair of a decomposable verdict's witness.
+    trials counts the commutant basis elements examined by
+    locality_certificate; split is the verified (kernel, image) pair of a
+    decomposable verdict's witness.
     """
 
     verdict: str
@@ -251,12 +243,28 @@ def _roots(poly: Polynomial) -> list:
     the cost grows with log p, not with p."""
     field = poly.field
     p = field.characteristic
+    if poly.degree == 1:
+        return [field.scalar(field.neg(poly.coeffs[0]) * field.inv(poly.coeffs[1]))]
     if not p:
         return _rational_roots(poly)
     if poly.degree == 0:
         return []
     x = Polynomial(field, [0, 1])
     return sorted(_split_roots(poly_gcd(poly, _pow_mod(x, p, poly) - x)))
+
+
+def _root_power(b: Matrix):
+    """(lam, k) for the smallest root lam in F of the minimal polynomial mu
+    of b: k = deg mu when mu = (x - lam)^k, so b - lam is nilpotent of
+    index k, and k is None otherwise, when b - lam is singular and not
+    nilpotent, a Fitting witness.  None when mu has no root in F."""
+    mu = minimal_polynomial(b)
+    roots = _roots(mu)
+    if not roots:
+        return None
+    lam, k = roots[0], mu.degree
+    power = k == 1 or mu == Polynomial.from_roots(b.field, [lam] * k)
+    return lam, (k if power else None)
 
 
 CENTRAL = "central-commutant"
@@ -298,14 +306,13 @@ def locality_certificate(field: FieldSpec, basis: list[Matrix]):
     parts = []
     rootless = False
     for i, b in enumerate(basis):
-        mu = minimal_polynomial(b)
-        roots = _roots(mu)
-        if not roots:
+        found = _root_power(b)
+        if found is None:
             rootless = True
             continue
-        lam = roots[0]
+        lam, k = found
         shifted = b.shift(-lam)
-        if mu != Polynomial.from_roots(field, [lam] * mu.degree):
+        if k is None:
             return SPLIT, shifted, i + 1
         parts.append(shifted)
     if rootless:
@@ -322,16 +329,23 @@ def locality_certificate(field: FieldSpec, basis: list[Matrix]):
 def certify_indecomposable(module: GroupActionModule) -> DecompositionCertificate:
     """Decide whether a module is zero, indecomposable, or decomposable.
 
-    M is indecomposable exactly when E = End(M) is local.  A commutant of
-    dimension one is the scalars, which are local.  Otherwise the argument
-    runs on the echelon basis b_1..b_d of E from hom_space
-    (locality_certificate):
+    M is indecomposable exactly when End(M) is local.  E|_M, the
+    transposition sum of the acting degree on M, must commute with the two
+    generator matrices, or ArithmeticError is raised; then F[E|_M] lies in
+    End(M).  Its minimal polynomial mu has a root c in F (E acts on each
+    composition factor by a content sum), and:
 
-    - A basis element b with a root lam of its minimal polynomial that is
-      not a power of (x - lam) makes b - lam singular and not nilpotent, so
-      the Fitting split of M under b - lam is a nontrivial direct sum.  The
-      split is computed and checked before "decomposable" is returned.
-    - If every b_i is lam_i + n_i with n_i nilpotent, then E = F*1 + N for
+    - If mu is not (x - c)^k, E|_M - c is singular and not nilpotent, a
+      central Fitting witness (branch SPLIT), with no spin.
+    - If mu = (x - c)^k, F[E|_M] = F[x]/(x - c)^k is local of dimension k.
+      It is End(M) when k = dim M, as the centralizer of one nilpotent
+      Jordan block is the algebra it generates (no spin), or when one spin
+      gives dim End(M) = k, with k = 1 for a commutant of scalars; then M
+      is indecomposable (branch CENTRAL).
+    - Otherwise locality_certificate reads the spun basis b_1..b_d of
+      E = End(M).  A b_i with a root lam of its minimal polynomial that is
+      not a power of (x - lam) makes b_i - lam a Fitting witness.  If every
+      b_i is lam_i + n_i with n_i nilpotent, E = F*1 + N for
       N = span(n_i).  When N is closed under products it is an associative
       algebra spanned by nilpotent elements, so N is nilpotent by
       Wedderburn's theorem.  Then 1 is not in N and E = F*1 (+) N; N is an
@@ -347,14 +361,29 @@ def certify_indecomposable(module: GroupActionModule) -> DecompositionCertificat
     Every local E with E/J(E) = F passes: lam_i is the image of b_i in F, so
     each n_i lies in J(E), and N = J(E) is closed.  So does every local E
     whose basis elements all have one eigenvalue in F, as the images of the
-    b_i then span E/J(E) = F.
+    b_i then span E/J(E) = F.  A witness's Fitting split is computed and
+    checked before "decomposable" is returned.
     """
     if module.dim == 0:
         return DecompositionCertificate("zero", "zero-module")
-    basis = hom_space(module, module)
-    if len(basis) == 1:
-        return DecompositionCertificate("indecomposable", "scalar-commutant")
-    branch, witness, examined = locality_certificate(module.field, basis)
+    e = central_symmetric_action(module)
+    for pi in _generators(module.degree):
+        g = module.perm_matrix(pi)
+        if g @ e != e @ g:
+            raise ArithmeticError(f"E does not commute with {pi} on {module.label}")
+    found = _root_power(e)
+    if found is None:
+        raise ArithmeticError(f"E has no eigenvalue in the field on {module.label}")
+    c, k = found
+    if k is None:
+        branch, witness, examined = SPLIT, e.shift(-c), 0
+    elif k == module.dim:
+        return DecompositionCertificate("indecomposable", CENTRAL)
+    else:
+        basis = hom_space(module, module)
+        if len(basis) == k:
+            return DecompositionCertificate("indecomposable", CENTRAL)
+        branch, witness, examined = locality_certificate(module.field, basis)
     if branch == LOCAL:
         return DecompositionCertificate("indecomposable", branch, trials=examined)
     if branch != SPLIT:
@@ -364,36 +393,6 @@ def certify_indecomposable(module: GroupActionModule) -> DecompositionCertificat
         raise ArithmeticError("witness produced a trivial split")
     return DecompositionCertificate(
         "decomposable", branch, split=(ker, image), trials=examined)
-
-
-def certify_block(comp: BlockComponent) -> DecompositionCertificate:
-    """Certify a block component by End(M) = F[E|_M], E the transposition
-    sum of the acting degree, or else by certify_indecomposable.
-
-    E|_M, the parent's E matrix from block_split restricted to M, must
-    commute with the two generator matrices, so F[E|_M] lies in End(M),
-    and N = E|_M - c, c the block's E value, must have N^m = 0, m the
-    factor count; either failure raises ArithmeticError.  F[E|_M] = F[N]
-    is F[x]/(x^k), local of dimension k, the nilpotency index of N.  It is
-    End(M) when k = dim M, as the centralizer of one nilpotent Jordan
-    block is F[N] (no spin; every component of dimension one), or when a
-    spin gives dim End(M) = k: then M is indecomposable (branch CENTRAL).
-    """
-    module = comp.module
-    e = central_symmetric_action(module)
-    for pi in _generators(module.degree):
-        g = module.perm_matrix(pi)
-        if g @ e != e @ g:
-            raise ArithmeticError(f"E does not commute with {pi} on {module.label}")
-    nil = e.shift(module.field.neg(comp.value))
-    k, power = 1, nil
-    while not power.is_zero():
-        if k == len(comp.factors):
-            raise ArithmeticError(f"(E - c)^{k} is not zero on {module.label}")
-        k, power = k + 1, power @ nil
-    if k == module.dim or len(hom_space(module, module)) == k:
-        return DecompositionCertificate("indecomposable", CENTRAL)
-    return certify_indecomposable(module)
 
 
 def decompose(module: GroupActionModule

@@ -757,7 +757,8 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     removable nodes plus one, and a basis matrix of a local End(M) is a
     scalar plus a nilpotent), and dear for a matrix whose degree is near d,
     where it is about d^4 operations and d^3 stored entries: a random
-    150 x 150 matrix over GF(5) takes seconds.
+    150 x 150 matrix over GF(5) takes seconds.  A scalar matrix c*1 costs
+    one comparison: mu = x - c is read off with no elimination.
     """
     if m.nrows != m.ncols:
         raise ValueError("minimal polynomial needs a square matrix")
@@ -765,6 +766,10 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     n = m.nrows
     if n == 0:
         return Polynomial.one(field)
+    scalar = field.zeros((n, n))
+    np.fill_diagonal(scalar, m.a[0, 0])
+    if np.array_equal(m.a, scalar):
+        return Polynomial(field, [field.neg(m.a[0, 0]), 1])
     span = RowBasis(field, n * n)
     powers = []
     power = Matrix.identity(field, n).a

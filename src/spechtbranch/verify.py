@@ -24,7 +24,7 @@ from .central import (
     branching_module,
     predicted_min_poly,
 )
-from .endo import certify_block, certify_indecomposable, decompose, is_isomorphic
+from .endo import certify_indecomposable, decompose, is_isomorphic
 from .exact import Matrix, minimal_polynomial
 from .fields import GF, QQ, FieldSpec
 from .modules import (
@@ -286,8 +286,9 @@ def verify_branching(lam, p: int, direction: str,
     indecomposable (for odd p), with the component count equal to the
     number of distinct p-cores among the branching factors.
 
-    Each component M at p > 0 is certified by certify_block, End(M) =
-    F[E|_M]; the general certificate runs only where that fails (at p = 2).
+    Each component M at p > 0 is certified by certify_indecomposable: by
+    End(M) = F[E|_M] at odd p, and where that fails (at p = 2) by the
+    locality certificate on the same spun basis.
     For p = 2 the two known exception components are expected decomposable;
     other characteristic-2 components are recorded without an expectation.
     For p = 0 the classical splitting is checked by dimensions alone.
@@ -315,7 +316,7 @@ def verify_branching(lam, p: int, direction: str,
                        comp.dim == comp.expected_dim)
             if p == 0:
                 continue
-            cert = certify_block(comp)
+            cert = certify_indecomposable(comp.module)
             if comp.core in inverted:
                 report.add(f"verdict[{tag}]", "decomposable (known exception)",
                            cert.verdict, cert.verdict == "decomposable")

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from oracles import column_signed_maps, coxeter_matrices, enumerate_tabloids, intersect
-from spechtbranch import endo
+from spechtbranch import endo, verify
 from spechtbranch.central import INDUCE, RESTRICT
 from spechtbranch.exact import Matrix, RowBasis, fitting_split, kernel, rref
 from spechtbranch.fields import GF, QQ
@@ -113,16 +113,17 @@ def test_block_components_indecomposable_odd_primes_through_n7(monkeypatch):
     must carry a deterministic indecomposability certificate, and the
     number of summands must equal the number of distinct p-cores among
     the branching factors.  Every certificate is End(M) = F[E|_M]: no
-    component falls back to the general certificate.
+    component falls back to the locality certificate.
     """
-    fallbacks = []
-    certify = endo.certify_indecomposable
+    branches = []
+    certify = verify.certify_indecomposable
 
     def recorded(module):
-        fallbacks.append(module.label)
-        return certify(module)
+        cert = certify(module)
+        branches.append(cert.branch)
+        return cert
 
-    monkeypatch.setattr(endo, "certify_indecomposable", recorded)
+    monkeypatch.setattr(verify, "certify_indecomposable", recorded)
     t0 = time.perf_counter()
     cases = 0
     for p in (3, 5):
@@ -140,7 +141,7 @@ def test_block_components_indecomposable_odd_primes_through_n7(monkeypatch):
                     assert check.computed == "indecomposable", report.summary()
                 cases += 1
     elapsed = time.perf_counter() - t0
-    assert fallbacks == []
+    assert branches and set(branches) == {endo.CENTRAL}
     assert elapsed < 900.0, f"branching sweep took {elapsed:.1f}s (budget 900s)"
     print(f"[PASS] odd-prime block indecomposability: {cases} cases in {elapsed:.1f}s")
 

@@ -1,6 +1,7 @@
 """Hom spaces, commutants, indecomposability certificates, decompositions."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from spechtbranch import cli, endo
 from spechtbranch.central import (
     INDUCE,
     RESTRICT,
-    BlockComponent,
     block_split,
     branching_factors,
     central_symmetric_action,
@@ -24,7 +24,6 @@ from spechtbranch.endo import (
     ROOTLESS,
     SPLIT,
     DecompositionCertificate,
-    certify_block,
     certify_indecomposable,
     decompose,
     hom_space,
@@ -40,7 +39,7 @@ from spechtbranch.modules import (
     build_restriction,
     build_specht,
 )
-from spechtbranch.partitions import Partition, partitions_of
+from spechtbranch.partitions import Partition, content_sum, partitions_of
 from spechtbranch.verify import verify_branching
 
 
@@ -140,22 +139,31 @@ def test_hom_space_spins_on_two_generators(monkeypatch):
 
 
 class _Huge(GroupActionModule):
-    """A module that only has a dimension: every action matrix is refused."""
+    """A module that only has a dimension: every element acts as the
+    identity, and each element asked for is logged."""
 
     dim = 700
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
     def _element_action(self, elt):
-        raise AssertionError(f"the matrix of {elt} was asked for")
+        self.asked.append(elt)
+        return Matrix.identity(self.field, self.dim)
 
 
 def test_hom_space_refuses_a_spin_past_its_memory_bound(monkeypatch):
     """700 * 700^2 image entries pass HOM_GUARDRAIL (2^28, 2 GiB of int64),
     so hom_space raises ValueError naming both dimensions before any matrix
-    is asked for or any array is made, and the CLI exits 2; the 576-dim
-    block of S^(3,2,1,1,1) induced at p = 2 passes the bound."""
+    is asked for or any array is made; the 576-dim block of
+    S^(3,2,1,1,1) induced at p = 2 passes the bound.  The CLI's decompose
+    gets E = 1 from the stub, which leaves k = 1 < 700 and needs the spin,
+    so it exits 2 on the same ValueError."""
     huge = _Huge(3, GF(3), Partition((2, 1)), "stub")
     with pytest.raises(ValueError, match="hom guardrail.* 700 to 700"):
         hom_space(huge, huge)
+    assert huge.asked == []
     assert 576 ** 3 <= endo.HOM_GUARDRAIL < 700 ** 3
     monkeypatch.setattr(cli, "build_specht", lambda lam, field: huge)
     assert cli.main(["decompose", "--lambda", "2,1", "--field", "3"]) == 2
@@ -258,7 +266,7 @@ def test_certify_simple_specht_is_indecomposable():
         cert = certify_indecomposable(build_specht(lam, field))
         assert cert.verdict == "indecomposable"
         assert cert.deterministic
-        assert cert.branch == "scalar-commutant"
+        assert cert.branch == CENTRAL
 
 
 def test_certify_decomposable_restriction():
@@ -294,7 +302,7 @@ def test_a_cyclic_block_component_is_certified_without_a_spin(p, monkeypatch):
 
     monkeypatch.setattr(endo, "hom_space", no_spin)
     for comp in comps:
-        cert = certify_block(comp)
+        cert = certify_indecomposable(comp.module)
         assert (cert.verdict, cert.branch, cert.trials) == (
             "indecomposable", CENTRAL, 0)
     assert sorted(comp.dim for comp in comps) == ([1, 1] if p == 3 else [2])
@@ -302,7 +310,8 @@ def test_a_cyclic_block_component_is_certified_without_a_spin(p, monkeypatch):
 
 def _nilpotency_index(comp) -> int:
     """The least k with (E|_M - c)^k = 0, c the block's E value."""
-    nil = central_symmetric_action(comp.module).shift(comp.module.field.neg(comp.value))
+    c = comp.module.field.scalar(content_sum(comp.factors[0]))
+    nil = central_symmetric_action(comp.module).shift(comp.module.field.neg(c))
     k, power = 1, nil
     while not power.is_zero():
         k, power = k + 1, power @ nil
@@ -317,7 +326,7 @@ def test_block_certificate_falls_back_where_the_commutant_is_larger(
         lam, dim, verdict, branch):
     """At GF(2) the restrictions of S^(3,1,1) and S^(5,1,1) are one block
     each, on which E - c has nilpotency index 2 while End(M) has dimension
-    3, so End(M) is not F[E|_M] and the verdict is the general
+    3, so End(M) is not F[E|_M] and the verdict is the locality
     certificate's: local by Wedderburn, and split by a Fitting witness."""
     lam, field = Partition(lam), GF(2)
     (comp,) = block_split(build_restriction(lam, field),
@@ -325,21 +334,40 @@ def test_block_certificate_falls_back_where_the_commutant_is_larger(
     assert comp.dim == dim
     assert _nilpotency_index(comp) == 2
     assert len(hom_space(comp.module, comp.module)) == 3
-    cert = certify_block(comp)
+    cert = certify_indecomposable(comp.module)
     assert (cert.verdict, cert.branch) == (verdict, branch)
     assert cert.deterministic
 
 
-def test_block_certificate_refuses_a_wrong_block_value():
-    """A component paired with a factor of another E value has E|_M - c
-    invertible, not nilpotent, and the certificate raises."""
-    lam, field = Partition((2, 1)), GF(3)
-    line = block_split(build_restriction(lam, field),
-                       branching_factors(lam, RESTRICT))[0]
-    other = next(mu for mu in branching_factors(lam, RESTRICT)
-                 if mu not in line.factors)
-    with pytest.raises(ArithmeticError, match="not zero"):
-        certify_block(BlockComponent(line.core, (other,), line.module))
+@pytest.mark.parametrize("lam", [(3, 1, 1), (5, 1, 1)], ids=["3,1,1", "5,1,1"])
+def test_a_block_verdict_spins_once(lam, monkeypatch):
+    """The GF(2) verdict on the one block of R(3,1,1), and of R(5,1,1),
+    makes one hom_space call: the spin that finds End(M) larger than
+    F[E|_M] is the basis the locality certificate reads."""
+    spins = []
+
+    def counted(m1, m2):
+        spins.append(m1.label)
+        return hom_space(m1, m2)
+
+    monkeypatch.setattr(endo, "hom_space", counted)
+    report = verify_branching(lam, 2, RESTRICT)
+    assert report.passed and len(spins) == 1
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_decompose_splits_by_blocks_before_any_spin(field, monkeypatch):
+    """R(2,1) = S^(2) + S^(1,1) has E = (1 2) with minimal polynomial
+    (x - 1)(x + 1) at GF(3) and over Q, so E - 1 is a central Fitting
+    witness, and each 1-dim summand is F[E|_M]: no hom_space call."""
+    def no_spin(m1, m2):
+        raise AssertionError("hom_space called")
+
+    monkeypatch.setattr(endo, "hom_space", no_spin)
+    parts = decompose(build_restriction(Partition((2, 1)), field))
+    assert [summand.dim for summand, _ in parts] == [1, 1]
+    assert [(cert.verdict, cert.branch) for _, cert in parts] == [
+        ("indecomposable", CENTRAL)] * 2
 
 
 def test_decompose_restriction_char_zero():
@@ -367,7 +395,7 @@ def test_small_specht_char_two_still_indecomposable():
     cert = certify_indecomposable(build_specht(Partition((2, 2)), GF(2)))
     assert cert.verdict == "indecomposable"
     assert cert.deterministic
-    assert cert.branch == "scalar-commutant"
+    assert cert.branch == CENTRAL
 
 
 def test_is_isomorphic_basic():
@@ -535,6 +563,12 @@ def test_roots_at_a_large_prime():
     assert endo._roots(Polynomial(field, [-3, 0, 1])) == []
 
 
+def test_the_root_of_a_linear_polynomial_is_read_off():
+    """a1 x + a0 has the one root -a0 / a1, monic or not, over Q and GF(p)."""
+    assert endo._roots(Polynomial(QQ, [-2, 3])) == [QQ.scalar(Fraction(2, 3))]
+    assert endo._roots(Polynomial(GF(7), [1, 3])) == [2]
+
+
 def test_branching_at_a_large_prime_finishes():
     """Restriction of S^(3,2) over GF(2^31 - 1): block labels (p-cores) and
     certificates take time that grows with log p at most, not with p."""
@@ -553,9 +587,8 @@ def test_certificate_matches_exhaustive_enumeration_through_n5():
     GF(3) and GF(5), and on each of their block components, the
     certificate's verdict is the verdict of exhaustive enumeration of the
     commutant.  The whole modules supply the decomposable cases: every
-    block component in this range is indecomposable.  The block
-    certificate gets the same verdict on every component, and at p = 3 and
-    p = 5 it decides each by End(M) = F[E|_M]."""
+    block component in this range is indecomposable, and at p = 3 and
+    p = 5 each is decided by End(M) = F[E|_M]."""
     for p in (2, 3, 5):
         field = GF(p)
         for n in range(1, 6):
@@ -567,15 +600,12 @@ def test_certificate_matches_exhaustive_enumeration_through_n5():
                     module = build(lam, field)
                     factors = branching_factors(lam, direction)
                     comps = block_split(module, factors)
-                    expected = {}
                     for sub in [module] + [comp.module for comp in comps]:
                         cert = certify_indecomposable(sub)
                         local = _local_by_enumeration(
                             field, *_matrix_algebra(field, hom_space(sub, sub)))
-                        expected[sub] = "indecomposable" if local else "decomposable"
-                        assert cert.verdict == expected[sub], (lam, p, direction)
+                        expected = "indecomposable" if local else "decomposable"
+                        assert cert.verdict == expected, (lam, p, direction)
                         assert cert.deterministic
-                    for comp in comps:
-                        cert = certify_block(comp)
-                        assert cert.verdict == expected[comp.module], (lam, p, direction)
-                        assert cert.branch == CENTRAL or p == 2, (lam, p, direction)
+                        assert cert.branch == CENTRAL or p == 2 or sub is module, (
+                            lam, p, direction)

@@ -554,6 +554,24 @@ def test_minimal_polynomial_inserts_one_row_per_power(field, monkeypatch):
     assert len(calls) == f.degree + 1 == 4
 
 
+@pytest.mark.parametrize("field,c", [(GF(5), 0), (GF(5), 3), (QQ, Fraction(-2, 3))],
+                         ids=["GF(5)-0", "GF(5)-3", "Q"])
+def test_minimal_polynomial_of_a_scalar_matrix_needs_no_elimination(
+        field, c, monkeypatch):
+    """c*1 has minimal polynomial x - c, read off with no insertion into a
+    RowBasis; one more nonzero entry off the diagonal makes it (x - c)^2."""
+    scalar = Matrix.identity(field, 4).scale(c)
+    nudged = Matrix(field, scalar.a.copy())
+    nudged.a[0, 3] = 1
+    assert minimal_polynomial(nudged) == Polynomial.from_roots(field, [c, c])
+
+    def no_insert(self, v):
+        raise AssertionError("RowBasis used for a scalar matrix")
+
+    monkeypatch.setattr(RowBasis, "_insert", no_insert)
+    assert minimal_polynomial(scalar) == Polynomial.from_roots(field, [c])
+
+
 def test_from_rows_of_no_rows_is_the_empty_matrix():
     for field in FIELDS:
         empty = Matrix.from_rows(field, [])

@@ -1,5 +1,5 @@
 """Every name the package or its tests import is used in the file that
-imports it, every private top-level function or class of the package,
+imports it, every name the package exports is bound, every private top-level function or class of the package,
 and every private method of its classes, is referenced somewhere in the
 package, and no cache of the package is unbounded."""
 
@@ -35,6 +35,16 @@ def test_scanner_flags_an_unused_import():
     source = "from fractions import Fraction\nimport numpy as np\nnp.zeros(1)\n"
     assert _unused_imports(source) == ["line 1: Fraction"]
     assert _unused_imports("from x import y\n__all__ = ['y']\n") == []
+
+
+def test_star_import_binds_every_exported_name():
+    """from spechtbranch import * binds each name of __all__, and __all__
+    names each once, so a deleted function cannot stay exported."""
+    names = spechtbranch.__all__
+    assert len(set(names)) == len(names)
+    namespace = {}
+    exec("from spechtbranch import *", namespace)
+    assert sorted(set(names) - set(namespace)) == []
 
 
 def _unused_by_file(directory: Path) -> dict:
